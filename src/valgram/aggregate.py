@@ -9,7 +9,10 @@ are removed, and whether once-used valence patterns are dropped.
 
 from __future__ import annotations
 
+import csv
+import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -17,10 +20,11 @@ from .frames import Coreness
 from .normalize import (
     FeRealization,
     SentencePattern,
+    Skip,
     SkipReason,
-    SynFunction,
     Voice,
-    parse_fe_token,
+    promote_unconsidered_skips,
+    read_tsv_rows,
 )
 
 
@@ -70,64 +74,50 @@ class Settings:
             raise ValueError("generalize_types implies skip_unconsidered")
 
 
-def _fe_key(r: FeRealization, generalize: bool) -> "FeKey":
-    return r.rgl_key if generalize else r.native_key
-
-
-@dataclass(frozen=True)
-class DroppedExample:
-    sentence_id: str
-    reason: str
-    detail: str = ""
+def _granularity(settings: Settings) -> tuple[attrgetter, attrgetter, attrgetter]:
+    """Getters for an FE's key, a pattern's FE-key set and its word-order
+    line, at interlingual types when the settings generalize and at
+    corpus-native types otherwise."""
+    if settings.generalize_types:
+        return attrgetter("rgl_key"), attrgetter("rgl_fe_set"), attrgetter("rgl_fes")
+    return attrgetter("native_key"), attrgetter("native_fe_set"), attrgetter("native_fes")
 
 
 def apply_settings(
     patterns: Iterable[SentencePattern], settings: Settings
-) -> tuple[list[SentencePattern], list[DroppedExample]]:
+) -> tuple[list[SentencePattern], list[Skip]]:
     """Filter sentence patterns according to the settings switches.
 
     Non-core FEs are removed before repeated FEs are collapsed. When repeated
     FEs disagree on their type the whole example is dropped; when they agree,
     the first occurrence in word order is kept. The function is idempotent.
     """
+    dropped: list[Skip] = []
+    if settings.skip_unconsidered:
+        patterns, dropped = promote_unconsidered_skips(patterns)
+    fe_key = _granularity(settings)[0]
     kept: list[SentencePattern] = []
-    dropped: list[DroppedExample] = []
     for p in patterns:
-        if settings.skip_unconsidered and p.has_unconsidered():
-            bad = next(r for r in p.realizations if r.rgl_type is None)
-            reason = (bad.skip_reason or SkipReason.UNCONSIDERED_PHRASE_TYPE).value
-            dropped.append(DroppedExample(p.sentence_id, reason, bad.fe_name))
-            continue
-
         reals: Sequence[FeRealization] = p.realizations
         if settings.drop_noncore:
             reals = [r for r in reals if r.coreness is not Coreness.NONCORE]
             if not reals:
-                dropped.append(DroppedExample(p.sentence_id, "EmptyAfterNonCoreRemoval"))
+                dropped.append(Skip(p.sentence_id, SkipReason.EMPTY_AFTER_NONCORE_REMOVAL))
                 continue
 
         if settings.dedupe_repeated_fes:
+            first: dict[str, FeRealization] = {}
             types_by_fe: dict[str, set[str]] = {}
             for r in reals:
-                types_by_fe.setdefault(r.fe_name, set()).add(
-                    _fe_key(r, settings.generalize_types)[1]
-                )
+                first.setdefault(r.fe_name, r)
+                types_by_fe.setdefault(r.fe_name, set()).add(fe_key(r)[1])
             mixed = [fe for fe, types in types_by_fe.items() if len(types) > 1]
             if mixed:
-                dropped.append(DroppedExample(
-                    p.sentence_id,
-                    SkipReason.MIXED_REPEATED_FE_TYPES.value,
-                    ",".join(sorted(mixed)),
+                dropped.append(Skip(
+                    p.sentence_id, SkipReason.MIXED_REPEATED_FE_TYPES, ",".join(sorted(mixed)),
                 ))
                 continue
-            seen: set[str] = set()
-            deduped: list[FeRealization] = []
-            for r in reals:
-                if r.fe_name in seen:
-                    continue
-                seen.add(r.fe_name)
-                deduped.append(r)
-            reals = deduped
+            reals = list(first.values())
 
         if tuple(reals) == p.realizations:
             kept.append(p)
@@ -155,8 +145,18 @@ def fe_key_token(key: FeKey) -> str:
     return token
 
 
-def _ordered_line(p: SentencePattern, settings: Settings) -> str:
-    return p.rgl_fes if settings.generalize_types else p.native_fes
+_FE_KEY_RE = re.compile(
+    r"^(?P<opt>Opt_)?(?P<fe>[^.\[]+)_(?P<ty>[^_]+?)(?:\.(?P<syn>Subj|Obj))?$"
+)
+
+
+def parse_fe_key(token: str) -> FeKey:
+    """Inverse of :func:`fe_key_token`, for interlingual and corpus-native
+    types alike."""
+    m = _FE_KEY_RE.match(token)
+    if m is None:
+        raise ValueError(f"cannot parse FE token {token!r}")
+    return (m["fe"], m["ty"], m["syn"] or "", bool(m["opt"]))
 
 
 @dataclass
@@ -183,9 +183,10 @@ def group_valence_patterns(
     """Group sentence patterns by (frame, voice, FE set), ignoring word order
     and prepositions. When the settings drop once-used valence patterns,
     groups with a single occurrence are removed after grouping."""
+    _, fe_set, ordered_line = _granularity(settings)
     groups: dict[tuple[str, str, tuple[FeKey, ...]], ValencePattern] = {}
     for p in patterns:
-        fes = p.rgl_fe_set if settings.generalize_types else p.native_fe_set
+        fes = fe_set(p)
         key = (p.frame, p.voice.value, fes)
         vp = groups.get(key)
         if vp is None:
@@ -195,7 +196,7 @@ def group_valence_patterns(
             )
             groups[key] = vp
         vp.count += 1
-        line = _ordered_line(p, settings)
+        line = ordered_line(p)
         vp.sentence_variants[line] = vp.sentence_variants.get(line, 0) + 1
         vp.lu_refs.add(p.lu_ref)
 
@@ -207,7 +208,7 @@ def group_valence_patterns(
 
 def aggregate_corpus(
     patterns: Iterable[SentencePattern], settings: Settings
-) -> tuple[list[ValencePattern], list[SentencePattern], list[DroppedExample]]:
+) -> tuple[list[ValencePattern], list[SentencePattern], list[Skip]]:
     """Apply the settings and group; returns (valences, kept patterns, drops).
 
     With singleton filtering active, kept patterns are restricted to those
@@ -217,11 +218,8 @@ def aggregate_corpus(
     valences = group_valence_patterns(kept, settings)
     if settings.drop_singleton_valences:
         surviving = {v.key() for v in valences}
-        kept = [
-            p for p in kept
-            if (p.frame, p.voice.value,
-                p.rgl_fe_set if settings.generalize_types else p.native_fe_set) in surviving
-        ]
+        fe_set = _granularity(settings)[1]
+        kept = [p for p in kept if (p.frame, p.voice.value, fe_set(p)) in surviving]
     return valences, kept, dropped
 
 
@@ -295,8 +293,6 @@ STATS_COLUMNS = [
 
 
 def write_stats_csv(rows: Sequence[StatsRow], path: Path) -> None:
-    import csv
-
     with path.open("w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(STATS_COLUMNS)
@@ -356,38 +352,31 @@ def write_frame_summaries(valences: Sequence[ValencePattern], out_dir: Path) -> 
 # Valence TSV
 # ---------------------------------------------------------------------------
 
+def _decodable_token(key: FeKey) -> str:
+    token = fe_key_token(key)
+    if _FE_KEY_RE.match(token) is None or parse_fe_key(token) != key:
+        raise ValueError(f"FE key {key!r} has no token that reads back as itself: {token!r}")
+    return token
+
+
 def write_valences_tsv(valences: Sequence[ValencePattern], path: Path) -> None:
-    """Rows: frame, voice, comma-joined FE tokens, count."""
+    """Rows: frame, voice, comma-joined FE tokens, count. A key whose token
+    would read back as a different key is a ValueError."""
     with path.open("w", encoding="utf-8") as f:
         for v in valences:
-            tokens = ",".join(fe_key_token(k) for k in v.fes)
+            tokens = ",".join(_decodable_token(k) for k in v.fes)
             f.write(f"{v.frame}\t{v.voice.value}\t{tokens}\t{v.count}\n")
 
 
 def read_valences_tsv(path: Path) -> list[ValencePattern]:
-    valences: list[ValencePattern] = []
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            frame, voice, tokens_field, count = parts
-            fes = []
-            for token in tokens_field.split(","):
-                if not token:
-                    continue
-                r = parse_fe_token(token)
-                syn = r.syn_function.value if r.syn_function is not SynFunction.NONE else ""
-                fes.append((r.fe_name, r.rgl_type.value, syn, r.coreness is Coreness.NONCORE))
-            valences.append(ValencePattern(
-                frame=frame,
-                voice=Voice(voice),
-                fes=tuple(sorted(fes)),
-                count=int(count),
-                sentence_variants={},
-                lu_refs=set(),
-            ))
-    return valences
+    return [
+        ValencePattern(
+            frame=frame,
+            voice=Voice(voice),
+            fes=tuple(sorted(parse_fe_key(token) for token in tokens_field.split(",") if token)),
+            count=int(count),
+            sentence_variants={},
+            lu_refs=set(),
+        )
+        for frame, voice, tokens_field, count in read_tsv_rows(path, 4)
+    ]

@@ -15,51 +15,24 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .aggregate import (
-    ALL_SETTINGS_IDS,
-    Settings,
-    aggregate_corpus,
-    compute_all_settings,
-    stats_table,
-    write_frame_summaries,
-    write_stats_csv,
-    write_valences_tsv,
+from .aggregate import ALL_SETTINGS_IDS, Settings, read_valences_tsv
+from .compare import MatchLevel, MatchMode, read_shared_tsv
+from .grammar import file_digest
+from .ingest import Dialect, read_sentences_jsonl, sentence_to_dict
+from .normalize import load_voice_rules, read_patterns_tsv
+from .pipeline import (
+    PipelineConfig,
+    SideConfig,
+    StageError,
+    aggregate_patterns,
+    compare_valences,
+    evaluate_coverage,
+    generate_grammar,
+    ingest_corpora,
+    load_frame_indexes,
+    normalize_sentences,
+    run_pipeline,
 )
-from .aggregate import read_valences_tsv
-from .compare import (
-    MatchLevel,
-    MatchMode,
-    frame_set_report,
-    intersect,
-    pattern_set_report,
-    read_shared_tsv,
-    write_frame_report_csv,
-    write_pattern_report_csv,
-    write_shared_tsv,
-)
-from .coverage import coverage, write_coverage_csv
-from .frames import load_frame_index
-from .grammar import (
-    derive_grammar,
-    emit_abstract_syntax,
-    file_digest,
-    noncore_categories,
-)
-from .ingest import (
-    Dialect,
-    parse_corpus,
-    read_sentences_jsonl,
-    sentence_to_dict,
-    write_sentences_jsonl,
-)
-from .normalize import (
-    load_voice_rules,
-    normalize_corpus,
-    read_patterns_tsv,
-    write_patterns_tsv,
-    write_skips_tsv,
-)
-from .pipeline import PipelineConfig, SideConfig, StageError, run_pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -72,11 +45,8 @@ def _error_record(stage: str, error: Exception) -> str:
     )
 
 
-def _load_merged_index(paths: list[Path]):
-    index = load_frame_index(paths[0])
-    for path in paths[1:]:
-        index = index.merged(load_frame_index(path))
-    return index
+def _optional_path(value: str | None) -> Path | None:
+    return Path(value) if value else None
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +54,8 @@ def _load_merged_index(paths: list[Path]):
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    dialect = Dialect(args.dialect)
-    records = []
-    for path in args.paths:
-        for s in parse_corpus(Path(path), dialect):
-            records.append((str(path), s))
-    records.sort(key=lambda pair: (pair[0], pair[1].sentence_id))
-    sentences = [s for _, s in records]
-    if args.out:
-        write_sentences_jsonl(sentences, Path(args.out))
-    else:
+    sentences = ingest_corpora(args.paths, Dialect(args.dialect), _optional_path(args.out))
+    if not args.out:
         for s in sentences:
             sys.stdout.write(json.dumps(sentence_to_dict(s), ensure_ascii=False, sort_keys=True))
             sys.stdout.write("\n")
@@ -102,7 +64,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_frames(args: argparse.Namespace) -> int:
-    index = load_frame_index(Path(args.validate))
+    index = load_frame_indexes([args.validate])
     n_core = sum(len(d.core_fes) for d in index.defs.values())
     n_noncore = sum(len(d.noncore_fes) for d in index.defs.values())
     print(f"{len(index.defs)} frames, {n_core} core FEs, {n_noncore} non-core FEs")
@@ -110,24 +72,22 @@ def cmd_frames(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    if not args.jsonl and not args.dialect:
+    if args.jsonl:
+        sentences = [s for path in args.paths for s in read_sentences_jsonl(Path(path))]
+    elif args.dialect:
+        sentences = ingest_corpora(args.paths, Dialect(args.dialect))
+    else:
         raise ValueError("--dialect is required when reading corpus XML")
-    index = _load_merged_index([Path(p) for p in args.frames])
-    rules = load_voice_rules(Path(args.voice_rules) if args.voice_rules else None)
-    sentences = []
-    for path in args.paths:
-        if args.jsonl:
-            sentences.extend(read_sentences_jsonl(Path(path)))
-        else:
-            sentences.extend(parse_corpus(Path(path), Dialect(args.dialect)))
     native = args.types == "native"
-    skip_unconsidered = True if not native else args.skip_unconsidered
-    patterns, skips = normalize_corpus(
-        sentences, index, rules, skip_unconsidered=skip_unconsidered
+    _, patterns, skips = normalize_sentences(
+        sentences,
+        load_frame_indexes(args.frames),
+        load_voice_rules(_optional_path(args.voice_rules)),
+        skip_unconsidered=not native or args.skip_unconsidered,
+        native=native,
+        patterns_out=Path(args.out),
+        skips_out=_optional_path(args.skips),
     )
-    write_patterns_tsv(patterns, Path(args.out), native=native)
-    if args.skips:
-        write_skips_tsv(skips, Path(args.skips))
     logger.info("normalized %d patterns, %d skips", len(patterns), len(skips))
     return 0
 
@@ -137,50 +97,46 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     is_jsonl = args.in_format == "jsonl" or (
         args.in_format == "auto" and in_path.suffix == ".jsonl"
     )
-    if is_jsonl:
-        if not args.frames:
-            raise ValueError("aggregating from sentences requires --frames")
-        index = _load_merged_index([Path(p) for p in args.frames])
-        rules = load_voice_rules(Path(args.voice_rules) if args.voice_rules else None)
-        sentences = read_sentences_jsonl(in_path)
-        patterns, _ = normalize_corpus(sentences, index, rules, skip_unconsidered=False)
-    else:
-        patterns = read_patterns_tsv(in_path)
-
-    if args.stats_out:
-        if not is_jsonl:
-            raise ValueError("--stats-out needs the corpus serialization (.jsonl input)")
-        per_settings = compute_all_settings(patterns)
-        write_stats_csv(stats_table(per_settings), Path(args.stats_out))
-
     settings = Settings.from_id(args.settings)
+    if args.stats_out and not is_jsonl:
+        raise ValueError("--stats-out needs the corpus serialization (.jsonl input)")
     if not settings.generalize_types and not is_jsonl:
         raise ValueError(
             f"settings {settings.id} use corpus-native types; "
             "provide the corpus serialization (.jsonl) as input"
         )
-    valences, filtered, _ = aggregate_corpus(patterns, settings)
-    if args.out:
-        write_valences_tsv(valences, Path(args.out))
-    if args.out_patterns:
-        write_patterns_tsv(filtered, Path(args.out_patterns))
-    if args.summary_dir:
-        write_frame_summaries(valences, Path(args.summary_dir))
+    if not is_jsonl:
+        patterns = read_patterns_tsv(in_path)
+    elif args.frames:
+        patterns, _, _ = normalize_sentences(
+            read_sentences_jsonl(in_path),
+            load_frame_indexes(args.frames),
+            load_voice_rules(_optional_path(args.voice_rules)),
+            skip_unconsidered=False,
+        )
+    else:
+        raise ValueError("aggregating from sentences requires --frames")
+    valences, _ = aggregate_patterns(
+        patterns,
+        settings,
+        valences_out=_optional_path(args.out),
+        patterns_out=_optional_path(args.out_patterns),
+        summary_dir=_optional_path(args.summary_dir),
+        stats_out=_optional_path(args.stats_out),
+    )
     logger.info("aggregated %d valence patterns under %s", len(valences), settings.id)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    left = read_valences_tsv(Path(args.left))
-    right = read_valences_tsv(Path(args.right))
-    level = MatchLevel(args.level)
-    mode = MatchMode(args.mode)
-    shared = intersect(left, right, level, mode)
-    write_shared_tsv(shared, Path(args.out))
-    if args.report:
-        write_pattern_report_csv([pattern_set_report(shared)], Path(args.report))
-    if args.frame_report:
-        write_frame_report_csv(frame_set_report(left, right), Path(args.frame_report))
+    level, mode = MatchLevel(args.level), MatchMode(args.mode)
+    shared = compare_valences(
+        read_valences_tsv(Path(args.left)),
+        read_valences_tsv(Path(args.right)),
+        {(level, mode): Path(args.out)},
+        report_out=_optional_path(args.report),
+        frame_report_out=_optional_path(args.frame_report),
+    )[(level, mode)]
     logger.info(
         "shared set: %d final patterns over %d frames",
         len(shared.patterns), len(shared.final_frames()),
@@ -189,28 +145,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    shared = read_shared_tsv(Path(args.shared))
-    lu_patterns = {
-        args.left_name: read_patterns_tsv(Path(args.lu_left)),
-        args.right_name: read_patterns_tsv(Path(args.lu_right)),
-    }
-    digests = [
-        ("shared", file_digest(Path(args.shared))),
-        (args.left_name, file_digest(Path(args.lu_left))),
-        (args.right_name, file_digest(Path(args.lu_right))),
-    ]
-    extra = []
-    if args.include_noncore:
-        for patterns in lu_patterns.values():
-            extra.extend(noncore_categories(patterns))
-    grammar = derive_grammar(
+    shared_path, left_path, right_path = Path(args.shared), Path(args.lu_left), Path(args.lu_right)
+    shared = read_shared_tsv(shared_path)
+    generate_grammar(
         shared,
-        lu_patterns,
+        {
+            args.left_name: read_patterns_tsv(left_path),
+            args.right_name: read_patterns_tsv(right_path),
+        },
+        Path(args.out_dir),
         settings_desc=f"{shared.level.value} {shared.mode.value}",
-        input_digests=digests,
-        extra_categories=extra,
+        input_digests=[
+            ("shared", file_digest(shared_path)),
+            (args.left_name, file_digest(left_path)),
+            (args.right_name, file_digest(right_path)),
+        ],
+        include_noncore=args.include_noncore,
     )
-    emit_abstract_syntax(grammar, Path(args.out_dir))
     return 0
 
 
@@ -225,8 +176,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"shared set was built in mode {shared.mode.value!r}, not {args.mode!r}"
         )
     examples = read_patterns_tsv(Path(args.examples))
-    report = coverage(shared, examples)
-    write_coverage_csv([(args.side, report)], Path(args.out))
+    evaluate_coverage([shared], [(args.side, examples)], Path(args.out))
     return 0
 
 
@@ -244,32 +194,27 @@ def _parse_settings_pair(text: str) -> tuple[str, str]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    def side(which: str, settings_id: str) -> SideConfig:
+        frames = getattr(args, f"frames_{which}") or args.frames
+        if not frames:
+            raise ValueError("run requires --frames (or --frames-left/--frames-right)")
+        return SideConfig(
+            name=getattr(args, f"{which}_name"),
+            dialect=Dialect(getattr(args, f"{which}_dialect")),
+            corpus_paths=[Path(p) for p in getattr(args, which)],
+            frame_index_paths=[Path(p) for p in frames],
+            settings_id=settings_id,
+        )
+
     settings_left, settings_right = args.settings
-    frames_left = args.frames_left or args.frames
-    frames_right = args.frames_right or args.frames
-    if not frames_left or not frames_right:
-        raise ValueError("run requires --frames (or --frames-left/--frames-right)")
-    config = PipelineConfig(
-        left=SideConfig(
-            name=args.left_name,
-            dialect=Dialect(args.left_dialect),
-            corpus_paths=[Path(p) for p in args.left],
-            frame_index_paths=[Path(p) for p in frames_left],
-            settings_id=settings_left,
-        ),
-        right=SideConfig(
-            name=args.right_name,
-            dialect=Dialect(args.right_dialect),
-            corpus_paths=[Path(p) for p in args.right],
-            frame_index_paths=[Path(p) for p in frames_right],
-            settings_id=settings_right,
-        ),
+    run_pipeline(PipelineConfig(
+        left=side("left", settings_left),
+        right=side("right", settings_right),
         out_dir=Path(args.out_dir),
         grammar_level=MatchLevel(args.level),
         grammar_mode=MatchMode(args.mode),
-        voice_rules_path=Path(args.voice_rules) if args.voice_rules else None,
-    )
-    run_pipeline(config)
+        voice_rules_path=_optional_path(args.voice_rules),
+    ))
     return 0
 
 
@@ -356,12 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="run the whole pipeline")
-    p.add_argument("--left", required=True, nargs="+", metavar="CORPUS")
-    p.add_argument("--left-dialect", required=True, choices=[d.value for d in Dialect])
-    p.add_argument("--left-name", default="bfn")
-    p.add_argument("--right", required=True, nargs="+", metavar="CORPUS")
-    p.add_argument("--right-dialect", required=True, choices=[d.value for d in Dialect])
-    p.add_argument("--right-name", default="swefn")
+    for which, default_name in (("left", "bfn"), ("right", "swefn")):
+        p.add_argument(f"--{which}", required=True, nargs="+", metavar="CORPUS")
+        p.add_argument(f"--{which}-dialect", required=True, choices=[d.value for d in Dialect])
+        p.add_argument(f"--{which}-name", default=default_name)
     p.add_argument("--frames", nargs="+", help="frame index for both sides")
     p.add_argument("--frames-left", nargs="+")
     p.add_argument("--frames-right", nargs="+")

@@ -10,16 +10,14 @@ the grammar built from them covers the removed ones through empty arguments.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .aggregate import FeKey, ValencePattern, fe_key_token
-from .frames import Coreness
-from .normalize import SynFunction, parse_fe_token
-
+from .aggregate import FeKey, ValencePattern, fe_key_token, parse_fe_key
 
 
 class MatchLevel(str, Enum):
@@ -63,14 +61,9 @@ def subsumes(a: ValencePattern, b: ValencePattern, level: MatchLevel) -> bool:
 # Frame sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrameSetReport:
-    left_total: int
-    right_total: int
-    left_only: int
-    right_only: int
-    union: int
-    intersection: int
+class _SetShares:
+    """Percentages of a set comparison, from its left_total, right_total,
+    left_only, right_only, union and intersection counts."""
 
     @property
     def left_only_pct(self) -> float:
@@ -83,6 +76,16 @@ class FrameSetReport:
     @property
     def intersection_pct(self) -> float:
         return self.intersection / self.union if self.union else 0.0
+
+
+@dataclass(frozen=True)
+class FrameSetReport(_SetShares):
+    left_total: int
+    right_total: int
+    left_only: int
+    right_only: int
+    union: int
+    intersection: int
 
 
 def frame_set_report(
@@ -268,7 +271,7 @@ def intersect(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PatternSetReport:
+class PatternSetReport(_SetShares):
     level: str
     mode: str
     left_total: int
@@ -279,18 +282,6 @@ class PatternSetReport:
     intersection: int
     final_patterns: int
     final_frames: int
-
-    @property
-    def left_only_pct(self) -> float:
-        return self.left_only / self.left_total if self.left_total else 0.0
-
-    @property
-    def right_only_pct(self) -> float:
-        return self.right_only / self.right_total if self.right_total else 0.0
-
-    @property
-    def intersection_pct(self) -> float:
-        return self.intersection / self.union if self.union else 0.0
 
 
 def pattern_set_report(shared: SharedPatternSet) -> PatternSetReport:
@@ -323,8 +314,6 @@ PATTERN_REPORT_COLUMNS = [
 
 
 def write_frame_report_csv(report: FrameSetReport, path: Path) -> None:
-    import csv
-
     with path.open("w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(FRAME_REPORT_COLUMNS)
@@ -338,8 +327,6 @@ def write_frame_report_csv(report: FrameSetReport, path: Path) -> None:
 
 
 def write_pattern_report_csv(reports: Sequence[PatternSetReport], path: Path) -> None:
-    import csv
-
     with path.open("w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(PATTERN_REPORT_COLUMNS)
@@ -382,15 +369,6 @@ def write_shared_tsv(shared: SharedPatternSet, path: Path) -> None:
             f.write("\n")
 
 
-def _parse_syn_tokens(tokens: Sequence[str]) -> tuple[FeKey, ...]:
-    keys = []
-    for token in tokens:
-        r = parse_fe_token(token)
-        syn = r.syn_function.value if r.syn_function is not SynFunction.NONE else ""
-        keys.append((r.fe_name, r.rgl_type.value, syn, r.coreness is Coreness.NONCORE))
-    return tuple(sorted(keys))
-
-
 def read_shared_tsv(path: Path) -> SharedPatternSet:
     level = MatchLevel.SEMANTIC_SYNTACTIC
     mode = MatchMode.FUZZY
@@ -413,7 +391,7 @@ def read_shared_tsv(path: Path) -> SharedPatternSet:
             frame, voice, fes_field, _count, meta_field = parts
             meta = json.loads(meta_field)
             syn_variants = {
-                side: [(_parse_syn_tokens(tokens), int(n)) for tokens, n in variants]
+                side: [(tuple(sorted(map(parse_fe_key, tokens))), int(n)) for tokens, n in variants]
                 for side, variants in meta.get("syn", {}).items()
             }
             patterns.append(SharedPattern(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .frames import Coreness, FrameIndex
 from .ingest import AnnotatedSentence, Dialect, FeSpan, WordAnno
@@ -45,6 +45,7 @@ class SkipReason(str, Enum):
     MIXED_REPEATED_FE_TYPES = "MixedRepeatedFeTypes"
     NO_GRAMMATICAL_ANNOTATION = "NoGrammaticalAnnotation"
     UNKNOWN_FRAME = "UnknownFrame"
+    EMPTY_AFTER_NONCORE_REMOVAL = "EmptyAfterNonCoreRemoval"
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,10 @@ class SentencePattern:
     lu_ref: str
     sentence_id: str
 
-    def has_unconsidered(self) -> bool:
-        return any(r.rgl_type is None for r in self.realizations)
+    def first_unconsidered(self) -> FeRealization | None:
+        """The first FE outside the interlingual inventory; it decides
+        whether, and why, the whole example is skipped."""
+        return next((r for r in self.realizations if r.rgl_type is None), None)
 
     @cached_property
     def rgl_fes(self) -> str:
@@ -149,12 +152,6 @@ class SentencePattern:
     @cached_property
     def native_fe_set(self) -> tuple[tuple[str, str, str, bool], ...]:
         return tuple(sorted({r.native_key for r in self.realizations}))
-
-    def rgl_line(self) -> str:
-        return f"{self.frame}\t{self.voice.value}\t{self.rgl_fes}\t{self.lu_ref}\t{self.sentence_id}"
-
-    def native_line(self) -> str:
-        return f"{self.frame}\t{self.voice.value}\t{self.native_fes}\t{self.lu_ref}\t{self.sentence_id}"
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +331,10 @@ def _bfn_prep(fe: FeSpan, s: AnnotatedSentence, rules: dict) -> str | None:
     return first_word[0].lower() if first_word else None
 
 
-def _bfn_realization(fe: FeSpan, s: AnnotatedSentence, core: Coreness, rules: dict) -> FeRealization:
+def _bfn_types(
+    fe: FeSpan, s: AnnotatedSentence, rules: dict
+) -> tuple[str, Generalized | SkipReason]:
+    """Native tag combination of a BFN FE and its interlingual mapping."""
     pt = fe.phrase_type or ""
     gf = fe.gram_function or ""
     base, prep = _split_pt(pt)
@@ -345,20 +345,7 @@ def _bfn_realization(fe: FeSpan, s: AnnotatedSentence, core: Coreness, rules: di
         native_pt = pt
     native = f"{native_pt}.{gf}" if gf else native_pt
 
-    mapped = generalize_bfn_fe(pt if prep is None else f"{base}[{prep}]", gf)
-    if isinstance(mapped, SkipReason):
-        return FeRealization(
-            fe_name=fe.fe_name, native_type=native, rgl_type=None,
-            coreness=core, skip_reason=mapped,
-        )
-    return FeRealization(
-        fe_name=fe.fe_name,
-        native_type=native,
-        rgl_type=mapped.rgl_type,
-        syn_function=mapped.syn_function,
-        preposition=mapped.preposition if mapped.rgl_type is RglType.ADV else None,
-        coreness=core,
-    )
+    return native, generalize_bfn_fe(pt if prep is None else f"{base}[{prep}]", gf)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +367,16 @@ def _head_word(words: Sequence[WordAnno]) -> WordAnno:
     return words[0]
 
 
+def _first_constituent(words: Sequence[WordAnno]) -> WordAnno | None:
+    """The word whose annotations type a SweFN FE: leading coordinating
+    conjunctions are stepped over, and a leading adjective or participle
+    gives way to the constituent head. None if no word remains."""
+    word = next((w for w in words if w.pos not in _CONJ_POS), None)
+    if word is not None and word.pos in _ADJ_PARTICIPLE_POS:
+        return _head_word(words)
+    return word
+
+
 def generalize_swefn_fe(words: Sequence[WordAnno]) -> Generalized | SkipReason:
     """Map a SweFN FE onto NP, Adv or VP from its first constituent.
 
@@ -389,14 +386,9 @@ def generalize_swefn_fe(words: Sequence[WordAnno]) -> Generalized | SkipReason:
     outside an infinitive verb group) are skipped, mirroring how clause-typed
     phrase types are skipped on the phrase-structure side.
     """
-    idx = 0
-    while idx < len(words) and words[idx].pos in _CONJ_POS:
-        idx += 1
-    if idx >= len(words):
+    word = _first_constituent(words)
+    if word is None:
         return SkipReason.UNCONSIDERED_PHRASE_TYPE
-    word = words[idx]
-    if word.pos in _ADJ_PARTICIPLE_POS:
-        word = _head_word(words)
 
     pos = word.pos
     deprel = word.deprel
@@ -421,38 +413,23 @@ def generalize_swefn_fe(words: Sequence[WordAnno]) -> Generalized | SkipReason:
     return SkipReason.UNCONSIDERED_PHRASE_TYPE
 
 
-def _swefn_realization(fe: FeSpan, s: AnnotatedSentence, core: Coreness) -> FeRealization:
+def _swefn_types(fe: FeSpan, s: AnnotatedSentence) -> tuple[str, Generalized | SkipReason]:
+    """Native tag combination of a SweFN FE and its interlingual mapping."""
     words = fe.words or ()
-    idx = 0
-    while idx < len(words) and words[idx].pos in _CONJ_POS:
-        idx += 1
-    effective = words[idx] if idx < len(words) else (words[0] if words else None)
-    if effective is not None and effective.pos in _ADJ_PARTICIPLE_POS:
-        effective = _head_word(words)
+    # An FE of conjunctions only keeps the tags of its first word.
+    effective = _first_constituent(words) or (words[0] if words else None)
     if effective is None:
         native = ""
     else:
         native = f"{effective.msd or effective.pos}.{effective.deprel}"
 
     mapped = generalize_swefn_fe(words)
-    if isinstance(mapped, SkipReason):
-        if mapped is SkipReason.UNCONSIDERED_PHRASE_TYPE:
-            logger.debug(
-                "unmappable SweFN tags %r for FE %r in sentence %s",
-                native, fe.fe_name, s.sentence_id,
-            )
-        return FeRealization(
-            fe_name=fe.fe_name, native_type=native, rgl_type=None,
-            coreness=core, skip_reason=mapped,
+    if mapped is SkipReason.UNCONSIDERED_PHRASE_TYPE:
+        logger.debug(
+            "unmappable SweFN tags %r for FE %r in sentence %s",
+            native, fe.fe_name, s.sentence_id,
         )
-    return FeRealization(
-        fe_name=fe.fe_name,
-        native_type=native,
-        rgl_type=mapped.rgl_type,
-        syn_function=mapped.syn_function,
-        preposition=mapped.preposition,
-        coreness=core,
-    )
+    return native, mapped
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +477,18 @@ def normalize_sentence(
             continue
         core = index.coreness(s.frame, fe.fe_name)
         if s.dialect is Dialect.BFN_PHRASE:
-            reals.append(_bfn_realization(fe, s, core, rules))
+            native, mapped = _bfn_types(fe, s, rules)
         else:
-            reals.append(_swefn_realization(fe, s, core))
+            native, mapped = _swefn_types(fe, s)
+        if isinstance(mapped, SkipReason):
+            reals.append(FeRealization(
+                fe.fe_name, native, rgl_type=None, coreness=core, skip_reason=mapped,
+            ))
+        else:
+            reals.append(FeRealization(
+                fe.fe_name, native, mapped.rgl_type, mapped.syn_function,
+                mapped.preposition, coreness=core,
+            ))
     reals = _demote_extra_subjects(reals, s.sentence_id)
 
     return SentencePattern(
@@ -514,21 +500,6 @@ def normalize_sentence(
     )
 
 
-def extract_sentence_pattern(
-    s: AnnotatedSentence, index: FrameIndex, rules: dict | None = None
-) -> SentencePattern | Skip:
-    """Like :func:`normalize_sentence`, but a sentence containing any FE
-    outside the interlingual inventory is skipped as a whole."""
-    result = normalize_sentence(s, index, rules)
-    if isinstance(result, Skip):
-        return result
-    for r in result.realizations:
-        if r.rgl_type is None:
-            assert r.skip_reason is not None
-            return Skip(s.sentence_id, r.skip_reason, f"{r.fe_name}:{r.native_type}")
-    return result
-
-
 def promote_unconsidered_skips(
     patterns: Iterable[SentencePattern],
 ) -> tuple[list[SentencePattern], list[Skip]]:
@@ -537,12 +508,12 @@ def promote_unconsidered_skips(
     kept: list[SentencePattern] = []
     skips: list[Skip] = []
     for p in patterns:
-        bad = next((r for r in p.realizations if r.rgl_type is None), None)
+        bad = p.first_unconsidered()
         if bad is None:
             kept.append(p)
         else:
-            assert bad.skip_reason is not None
-            skips.append(Skip(p.sentence_id, bad.skip_reason, f"{bad.fe_name}:{bad.native_type}"))
+            reason = bad.skip_reason or SkipReason.UNCONSIDERED_PHRASE_TYPE
+            skips.append(Skip(p.sentence_id, reason, f"{bad.fe_name}:{bad.native_type}"))
     return kept, skips
 
 
@@ -600,30 +571,35 @@ def write_patterns_tsv(
 ) -> None:
     with path.open("w", encoding="utf-8") as f:
         for p in patterns:
-            f.write(p.native_line() if native else p.rgl_line())
-            f.write("\n")
+            fes = p.native_fes if native else p.rgl_fes
+            f.write(f"{p.frame}\t{p.voice.value}\t{fes}\t{p.lu_ref}\t{p.sentence_id}\n")
 
 
-def read_patterns_tsv(path: Path) -> list[SentencePattern]:
-    patterns: list[SentencePattern] = []
+def read_tsv_rows(path: Path, n_fields: int) -> Iterator[list[str]]:
+    """Fields of each line of a TSV artifact; blank and ``#`` lines are
+    skipped, and a line with another field count is a ValueError."""
     with path.open("r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            frame, voice, fes_field, lu_ref, sentence_id = parts
-            reals = tuple(parse_fe_token(tok) for tok in fes_field.split() if tok)
-            patterns.append(SentencePattern(
-                frame=frame,
-                voice=Voice(voice),
-                realizations=reals,
-                lu_ref=lu_ref,
-                sentence_id=sentence_id,
-            ))
-    return patterns
+            if len(parts) != n_fields:
+                raise ValueError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            yield parts
+
+
+def read_patterns_tsv(path: Path) -> list[SentencePattern]:
+    return [
+        SentencePattern(
+            frame=frame,
+            voice=Voice(voice),
+            realizations=tuple(parse_fe_token(tok) for tok in fes_field.split() if tok),
+            lu_ref=lu_ref,
+            sentence_id=sentence_id,
+        )
+        for frame, voice, fes_field, lu_ref, sentence_id in read_tsv_rows(path, 5)
+    ]
 
 
 def write_skips_tsv(skips: Iterable[Skip], path: Path) -> None:

@@ -1,9 +1,10 @@
 """End-to-end pipeline: ingest, normalize, aggregate, compare, generate,
 evaluate, with every intermediate artifact persisted as plain text.
 
-A manifest written next to the outputs records the configuration, input
-digests and tool version; reruns with identical inputs produce byte-identical
-artifact trees.
+Each stage is one function here; :func:`run_pipeline` composes them and each
+CLI subcommand calls one of them. A manifest written next to the outputs
+records the configuration, input digests and tool version; reruns with
+identical inputs produce byte-identical artifact trees.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .aggregate import (
     Settings,
+    ValencePattern,
     aggregate_corpus,
     compute_all_settings,
     stats_table,
@@ -25,6 +28,7 @@ from .aggregate import (
 from .compare import (
     MatchLevel,
     MatchMode,
+    SharedPatternSet,
     frame_set_report,
     intersect,
     pattern_set_report,
@@ -34,16 +38,17 @@ from .compare import (
 )
 from .coverage import coverage, write_coverage_csv
 from .frames import FrameIndex, load_frame_index
-from .grammar import derive_grammar, emit_abstract_syntax, file_digest
-from .ingest import Dialect, parse_corpus, write_sentences_jsonl
+from .grammar import derive_grammar, emit_abstract_syntax, file_digest, noncore_categories
+from .ingest import AnnotatedSentence, Dialect, parse_corpus, write_sentences_jsonl
 from .normalize import (
+    SentencePattern,
+    Skip,
     load_voice_rules,
     normalize_corpus,
     promote_unconsidered_skips,
     write_patterns_tsv,
     write_skips_tsv,
 )
-
 
 
 class StageError(RuntimeError):
@@ -70,7 +75,6 @@ class PipelineConfig:
     grammar_level: MatchLevel = MatchLevel.SEMANTIC_SYNTACTIC
     grammar_mode: MatchMode = MatchMode.FUZZY
     voice_rules_path: Path | None = None
-    log_level: str = "WARNING"
 
     def to_dict(self) -> dict:
         def side(s: SideConfig) -> dict:
@@ -89,16 +93,150 @@ class PipelineConfig:
             "grammar_level": self.grammar_level.value,
             "grammar_mode": self.grammar_mode.value,
             "voice_rules_path": str(self.voice_rules_path) if self.voice_rules_path else None,
-            "log_level": self.log_level,
         }
 
 
-def _load_index(paths: list[Path]) -> FrameIndex:
-    index = load_frame_index(paths[0])
+# ---------------------------------------------------------------------------
+# Stages
+# ---------------------------------------------------------------------------
+
+def load_frame_indexes(paths: Sequence[Path | str]) -> FrameIndex:
+    """Load and merge frame-index files; later files win frame by frame."""
+    index = load_frame_index(Path(paths[0]))
     for path in paths[1:]:
-        index = index.merged(load_frame_index(path))
+        index = index.merged(load_frame_index(Path(path)))
     return index
 
+
+def ingest_corpora(
+    paths: Iterable[Path | str], dialect: Dialect, out: Path | None = None
+) -> list[AnnotatedSentence]:
+    """Sentences of the corpus files, sorted by (path, sentence id)."""
+    records = []
+    for path in sorted(Path(p) for p in paths):
+        records.extend((str(path), s) for s in parse_corpus(path, dialect))
+    records.sort(key=lambda pair: (pair[0], pair[1].sentence_id))
+    sentences = [s for _, s in records]
+    if out is not None:
+        write_sentences_jsonl(sentences, out)
+    return sentences
+
+
+def normalize_sentences(
+    sentences: Sequence[AnnotatedSentence],
+    index: FrameIndex,
+    rules: dict,
+    *,
+    skip_unconsidered: bool = True,
+    native: bool = False,
+    patterns_out: Path | None = None,
+    skips_out: Path | None = None,
+) -> tuple[list[SentencePattern], list[SentencePattern], list[Skip]]:
+    """Returns (every pattern, the kept patterns, the skips). Every pattern
+    feeds the baseline settings; ``skip_unconsidered`` promotes examples with
+    an FE outside the interlingual inventory to skips, sorted by sentence id."""
+    all_patterns, skips = normalize_corpus(sentences, index, rules, skip_unconsidered=False)
+    patterns = all_patterns
+    if skip_unconsidered:
+        patterns, promoted = promote_unconsidered_skips(all_patterns)
+        skips = sorted(skips + promoted, key=lambda sk: sk.sentence_id)
+    if patterns_out is not None:
+        write_patterns_tsv(patterns, patterns_out, native=native)
+    if skips_out is not None:
+        write_skips_tsv(skips, skips_out)
+    return all_patterns, patterns, skips
+
+
+def aggregate_patterns(
+    patterns: Sequence[SentencePattern],
+    settings: Settings,
+    *,
+    valences_out: Path | None = None,
+    patterns_out: Path | None = None,
+    summary_dir: Path | None = None,
+    stats_out: Path | None = None,
+) -> tuple[list[ValencePattern], list[SentencePattern]]:
+    """Returns (valences, filtered patterns); ``stats_out`` gets the
+    statistics table over all settings."""
+    if stats_out is not None:
+        write_stats_csv(stats_table(compute_all_settings(patterns)), stats_out)
+    valences, filtered, _ = aggregate_corpus(patterns, settings)
+    if valences_out is not None:
+        write_valences_tsv(valences, valences_out)
+    if patterns_out is not None:
+        # Only settings that keep unconsidered examples (0.0) hold FEs with no
+        # interlingual type; their patterns are written with native types.
+        write_patterns_tsv(filtered, patterns_out, native=not settings.skip_unconsidered)
+    if summary_dir is not None:
+        write_frame_summaries(valences, summary_dir)
+    return valences, filtered
+
+
+def compare_valences(
+    left: Sequence[ValencePattern],
+    right: Sequence[ValencePattern],
+    shared_out: Mapping[tuple[MatchLevel, MatchMode], Path],
+    *,
+    report_out: Path | None = None,
+    frame_report_out: Path | None = None,
+) -> dict[tuple[MatchLevel, MatchMode], SharedPatternSet]:
+    """One shared set per (level, mode) key of ``shared_out``, written to its
+    path; the pattern report has one row per set, in that order."""
+    shared_sets = {}
+    for (level, mode), path in shared_out.items():
+        shared_sets[(level, mode)] = shared = intersect(left, right, level, mode)
+        write_shared_tsv(shared, path)
+    if report_out is not None:
+        write_pattern_report_csv(
+            [pattern_set_report(shared) for shared in shared_sets.values()], report_out
+        )
+    if frame_report_out is not None:
+        write_frame_report_csv(frame_set_report(left, right), frame_report_out)
+    return shared_sets
+
+
+def generate_grammar(
+    shared: SharedPatternSet,
+    lu_patterns: Mapping[str, Sequence[SentencePattern]],
+    out_dir: Path,
+    *,
+    settings_desc: str,
+    input_digests: Sequence[tuple[str, str]],
+    include_noncore: bool = False,
+) -> None:
+    """``include_noncore`` also declares the Opt_ categories attested in the
+    patterns."""
+    extra = []
+    if include_noncore:
+        for patterns in lu_patterns.values():
+            extra.extend(noncore_categories(patterns))
+    grammar = derive_grammar(
+        shared,
+        lu_patterns,
+        settings_desc=settings_desc,
+        input_digests=input_digests,
+        extra_categories=extra,
+    )
+    emit_abstract_syntax(grammar, out_dir)
+
+
+def evaluate_coverage(
+    shared_sets: Sequence[SharedPatternSet],
+    examples: Iterable[tuple[str, Sequence[SentencePattern]]],
+    out: Path,
+) -> None:
+    """One coverage row per (side, shared set), sides outermost."""
+    rows = [
+        (side, coverage(shared, patterns))
+        for side, patterns in examples
+        for shared in shared_sets
+    ]
+    write_coverage_csv(rows, out)
+
+
+# ---------------------------------------------------------------------------
+# Whole run
+# ---------------------------------------------------------------------------
 
 def run_pipeline(config: PipelineConfig) -> Path:
     """Execute all stages; returns the output directory.
@@ -111,104 +249,71 @@ def run_pipeline(config: PipelineConfig) -> Path:
     stage = "configure"
     try:
         rules = load_voice_rules(config.voice_rules_path)
-        sides = {}
-
-        for side_cfg in (config.left, config.right):
-            name = side_cfg.name
+        valences, examples, filtered = {}, {}, {}  # by side name
+        for side in (config.left, config.right):
+            name = side.name
             stage = f"frames[{name}]"
-            index = _load_index(side_cfg.frame_index_paths)
+            index = load_frame_indexes(side.frame_index_paths)
 
             stage = f"ingest[{name}]"
-            sentences = []
-            for path in sorted(side_cfg.corpus_paths):
-                parsed = parse_corpus(path, side_cfg.dialect)
-                sentences.extend((str(path), s) for s in parsed)
-            sentences.sort(key=lambda pair: (pair[0], pair[1].sentence_id))
-            sentences = [s for _, s in sentences]
-            write_sentences_jsonl(sentences, out / f"{name}.sentences.jsonl")
+            sentences = ingest_corpora(
+                side.corpus_paths, side.dialect, out / f"{name}.sentences.jsonl"
+            )
 
             stage = f"normalize[{name}]"
-            # Single non-promoting pass: examples with unmappable FEs are kept
-            # for the baseline settings of the statistics table, and the
-            # interlingual pattern file is the promoted subset of it.
-            all_patterns, hard_skips = normalize_corpus(
-                sentences, index, rules, skip_unconsidered=False
+            all_patterns, examples[name], _ = normalize_sentences(
+                sentences, index, rules,
+                patterns_out=out / f"{name}.patterns.tsv",
+                skips_out=out / f"{name}.skips.tsv",
             )
-            patterns, promoted = promote_unconsidered_skips(all_patterns)
-            skips = sorted(hard_skips + promoted, key=lambda sk: sk.sentence_id)
-            write_patterns_tsv(patterns, out / f"{name}.patterns.tsv")
-            write_skips_tsv(skips, out / f"{name}.skips.tsv")
 
             stage = f"aggregate[{name}]"
-            per_settings = compute_all_settings(all_patterns)
-            write_stats_csv(stats_table(per_settings), out / f"{name}.stats.csv")
-
-            settings = Settings.from_id(side_cfg.settings_id)
-            valences, filtered, _ = aggregate_corpus(all_patterns, settings)
-            write_valences_tsv(valences, out / f"{name}.valences.tsv")
-            write_patterns_tsv(filtered, out / f"{name}.filtered-patterns.tsv")
-            write_frame_summaries(valences, out / "summaries" / name)
-
-            sides[name] = {
-                "valences": valences,
-                "patterns": patterns,
-                "filtered": filtered,
-            }
-
-        left = sides[config.left.name]
-        right = sides[config.right.name]
+            valences[name], filtered[name] = aggregate_patterns(
+                all_patterns,
+                Settings.from_id(side.settings_id),
+                valences_out=out / f"{name}.valences.tsv",
+                patterns_out=out / f"{name}.filtered-patterns.tsv",
+                summary_dir=out / "summaries" / name,
+                stats_out=out / f"{name}.stats.csv",
+            )
+        left, right = config.left.name, config.right.name
 
         stage = "compare"
-        write_frame_report_csv(
-            frame_set_report(left["valences"], right["valences"]),
-            out / "frame-report.csv",
-        )
         shared_dir = out / "shared"
         shared_dir.mkdir(exist_ok=True)
-        shared_sets = {}
-        reports = []
-        for level in (MatchLevel.SEMANTIC, MatchLevel.SEMANTIC_SYNTACTIC):
-            for mode in (MatchMode.EXACT, MatchMode.FUZZY):
-                shared = intersect(left["valences"], right["valences"], level, mode)
-                shared_sets[(level, mode)] = shared
-                reports.append(pattern_set_report(shared))
-                write_shared_tsv(shared, shared_dir / f"{level.value}-{mode.value}.tsv")
-        write_pattern_report_csv(reports, out / "pattern-report.csv")
+        shared_sets = compare_valences(
+            valences[left],
+            valences[right],
+            {
+                (level, mode): shared_dir / f"{level.value}-{mode.value}.tsv"
+                for level in MatchLevel for mode in MatchMode
+            },
+            report_out=out / "pattern-report.csv",
+            frame_report_out=out / "frame-report.csv",
+        )
 
         stage = "generate"
-        grammar_shared = shared_sets[(config.grammar_level, config.grammar_mode)]
-        settings_desc = (
-            f"{config.left.settings_id}:{config.right.settings_id} "
-            f"{config.grammar_level.value} {config.grammar_mode.value}"
+        generate_grammar(
+            shared_sets[(config.grammar_level, config.grammar_mode)],
+            filtered,
+            out / "grammar",
+            settings_desc=(
+                f"{config.left.settings_id}:{config.right.settings_id} "
+                f"{config.grammar_level.value} {config.grammar_mode.value}"
+            ),
+            input_digests=[
+                (f"{name}.valences", file_digest(out / f"{name}.valences.tsv"))
+                for name in (left, right)
+            ],
         )
-        digests = [
-            (f"{config.left.name}.valences", file_digest(out / f"{config.left.name}.valences.tsv")),
-            (f"{config.right.name}.valences", file_digest(out / f"{config.right.name}.valences.tsv")),
-        ]
-        grammar = derive_grammar(
-            grammar_shared,
-            {
-                config.left.name: left["filtered"],
-                config.right.name: right["filtered"],
-            },
-            settings_desc=settings_desc,
-            input_digests=digests,
-        )
-        emit_abstract_syntax(grammar, out / "grammar")
 
         stage = "evaluate"
-        rows = []
-        for side_cfg, data in ((config.left, left), (config.right, right)):
-            for level in (MatchLevel.SEMANTIC, MatchLevel.SEMANTIC_SYNTACTIC):
-                for mode in (MatchMode.EXACT, MatchMode.FUZZY):
-                    report = coverage(shared_sets[(level, mode)], data["patterns"])
-                    rows.append((side_cfg.name, report))
-        write_coverage_csv(rows, out / "coverage.csv")
+        evaluate_coverage(list(shared_sets.values()), examples.items(), out / "coverage.csv")
 
         stage = "manifest"
         inputs = {}
-        for side_cfg in (config.left, config.right):
-            for path in sorted(side_cfg.corpus_paths) + sorted(side_cfg.frame_index_paths):
+        for side in (config.left, config.right):
+            for path in sorted(side.corpus_paths) + sorted(side.frame_index_paths):
                 inputs[str(path)] = file_digest(Path(path))
         if config.voice_rules_path:
             inputs[str(config.voice_rules_path)] = file_digest(config.voice_rules_path)

@@ -2,10 +2,9 @@
 
 import itertools
 
-from valgram.aggregate import ValencePattern
+from valgram.aggregate import ValencePattern, parse_fe_key
 from valgram.compare import MatchLevel
-from valgram.frames import Coreness
-from valgram.normalize import SentencePattern, SynFunction, Voice, parse_fe_token
+from valgram.normalize import SentencePattern, Voice, parse_fe_token
 
 _counter = itertools.count()
 
@@ -24,15 +23,10 @@ def mk(frame, voice, fes, lu="want.v.6412", sid=None):
 
 def vp(frame, voice, tokens, count=1):
     """Valence pattern from a list of FE tokens."""
-    fes = []
-    for token in tokens:
-        r = parse_fe_token(token)
-        syn = r.syn_function.value if r.syn_function is not SynFunction.NONE else ""
-        fes.append((r.fe_name, r.rgl_type.value, syn, r.coreness is Coreness.NONCORE))
     return ValencePattern(
         frame=frame,
         voice=Voice(voice),
-        fes=tuple(sorted(fes)),
+        fes=tuple(sorted(parse_fe_key(token) for token in tokens)),
         count=count,
         sentence_variants={" ".join(tokens): count},
         lu_refs={"lu.v.1"},

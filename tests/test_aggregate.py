@@ -10,9 +10,11 @@ from valgram.aggregate import (
     aggregate_corpus,
     apply_settings,
     compute_all_settings,
+    ValencePattern,
     fe_key_token,
     frame_summary,
     group_valence_patterns,
+    parse_fe_key,
     read_valences_tsv,
     stats_row,
     stats_table,
@@ -20,7 +22,7 @@ from valgram.aggregate import (
 )
 from helpers import mk
 from valgram.frames import Coreness
-from valgram.ingest import parse_bfn_corpus
+from valgram.ingest import parse_bfn_corpus, parse_swefn_corpus
 from valgram.normalize import (
     FeRealization,
     RglType,
@@ -397,3 +399,56 @@ def test_no_valence_group_mixes_voices(patterns):
 def test_fe_key_token_rendering():
     assert fe_key_token(("Event", "NP", "Obj", False)) == "Event_NP.Obj"
     assert fe_key_token(("Degree", "Adv", "", True)) == "Opt_Degree_Adv"
+
+
+@pytest.mark.parametrize("key", [
+    ("Event", "NP", "Obj", False),
+    ("Degree", "Adv", "", True),
+    ("Focal_participant", "NP", "Subj", False),
+    ("Event", "NP.Obj", "Obj", False),
+    ("Event", "PP[for].Dep", "", False),
+    ("Location_of_Event", "VPto.Dep", "", True),
+    ("Experiencer", "PN.SS", "Subj", False),
+    ("Event", "VB.INF.VG", "", False),
+])
+def test_parse_fe_key_inverts_fe_key_token(key):
+    assert parse_fe_key(fe_key_token(key)) == key
+
+
+@pytest.mark.parametrize("token", ["Event", "Event_", "_NP", "Event_NP.Subj.Obj_x"])
+def test_parse_fe_key_rejects_malformed_tokens(token):
+    with pytest.raises(ValueError, match="cannot parse FE token"):
+        parse_fe_key(token)
+
+
+def test_valences_tsv_rejects_key_that_reads_back_differently(tmp_path):
+    # BFN AVP with GF Obj generalizes to Adv with no syntactic function, so
+    # the native key has no syn while its token "Manner_AVP.Obj" reads back
+    # as type AVP with syn Obj.
+    r = FeRealization(
+        fe_name="Manner", native_type="AVP.Obj", rgl_type=RglType.ADV,
+        syn_function=SynFunction.NONE,
+    )
+    assert r.native_key == ("Manner", "AVP.Obj", "", False)
+    v = ValencePattern(
+        frame="Desiring", voice=Voice.ACT, fes=(r.native_key,), count=1,
+        sentence_variants={}, lu_refs=set(),
+    )
+    with pytest.raises(ValueError, match=r"\('Manner', 'AVP.Obj', '', False\)"):
+        write_valences_tsv([v], tmp_path / "valences.tsv")
+
+
+@pytest.mark.parametrize("sid", ALL_SETTINGS_IDS)
+def test_bundled_corpus_keys_round_trip(tmp_path, sid, bfn_mini, swefn_mini, frame_index):
+    for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
+        patterns, _ = normalize_corpus(parse(path), frame_index, skip_unconsidered=False)
+        valences, _, _ = aggregate_corpus(patterns, Settings.from_id(sid))
+        keys = {k for v in valences for k in v.fes}
+        assert keys
+        for k in keys:
+            assert parse_fe_key(fe_key_token(k)) == k
+        out = tmp_path / f"{path.stem}.valences.tsv"
+        write_valences_tsv(valences, out)
+        assert [(v.frame, v.voice, v.fes, v.count) for v in read_valences_tsv(out)] == [
+            (v.frame, v.voice, v.fes, v.count) for v in valences
+        ]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from valgram.aggregate import ALL_SETTINGS_IDS
 from valgram.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -249,3 +250,70 @@ def test_run_with_per_side_settings_pair(tmp_path, bfn_mini, swefn_mini, frames_
     # under 3.B only the left corpus's reused valence patterns survive
     left_rows = (out / "bfn.valences.tsv").read_text().splitlines()
     assert all(int(row.split("\t")[3]) > 1 for row in left_rows if row)
+
+
+@pytest.mark.parametrize("side", ["bfn", "swefn"])
+def test_normalize_xml_matches_run(tmp_path, side, bfn_mini, swefn_mini, frames_tsv):
+    run_out = tmp_path / "run"
+    assert run_cli(
+        "run", "--left", bfn_mini, "--left-dialect", "bfn",
+        "--right", swefn_mini, "--right-dialect", "swefn",
+        "--frames", frames_tsv, "--out-dir", run_out,
+    ) == 0
+    corpus = bfn_mini if side == "bfn" else swefn_mini
+    patterns, skips = tmp_path / "patterns.tsv", tmp_path / "skips.tsv"
+    assert run_cli(
+        "normalize", "--dialect", side, "--frames", frames_tsv,
+        "--out", patterns, "--skips", skips, corpus,
+    ) == 0
+    assert patterns.read_bytes() == (run_out / f"{side}.patterns.tsv").read_bytes()
+    assert skips.read_bytes() == (run_out / f"{side}.skips.tsv").read_bytes()
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("sid", ALL_SETTINGS_IDS)
+def test_subcommand_chain_matches_run(tmp_path, sid, bfn_mini, swefn_mini, frames_tsv):
+    run_out = tmp_path / "run"
+    assert run_cli(
+        "run", "--left", bfn_mini, "--left-dialect", "bfn",
+        "--right", swefn_mini, "--right-dialect", "swefn",
+        "--frames", frames_tsv, "--settings", sid, "--out-dir", run_out,
+    ) == 0
+    valences = {}
+    for side, corpus in (("bfn", bfn_mini), ("swefn", swefn_mini)):
+        sentences = tmp_path / f"{side}.sentences.jsonl"
+        assert run_cli("ingest", "--dialect", side, "--out", sentences, corpus) == 0
+        valences[side] = tmp_path / f"{side}.valences.tsv"
+        assert run_cli(
+            "aggregate", "--settings", sid, "--in", sentences, "--frames", frames_tsv,
+            "--out", valences[side],
+        ) == 0
+        assert valences[side].read_bytes() == (run_out / f"{side}.valences.tsv").read_bytes()
+    run_reports = {tuple(row[:2]): row for row in _csv_rows(run_out / "pattern-report.csv")}
+    for level in ("sem", "semsyn"):
+        for mode in ("exact", "fuzzy"):
+            shared, report = tmp_path / f"{level}-{mode}.tsv", tmp_path / f"{level}-{mode}.csv"
+            assert run_cli(
+                "compare", "--left", valences["bfn"], "--right", valences["swefn"],
+                "--level", level, "--mode", mode, "--out", shared, "--report", report,
+            ) == 0
+            assert shared.read_bytes() == (run_out / "shared" / f"{level}-{mode}.tsv").read_bytes()
+            assert _csv_rows(report)[1:] == [run_reports[(level, mode)]]
+
+
+def test_unconsidered_examples_keep_native_types_in_filtered_patterns(
+    tmp_path, bfn_mini, swefn_mini, frames_tsv
+):
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--left", bfn_mini, "--left-dialect", "bfn",
+        "--right", swefn_mini, "--right-dialect", "swefn",
+        "--frames", frames_tsv, "--settings", "0.0", "--out-dir", out,
+    ) == 0
+    # swefn-005 has a subclause FE, so only 0.0 keeps it
+    lines = (out / "swefn.filtered-patterns.tsv").read_text().splitlines()
+    (row,) = [line.split("\t") for line in lines if line.endswith("\tswefn-005")]
+    assert "_SN." in row[2]

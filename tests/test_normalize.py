@@ -15,12 +15,13 @@ from valgram.normalize import (
     SynFunction,
     Voice,
     detect_voice,
-    extract_sentence_pattern,
     generalize_bfn_fe,
     generalize_swefn_fe,
     load_voice_rules,
     normalize_corpus,
+    normalize_sentence,
     parse_fe_token,
+    promote_unconsidered_skips,
     read_patterns_tsv,
     write_patterns_tsv,
 )
@@ -38,6 +39,16 @@ EXPECTED_BFN_LINES = [
 
 def _fes(pattern: SentencePattern) -> str:
     return " ".join(r.rgl_token() for r in pattern.realizations)
+
+
+def _pattern_or_skip(s, index) -> SentencePattern | Skip:
+    """One sentence through normalization and the promotion of an FE outside
+    the interlingual inventory to a whole-sentence skip."""
+    result = normalize_sentence(s, index)
+    if isinstance(result, Skip):
+        return result
+    kept, skips = promote_unconsidered_skips([result])
+    return kept[0] if kept else skips[0]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +221,7 @@ def test_swefn_unmappable_tags_skip():
 
 def test_bfn_excerpt_pattern(bfn_mini, frame_index):
     s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-002")
-    pattern = extract_sentence_pattern(s, frame_index)
+    pattern = _pattern_or_skip(s, frame_index)
     assert isinstance(pattern, SentencePattern)
     assert (pattern.frame, pattern.voice.value, _fes(pattern)) == (
         "Desiring", "Act", "Experiencer_NP.Subj Event_NP.Obj"
@@ -219,7 +230,7 @@ def test_bfn_excerpt_pattern(bfn_mini, frame_index):
 
 def test_swefn_excerpt_pattern(swefn_mini, frame_index):
     s = next(s for s in parse_swefn_corpus(swefn_mini) if s.sentence_id == "swefn-001")
-    pattern = extract_sentence_pattern(s, frame_index)
+    pattern = _pattern_or_skip(s, frame_index)
     assert (pattern.frame, pattern.voice.value, _fes(pattern)) == (
         "Desiring", "Act", "Experiencer_NP.Subj Event_VP"
     )
@@ -227,7 +238,7 @@ def test_swefn_excerpt_pattern(swefn_mini, frame_index):
 
 def test_bfn_wished_for_pattern(bfn_mini, frame_index):
     s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-004")
-    pattern = extract_sentence_pattern(s, frame_index)
+    pattern = _pattern_or_skip(s, frame_index)
     assert _fes(pattern) == "Experiencer_NP.Subj Event_Adv[for]"
 
 
@@ -240,14 +251,14 @@ def test_bfn_fixture_emits_reference_lines_verbatim(bfn_mini, frame_index):
 
 def test_null_instantiated_fes_dropped_rest_kept(bfn_mini, frame_index):
     s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-005")
-    pattern = extract_sentence_pattern(s, frame_index)
+    pattern = _pattern_or_skip(s, frame_index)
     assert _fes(pattern) == "Event_VP"
 
 
 def test_unknown_frame_skips(bfn_mini, frame_index):
     s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-002")
     tiny_index = load_frame_index("Motion\tcore\tTheme\n")
-    result = extract_sentence_pattern(s, tiny_index)
+    result = _pattern_or_skip(s, tiny_index)
     assert isinstance(result, Skip)
     assert result.reason is SkipReason.UNKNOWN_FRAME
 
@@ -267,7 +278,7 @@ def test_unknown_fe_is_a_hard_error(frame_index):
     </sentence></corpus>"""
     (s,) = parse_bfn_corpus(xml)
     with pytest.raises(FrameIndexError, match="Weather"):
-        extract_sentence_pattern(s, frame_index)
+        _pattern_or_skip(s, frame_index)
 
 
 def test_target_without_pos_skips(frame_index):
@@ -281,7 +292,7 @@ def test_target_without_pos_skips(frame_index):
       </annotationSet>
     </sentence></corpus>"""
     (s,) = parse_bfn_corpus(xml)
-    result = extract_sentence_pattern(s, frame_index)
+    result = _pattern_or_skip(s, frame_index)
     assert isinstance(result, Skip)
     assert result.reason is SkipReason.NO_GRAMMATICAL_ANNOTATION
 
@@ -310,15 +321,32 @@ def test_extra_subjects_demoted_leftmost_kept(frame_index, caplog):
     </sentence></corpus>"""
     (s,) = parse_bfn_corpus(xml)
     with caplog.at_level("WARNING"):
-        pattern = extract_sentence_pattern(s, frame_index)
+        pattern = _pattern_or_skip(s, frame_index)
     assert _fes(pattern) == "Experiencer_NP.Subj Event_Adv"
     assert "demoted" in caplog.text
+
+
+def test_swefn_all_conjunction_fe_keeps_first_word_native_type(frame_index):
+    xml = """<corpus>
+     <sentence id="kn-1" frame="Desiring" lu="vilja.vb.1">
+      <element name="Experiencer">
+       <w pos="KN" ref="1" dephead="3" deprel="CC">och</w>
+       <w pos="KN" ref="2" dephead="3" deprel="++">men</w>
+      </element>
+      <element name="LU"><w msd="VB.PRS.AKT" ref="3" deprel="ROOT">vill</w></element>
+     </sentence>
+    </corpus>""".encode("utf-8")
+    (s,) = parse_swefn_corpus(xml)
+    pattern = normalize_sentence(s, frame_index)
+    (r,) = pattern.realizations
+    assert (r.fe_name, r.native_type, r.rgl_type) == ("Experiencer", "KN.CC", None)
+    assert r.skip_reason is SkipReason.UNCONSIDERED_PHRASE_TYPE
 
 
 def test_sentence_level_skip_reason_is_first_triggered(swefn_mini, frame_index):
     sentences = parse_swefn_corpus(swefn_mini)
     s = next(s for s in sentences if s.sentence_id == "swefn-005")
-    result = extract_sentence_pattern(s, frame_index)
+    result = _pattern_or_skip(s, frame_index)
     assert isinstance(result, Skip)
     assert result.reason is SkipReason.SUBCLAUSE
 
