@@ -9,13 +9,14 @@ dependency relations at the word level.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Callable, Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -32,7 +33,7 @@ class Dialect(str, Enum):
     SWEFN_DEP = "swefn"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenSpan:
     """Inclusive character offsets into the sentence text."""
 
@@ -40,7 +41,7 @@ class TokenSpan:
     end: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordAnno:
     """One annotated token.
 
@@ -57,7 +58,7 @@ class WordAnno:
     span: TokenSpan | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeSpan:
     """One frame element annotation within a sentence."""
 
@@ -69,7 +70,7 @@ class FeSpan:
     null_instantiated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
     """Framenet-neutral form of one annotated corpus example."""
 
@@ -92,16 +93,6 @@ class AnnotatedSentence:
         )
 
 
-def _read_source(source: bytes | str | Path | IO[bytes]) -> bytes:
-    if isinstance(source, bytes):
-        return source
-    if isinstance(source, str):
-        return source.encode("utf-8")
-    if isinstance(source, Path):
-        return source.read_bytes()
-    return source.read()
-
-
 def _byte_offset(data: bytes, line: int, column: int) -> int:
     newline = 0
     for _ in range(line - 1):
@@ -112,35 +103,74 @@ def _byte_offset(data: bytes, line: int, column: int) -> int:
     return newline + column
 
 
-def _parse_xml(data: bytes) -> ET.Element:
+def _iter_sentences(source: bytes | str | Path) -> Iterator[ET.Element]:
+    """Each ``<sentence>`` element of the document, in the order the
+    elements end, emptied once the caller asks for the next one.
+
+    The document is read incrementally, so memory is bounded by one sentence
+    plus the records the caller keeps, not by the document size. Malformed
+    XML anywhere in the document is a :class:`CorpusParseError` giving the
+    byte offset; only then is the source read a second time.
+    """
+    if isinstance(source, str):
+        source = source.encode("utf-8")
     try:
-        return ET.fromstring(data)
+        for _, elem in ET.iterparse(
+            source if isinstance(source, Path) else io.BytesIO(source), events=("end",)
+        ):
+            if elem.tag == "sentence":
+                yield elem
+                elem.clear()
     except ET.ParseError as exc:
         line, col = exc.position
+        data = source.read_bytes() if isinstance(source, Path) else source
         offset = _byte_offset(data, line, col)
         raise CorpusParseError(
             f"malformed XML at byte {offset} (line {line}, column {col}): {exc}"
         ) from exc
 
 
+class _RecordError(ValueError):
+    """Sentence-level problem: the record is skipped and logged."""
+
+
+def _int(value: str, sid: str, what: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise _RecordError(f"sentence {sid!r}: {what} {value!r} is not an integer") from None
+
+
+def _parse_records(
+    source: bytes | str | Path,
+    parse_sentence: Callable[[ET.Element], list[AnnotatedSentence]],
+    dialect_name: str,
+) -> list[AnnotatedSentence]:
+    out: list[AnnotatedSentence] = []
+    for sent in _iter_sentences(source):
+        try:
+            out.extend(parse_sentence(sent))
+        except _RecordError as exc:
+            logger.warning("skipping %s record: %s", dialect_name, exc)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # BFN dialect
 # ---------------------------------------------------------------------------
 
-def _bfn_labels(layer: ET.Element) -> list[ET.Element]:
-    return layer.findall("label")
-
-
-def _bfn_offsets(label: ET.Element) -> TokenSpan | None:
-    start = label.get("start")
-    end = label.get("end")
-    if start is None or end is None:
-        return None
-    return TokenSpan(int(start), int(end))
-
-
-class _RecordError(ValueError):
-    """Sentence-level problem: the record is skipped and logged."""
+def _bfn_labels(layer: ET.Element, sid: str) -> list[tuple[str, TokenSpan | None]]:
+    """(name, offsets) of each label; offsets are None when the label carries
+    none, as for a null-instantiated FE."""
+    labels: list[tuple[str, TokenSpan | None]] = []
+    for label in layer.findall("label"):
+        start = label.get("start")
+        end = label.get("end")
+        span = None
+        if start is not None and end is not None:
+            span = TokenSpan(_int(start, sid, "label start"), _int(end, sid, "label end"))
+        labels.append((label.get("name", ""), span))
+    return labels
 
 
 def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
@@ -150,33 +180,40 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
         raise _RecordError(f"sentence {sid!r} has no text element")
     text = text_el.text
 
+    # One walk over the annotation sets: POS labels become tokens, and each
+    # set keeps its last layer of each name for the target pass below.
     tokens: list[WordAnno] = []
+    annotation_sets: list[tuple[ET.Element, dict[str | None, ET.Element]]] = []
     for aset in sent.findall("annotationSet"):
+        layers: dict[str | None, ET.Element] = {}
         for layer in aset.findall("layer"):
-            if layer.get("name") in BFN_POS_LAYERS:
-                for label in _bfn_labels(layer):
-                    span = _bfn_offsets(label)
-                    if span is None:
-                        continue
-                    tokens.append(WordAnno(
-                        surface=text[span.start:span.end + 1],
-                        pos=label.get("name", ""),
-                        ref=len(tokens) + 1,
-                        span=span,
-                    ))
+            name = layer.get("name")
+            layers[name] = layer
+            if name in BFN_POS_LAYERS:
+                for pos, span in _bfn_labels(layer, sid):
+                    if span is not None:
+                        tokens.append(WordAnno(
+                            surface=text[span.start:span.end + 1],
+                            pos=pos,
+                            ref=len(tokens) + 1,
+                            span=span,
+                        ))
+        if "Target" in layers:
+            annotation_sets.append((aset, layers))
     tokens.sort(key=lambda t: t.span.start)  # type: ignore[union-attr]
 
     out: list[AnnotatedSentence] = []
-    for aset in sent.findall("annotationSet"):
-        layers = {layer.get("name"): layer for layer in aset.findall("layer")}
-        target_layer = layers.get("Target")
-        if target_layer is None or not _bfn_labels(target_layer):
+    for aset, layers in annotation_sets:
+        target_labels = _bfn_labels(layers["Target"], sid)
+        if not target_labels:
             continue
         frame = aset.get("frameName")
         if not frame:
             raise _RecordError(f"sentence {sid!r}: target annotation set lacks a frame name")
 
-        target_spans = [s for s in map(_bfn_offsets, _bfn_labels(target_layer)) if s]
+        target_spans = [span for _, span in target_labels if span is not None]
+        if not target_spans:
+            raise _RecordError(f"sentence {sid!r}: target labels carry no offsets")
         target = TokenSpan(min(s.start for s in target_spans), max(s.end for s in target_spans))
 
         lu_name = aset.get("luName")
@@ -192,21 +229,18 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
             layer = layers.get(name)
             if layer is None:
                 return {}
-            table: dict[tuple[int, int], str] = {}
-            for label in _bfn_labels(layer):
-                span = _bfn_offsets(label)
-                if span is not None:
-                    table[(span.start, span.end)] = label.get("name", "")
-            return table
+            return {
+                (span.start, span.end): label
+                for label, span in _bfn_labels(layer, sid)
+                if span is not None
+            }
 
         gf_by_span = by_offsets("GF")
         pt_by_span = by_offsets("PT")
 
         fe_layer = layers.get("FE")
         fe_spans: list[FeSpan] = []
-        for label in _bfn_labels(fe_layer) if fe_layer is not None else []:
-            fe_name = label.get("name", "")
-            span = _bfn_offsets(label)
+        for fe_name, span in _bfn_labels(fe_layer, sid) if fe_layer is not None else []:
             if span is None:
                 fe_spans.append(FeSpan(fe_name=fe_name, null_instantiated=True))
                 continue
@@ -240,34 +274,31 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
     return out
 
 
-def parse_bfn_corpus(source: bytes | str | Path | IO[bytes]) -> list[AnnotatedSentence]:
+def parse_bfn_corpus(source: bytes | str | Path) -> list[AnnotatedSentence]:
     """Parse a BFN-style corpus document.
 
     Produces one sentence record per target-bearing annotation set. Sentences
     with inconsistent annotations (FE offsets outside the text, missing frame
-    name) are skipped and logged rather than aborting the run.
+    name, target labels without offsets, non-integer offsets) are skipped and
+    logged rather than aborting the run.
     """
-    root = _parse_xml(_read_source(source))
-    out: list[AnnotatedSentence] = []
-    for sent in root.iter("sentence"):
-        try:
-            out.extend(_parse_bfn_sentence(sent))
-        except _RecordError as exc:
-            logger.warning("skipping BFN record: %s", exc)
-    return out
+    return _parse_records(source, _parse_bfn_sentence, "BFN")
 
 
 # ---------------------------------------------------------------------------
 # SweFN dialect
 # ---------------------------------------------------------------------------
 
-def _swefn_word(el: ET.Element, ref_fallback: int, offset: int) -> WordAnno:
+def _swefn_word(el: ET.Element, sid: str, ref_fallback: int, offset: int) -> WordAnno:
     surface = (el.text or "").strip()
+    ref_attr = el.get("ref")
+    ref = ref_fallback if ref_attr is None else _int(ref_attr, sid, "word ref")
+    if not surface:
+        raise _RecordError(f"sentence {sid!r}: word {ref} has an empty surface")
     msd = el.get("msd")
     pos = el.get("pos") or (msd.split(".")[0] if msd else "")
-    ref = int(el.get("ref", ref_fallback))
     dephead_attr = el.get("dephead")
-    dephead = int(dephead_attr) if dephead_attr else None
+    dephead = _int(dephead_attr, sid, "word dephead") if dephead_attr else None
     return WordAnno(
         surface=surface,
         pos=pos,
@@ -279,7 +310,7 @@ def _swefn_word(el: ET.Element, ref_fallback: int, offset: int) -> WordAnno:
     )
 
 
-def _parse_swefn_sentence(sent: ET.Element) -> AnnotatedSentence:
+def _parse_swefn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
     sid = sent.get("id") or sent.get("ID") or ""
     frame = sent.get("frame")
     if not frame:
@@ -291,7 +322,7 @@ def _parse_swefn_sentence(sent: ET.Element) -> AnnotatedSentence:
 
     def add_word(el: ET.Element) -> WordAnno:
         nonlocal offset
-        word = _swefn_word(el, ref_fallback=len(tokens) + 1, offset=offset)
+        word = _swefn_word(el, sid, ref_fallback=len(tokens) + 1, offset=offset)
         offset = word.span.end + 2  # type: ignore[union-attr]
         tokens.append(word)
         return word
@@ -325,7 +356,7 @@ def _parse_swefn_sentence(sent: ET.Element) -> AnnotatedSentence:
         if name != "LU" and words
     )
 
-    return AnnotatedSentence(
+    return [AnnotatedSentence(
         sentence_id=sid,
         text=text,
         frame=frame,
@@ -334,22 +365,20 @@ def _parse_swefn_sentence(sent: ET.Element) -> AnnotatedSentence:
         fe_spans=fe_spans,
         dialect=Dialect.SWEFN_DEP,
         tokens=tuple(tokens),
-    )
+    )]
 
 
-def parse_swefn_corpus(source: bytes | str | Path | IO[bytes]) -> list[AnnotatedSentence]:
-    """Parse a SweFN-style corpus document (one record per sentence element)."""
-    root = _parse_xml(_read_source(source))
-    out: list[AnnotatedSentence] = []
-    for sent in root.iter("sentence"):
-        try:
-            out.append(_parse_swefn_sentence(sent))
-        except _RecordError as exc:
-            logger.warning("skipping SweFN record: %s", exc)
-    return out
+def parse_swefn_corpus(source: bytes | str | Path) -> list[AnnotatedSentence]:
+    """Parse a SweFN-style corpus document (one record per sentence element).
+
+    Sentences with no frame or LU, a word with an empty surface, or a
+    non-integer ``ref`` or ``dephead`` are skipped and logged."""
+    return _parse_records(source, _parse_swefn_sentence, "SweFN")
 
 
-def parse_corpus(source: bytes | str | Path | IO[bytes], dialect: Dialect) -> list[AnnotatedSentence]:
+def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[AnnotatedSentence]:
+    """Sentence records of one document; ``bytes`` and ``str`` are the XML
+    itself, a ``Path`` names the file."""
     if dialect is Dialect.BFN_PHRASE:
         return parse_bfn_corpus(source)
     return parse_swefn_corpus(source)

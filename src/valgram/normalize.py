@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -64,7 +63,11 @@ class Generalized:
     preposition: str | None = None
 
 
-@dataclass(frozen=True)
+# An FE's key at one granularity: (fe_name, type, syntactic function, non-core).
+_FeKey = tuple[str, str, str, bool]
+
+
+@dataclass(frozen=True, slots=True)
 class FeRealization:
     """One expressed FE of a sentence pattern.
 
@@ -81,47 +84,52 @@ class FeRealization:
     preposition: str | None = None
     coreness: Coreness = Coreness.CORE
     skip_reason: SkipReason | None = None
+    # (key, token) at corpus-native and at interlingual types, derived from
+    # the fields above in __post_init__ (so ``dataclasses.replace`` derives
+    # them anew); the interlingual pair is None for an untyped FE. Equality
+    # and hashing stay field-based.
+    _native: tuple[_FeKey, str] = field(init=False, repr=False, compare=False)
+    _rgl: tuple[_FeKey, str] | None = field(init=False, repr=False, compare=False)
 
-    # The cached values live in the instance __dict__ and are excluded from
-    # equality and hashing, which stay field-based.
-
-    @cached_property
-    def _rgl_token(self) -> str:
-        if self.rgl_type is None:
-            raise ValueError(f"FE {self.fe_name!r} has no interlingual type")
+    def __post_init__(self) -> None:
         opt = "Opt_" if self.coreness is Coreness.NONCORE else ""
-        token = f"{opt}{self.fe_name}_{self.rgl_type.value}"
-        if self.syn_function is not SynFunction.NONE:
-            token += f".{self.syn_function.value}"
-        if self.preposition:
-            token += f"[{self.preposition}]"
-        return token
+        syn = self.syn_function.value if self.syn_function is not SynFunction.NONE else ""
+        noncore = self.coreness is Coreness.NONCORE
+        object.__setattr__(self, "_native", (
+            (self.fe_name, self.native_type, syn, noncore),
+            f"{opt}{self.fe_name}_{self.native_type}",
+        ))
+        rgl = None
+        if self.rgl_type is not None:
+            token = f"{opt}{self.fe_name}_{self.rgl_type.value}"
+            if syn:
+                token += f".{syn}"
+            if self.preposition:
+                token += f"[{self.preposition}]"
+            rgl = ((self.fe_name, self.rgl_type.value, syn, noncore), token)
+        object.__setattr__(self, "_rgl", rgl)
 
-    @cached_property
-    def _native_token(self) -> str:
-        opt = "Opt_" if self.coreness is Coreness.NONCORE else ""
-        return f"{opt}{self.fe_name}_{self.native_type}"
-
-    @cached_property
-    def rgl_key(self) -> tuple[str, str, str, bool]:
-        if self.rgl_type is None:
+    def _rgl_pair(self) -> tuple[_FeKey, str]:
+        if self._rgl is None:
             raise ValueError(f"FE {self.fe_name!r} has no interlingual type")
-        syn = self.syn_function.value if self.syn_function is not SynFunction.NONE else ""
-        return (self.fe_name, self.rgl_type.value, syn, self.coreness is Coreness.NONCORE)
+        return self._rgl
 
-    @cached_property
-    def native_key(self) -> tuple[str, str, str, bool]:
-        syn = self.syn_function.value if self.syn_function is not SynFunction.NONE else ""
-        return (self.fe_name, self.native_type, syn, self.coreness is Coreness.NONCORE)
+    @property
+    def rgl_key(self) -> _FeKey:
+        return self._rgl_pair()[0]
+
+    @property
+    def native_key(self) -> _FeKey:
+        return self._native[0]
 
     def rgl_token(self) -> str:
-        return self._rgl_token
+        return self._rgl_pair()[1]
 
     def native_token(self) -> str:
-        return self._native_token
+        return self._native[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentencePattern:
     frame: str
     voice: Voice
@@ -134,23 +142,23 @@ class SentencePattern:
         whether, and why, the whole example is skipped."""
         return next((r for r in self.realizations if r.rgl_type is None), None)
 
-    @cached_property
+    @property
     def rgl_fes(self) -> str:
         """FE tokens in word order, interlingual types."""
-        return " ".join(r.rgl_token() for r in self.realizations)
+        return " ".join([r.rgl_token() for r in self.realizations])
 
-    @cached_property
+    @property
     def native_fes(self) -> str:
         """FE tokens in word order, corpus-native types."""
-        return " ".join(r.native_token() for r in self.realizations)
+        return " ".join([r.native_token() for r in self.realizations])
 
-    @cached_property
-    def rgl_fe_set(self) -> tuple[tuple[str, str, str, bool], ...]:
+    @property
+    def rgl_fe_set(self) -> tuple[_FeKey, ...]:
         """Sorted, deduplicated FE keys at interlingual granularity."""
         return tuple(sorted({r.rgl_key for r in self.realizations}))
 
-    @cached_property
-    def native_fe_set(self) -> tuple[tuple[str, str, str, bool], ...]:
+    @property
+    def native_fe_set(self) -> tuple[_FeKey, ...]:
         return tuple(sorted({r.native_key for r in self.realizations}))
 
 

@@ -266,6 +266,9 @@ def run_pipeline(config: PipelineConfig) -> Path:
                 patterns_out=out / f"{name}.patterns.tsv",
                 skips_out=out / f"{name}.skips.tsv",
             )
+            # Aggregation needs only the patterns; keeping the sentence records
+            # alive through it would raise the run's peak memory.
+            del sentences
 
             stage = f"aggregate[{name}]"
             valences[name], filtered[name] = aggregate_patterns(

@@ -1,12 +1,26 @@
 """Shared builders and the brute-force intersection oracle used across tests."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 from valgram.aggregate import ValencePattern, parse_fe_key
 from valgram.compare import MatchLevel
 from valgram.normalize import SentencePattern, Voice, parse_fe_token
 
 _counter = itertools.count()
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def load_corpus_generator():
+    """The ``scripts/make_synthetic_corpus.py`` module."""
+    spec = importlib.util.spec_from_file_location(
+        "make_synthetic_corpus", REPO / "scripts" / "make_synthetic_corpus.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def mk(frame, voice, fes, lu="want.v.6412", sid=None):

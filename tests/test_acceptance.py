@@ -5,7 +5,6 @@ PASS/FAIL line per criterion (see conftest).
 """
 
 import csv
-import importlib.util
 import random
 import subprocess
 import sys
@@ -25,18 +24,9 @@ from valgram.frames import load_frame_index
 from valgram.ingest import parse_bfn_corpus, parse_corpus, parse_swefn_corpus, Dialect
 from valgram.normalize import normalize_corpus
 from valgram.pipeline import PipelineConfig, SideConfig, run_pipeline
-from helpers import oracle_fuzzy_intersection, random_side
+from helpers import load_corpus_generator, oracle_fuzzy_intersection, random_side
 
 REPO = Path(__file__).resolve().parents[1]
-
-
-def _load_corpus_generator():
-    spec = importlib.util.spec_from_file_location(
-        "make_synthetic_corpus", REPO / "scripts" / "make_synthetic_corpus.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_criterion_1_reference_sentence_pattern_lines(bfn_mini, frame_index):
@@ -168,7 +158,7 @@ def test_criterion_6_self_coverage(bfn_mini, swefn_mini, frame_index, tmp_path):
         parse_bfn_corpus(bfn_mini),
         parse_swefn_corpus(swefn_mini),
     ]
-    synth = _load_corpus_generator()
+    synth = load_corpus_generator()
     paths = synth.write_corpus_files(tmp_path, n_bfn=1500, n_swefn=400, n_frames=40)
     synth_index = load_frame_index(paths["frames"])
     corpora.append((parse_corpus(paths["bfn"], Dialect.BFN_PHRASE), synth_index))
@@ -292,7 +282,7 @@ def test_criterion_8_table_shapes_and_arithmetic(tmp_path, bfn_mini, swefn_mini,
 
 
 def test_criterion_9_throughput_at_reference_scale(tmp_path):
-    synth = _load_corpus_generator()
+    synth = load_corpus_generator()
     paths = synth.write_corpus_files(tmp_path, n_bfn=68500, n_swefn=3700, n_frames=550)
     config = PipelineConfig(
         left=SideConfig("bfn", Dialect.BFN_PHRASE, [paths["bfn"]], [paths["frames"]]),

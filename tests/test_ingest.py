@@ -1,10 +1,16 @@
+import random
+import tracemalloc
+import xml.etree.ElementTree as ET
+
 import pytest
 
+from helpers import load_corpus_generator
 from valgram.ingest import (
     CorpusParseError,
     Dialect,
     TokenSpan,
     parse_bfn_corpus,
+    parse_corpus,
     parse_swefn_corpus,
     sentence_from_dict,
     sentence_to_dict,
@@ -296,3 +302,145 @@ def test_generated_bfn_corpora_parse_cleanly(corpus):
         for fe in s.fe_spans:
             surface = s.text[fe.span.start:fe.span.end + 1]
             assert surface == surface.strip() and surface
+
+
+# ---------------------------------------------------------------------------
+# Record-level faults, corruption and streaming
+# ---------------------------------------------------------------------------
+
+_BFN_PAIR = """<corpus><sentence ID="bad">
+  <text>They want it.</text>
+  <annotationSet status="MANUAL" frameName="Desiring" luName="want.v" luID="1">
+    <layer name="FE"><label {fe} name="Experiencer"/></layer>
+    <layer name="GF"><label start="0" end="3" name="Ext"/></layer>
+    <layer name="PT"><label start="0" end="3" name="NP"/></layer>
+    <layer name="Target"><label {target} name="Target"/></layer>
+  </annotationSet>
+</sentence><sentence ID="neighbour">
+  <text>They want it.</text>
+  <annotationSet status="MANUAL" frameName="Desiring" luName="want.v" luID="1">
+    <layer name="Target"><label start="5" end="8" name="Target"/></layer>
+  </annotationSet>
+</sentence></corpus>"""
+
+
+@pytest.mark.parametrize("fe,target,message", [
+    ('start="0" end="3"', "", "target labels carry no offsets"),
+    ('start="zero" end="3"', 'start="5" end="8"', "label start 'zero' is not an integer"),
+    ('start="0" end="3"', 'start="5" end="8.0"', "label end '8.0' is not an integer"),
+], ids=["target-without-offsets", "non-integer-start", "non-integer-end"])
+def test_bfn_bad_record_is_skipped_and_neighbour_parses(caplog, fe, target, message):
+    xml = _BFN_PAIR.format(fe=fe, target=target).encode()
+    with caplog.at_level("WARNING"):
+        sentences = parse_bfn_corpus(xml)
+    assert [s.sentence_id for s in sentences] == ["neighbour"]
+    assert "sentence 'bad'" in caplog.text and message in caplog.text
+
+
+_SWEFN_PAIR = """<corpus><sentence id="bad" frame="Desiring" lu="vilja.vb.1">
+  <element name="Experiencer"><w pos="PN" {word}>jag</w></element>
+  <element name="LU"><w msd="VB.PRS.AKT" ref="2" deprel="ROOT">{verb}</w></element>
+</sentence><sentence id="neighbour" frame="Desiring" lu="vilja.vb.1">
+  <element name="Experiencer"><w pos="PN" ref="1" dephead="2" deprel="SS">jag</w></element>
+  <element name="LU"><w msd="VB.PRS.AKT" ref="2" deprel="ROOT">vill</w></element>
+</sentence></corpus>"""
+
+
+@pytest.mark.parametrize("word,verb,message", [
+    ('ref="one" dephead="2" deprel="SS"', "vill", "word ref 'one' is not an integer"),
+    ('ref="1" dephead="two" deprel="SS"', "vill", "word dephead 'two' is not an integer"),
+    ('ref="1" dephead="2" deprel="SS"', " ", "word 2 has an empty surface"),
+], ids=["non-integer-ref", "non-integer-dephead", "empty-surface"])
+def test_swefn_bad_record_is_skipped_and_neighbour_parses(caplog, word, verb, message):
+    xml = _SWEFN_PAIR.format(word=word, verb=verb).encode()
+    with caplog.at_level("WARNING"):
+        sentences = parse_swefn_corpus(xml)
+    assert [s.sentence_id for s in sentences] == ["neighbour"]
+    assert "sentence 'bad'" in caplog.text and message in caplog.text
+
+
+def _document(sentences: list[ET.Element]) -> bytes:
+    root = ET.Element("corpus")
+    root.extend(sentences)
+    return ET.tostring(root)
+
+
+_ATTRIBUTE_VALUES = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+)
+
+
+@pytest.mark.parametrize("parse,fixture", [
+    (parse_bfn_corpus, "bfn_mini.xml"),
+    (parse_swefn_corpus, "swefn_mini.xml"),
+])
+@given(data=st.data())
+def test_corrupted_sentence_leaves_the_others_intact(data_dir, parse, fixture, data):
+    # One attribute value of one sentence is replaced, or one element of it
+    # dropped. The document then either fails as a whole or parses, and
+    # every untouched sentence yields exactly its records from before.
+    sentences = list(ET.parse(data_dir / fixture).getroot())
+    per_sentence = [parse(_document([s])) for s in sentences]
+    assert [r for records in per_sentence for r in records] == parse(data_dir / fixture)
+
+    i = data.draw(st.integers(0, len(sentences) - 1), label="sentence")
+    target = sentences[i]
+    parent = {child: elem for elem in target.iter() for child in elem}
+    elem = data.draw(st.sampled_from(list(target.iter())), label="element")
+    if elem is target or (elem.attrib and data.draw(st.booleans(), label="mutate")):
+        attr = data.draw(st.sampled_from(sorted(elem.attrib)), label="attribute")
+        elem.set(attr, data.draw(_ATTRIBUTE_VALUES, label="value"))
+    else:
+        parent[elem].remove(elem)
+
+    try:
+        parsed = parse(_document(sentences))
+    except CorpusParseError:
+        return
+    before = [r for records in per_sentence[:i] for r in records]
+    after = [r for records in per_sentence[i + 1:] for r in records]
+    assert len(parsed) >= len(before) + len(after)
+    assert parsed[:len(before)] == before
+    assert parsed[len(parsed) - len(after):] == after
+
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+def test_parse_memory_is_bounded_by_the_records_kept(tmp_path, dialect):
+    gen = load_corpus_generator()
+    frames = gen.build_frames(50, random.Random(1))
+    build = gen.build_bfn_corpus if dialect is Dialect.BFN_PHRASE else gen.build_swefn_corpus
+    path = tmp_path / "corpus.xml"
+    path.write_text(build(3000, frames, seed=5), encoding="utf-8")
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sentences = parse_corpus(path, dialect)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sentences) == 3000
+    # A whole-document element tree costs several times the records built
+    # from it; reading one sentence at a time keeps the peak near them.
+    assert peak - base <= 1.5 * (retained - base)
+    assert parse_corpus(path.read_bytes(), dialect) == sentences
+
+
+def test_malformed_xml_from_a_path_reports_its_byte_offset(tmp_path):
+    # The error follows complete, valid sentences: it is still one error
+    # for the whole document, with no records returned.
+    data = (
+        b'<corpus><sentence ID="a"><text>x</text></sentence>\n'
+        b'<sentence ID="b"><text>y</text></sentence>\n<oops</corpus>'
+    )
+    path = tmp_path / "bad.xml"
+    path.write_bytes(data)
+    messages = []
+    for source in (data, path):
+        with pytest.raises(CorpusParseError) as excinfo:
+            parse_bfn_corpus(source)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    offset = int(messages[1].split("byte ")[1].split(" ")[0])
+    assert data[offset:] == b"</corpus>"

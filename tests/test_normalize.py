@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -431,3 +433,52 @@ def test_fe_token_round_trip(fe, rgl, syn, prep, noncore):
     parsed = parse_fe_token(r.rgl_token())
     assert (parsed.fe_name, parsed.rgl_type, parsed.syn_function,
             parsed.preposition, parsed.coreness) == (fe, rgl, syn, prep, r.coreness)
+
+
+# ---------------------------------------------------------------------------
+# Record types
+# ---------------------------------------------------------------------------
+
+def test_record_types_are_slotted_with_field_based_identity():
+    r = FeRealization("Event", "NP.Obj", RglType.NP, SynFunction.OBJ)
+    p = SentencePattern("Desiring", Voice.ACT, (r,), "want.v.1", "s1")
+    for obj in (r, p, WordAnno("jag", "PN", 1)):
+        assert not hasattr(obj, "__dict__")
+    twin = FeRealization("Event", "NP.Obj", RglType.NP, SynFunction.OBJ)
+    twin_p = SentencePattern("Desiring", Voice.ACT, (twin,), "want.v.1", "s1")
+    assert (twin, twin_p) == (r, p)
+    assert (hash(twin), hash(twin_p)) == (hash(r), hash(p))
+    assert replace(r, preposition="for") != r
+    assert replace(p, sentence_id="s2") != p
+
+
+def test_demoted_subject_keys_and_tokens_follow_its_new_fields():
+    subject = FeRealization(
+        "Event", "NP.Ext", RglType.NP, SynFunction.SUBJ, coreness=Coreness.NONCORE
+    )
+    assert (subject.rgl_key, subject.rgl_token()) == (
+        ("Event", "NP", "Subj", True), "Opt_Event_NP.Subj",
+    )
+    demoted = replace(
+        subject, rgl_type=RglType.ADV, syn_function=SynFunction.NONE, preposition=None
+    )
+    assert (demoted.rgl_key, demoted.rgl_token()) == (("Event", "Adv", "", True), "Opt_Event_Adv")
+    assert (demoted.native_key, demoted.native_token()) == (
+        ("Event", "NP.Ext", "", True), "Opt_Event_NP.Ext",
+    )
+    pattern = SentencePattern("Desiring", Voice.ACT, (demoted,), "want.v.1", "s1")
+    assert (pattern.rgl_fes, pattern.rgl_fe_set) == ("Opt_Event_Adv", (demoted.rgl_key,))
+
+
+def test_untyped_fe_has_native_but_no_interlingual_key():
+    r = FeRealization(
+        "Event", "Sfin.Dep", rgl_type=None, skip_reason=SkipReason.UNCONSIDERED_PHRASE_TYPE
+    )
+    with pytest.raises(ValueError, match="no interlingual type"):
+        r.rgl_key
+    with pytest.raises(ValueError, match="no interlingual type"):
+        r.rgl_token()
+    pattern = SentencePattern("Desiring", Voice.ACT, (r,), "want.v.1", "s1")
+    assert (pattern.native_fes, pattern.native_fe_set) == (
+        "Event_Sfin.Dep", (("Event", "Sfin.Dep", "", False),),
+    )
