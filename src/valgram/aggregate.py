@@ -10,7 +10,7 @@ are removed, and whether once-used valence patterns are dropped.
 from __future__ import annotations
 
 import csv
-import re
+from contextlib import suppress
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -18,11 +18,14 @@ from typing import Iterable, Sequence
 
 from .frames import Coreness
 from .normalize import (
+    FeKey,
     FeRealization,
     SentencePattern,
     Skip,
     SkipReason,
     Voice,
+    fe_key_token,
+    parse_fe_key,
     promote_unconsidered_skips,
     read_tsv_rows,
 )
@@ -133,32 +136,6 @@ def apply_settings(
 # Valence patterns
 # ---------------------------------------------------------------------------
 
-# One element of a valence set: (fe_name, type, syntactic function, non-core).
-FeKey = tuple[str, str, str, bool]
-
-
-def fe_key_token(key: FeKey) -> str:
-    fe, typ, syn, noncore = key
-    token = f"{'Opt_' if noncore else ''}{fe}_{typ}"
-    if syn:
-        token += f".{syn}"
-    return token
-
-
-_FE_KEY_RE = re.compile(
-    r"^(?P<opt>Opt_)?(?P<fe>[^.\[]+)_(?P<ty>[^_]+?)(?:\.(?P<syn>Subj|Obj))?$"
-)
-
-
-def parse_fe_key(token: str) -> FeKey:
-    """Inverse of :func:`fe_key_token`, for interlingual and corpus-native
-    types alike."""
-    m = _FE_KEY_RE.match(token)
-    if m is None:
-        raise ValueError(f"cannot parse FE token {token!r}")
-    return (m["fe"], m["ty"], m["syn"] or "", bool(m["opt"]))
-
-
 @dataclass
 class ValencePattern:
     """Order- and preposition-free abstraction of sentence patterns."""
@@ -256,30 +233,6 @@ def stats_row(settings: Settings, valences: Sequence[ValencePattern]) -> StatsRo
     )
 
 
-def stats_table(results: dict[str, Sequence[ValencePattern]]) -> list[StatsRow]:
-    """One row per settings id, in lattice order."""
-    rows = []
-    for settings_id in ALL_SETTINGS_IDS:
-        if settings_id in results:
-            rows.append(stats_row(Settings.from_id(settings_id), results[settings_id]))
-    return rows
-
-
-def compute_all_settings(
-    patterns: Sequence[SentencePattern],
-) -> dict[str, list[ValencePattern]]:
-    """Aggregate one corpus under every settings id.
-
-    ``patterns`` must come from :func:`valgram.normalize.normalize_sentence`
-    (not the skipping variant) so that baseline settings still see examples
-    with unmappable grammatical types.
-    """
-    return {
-        sid: aggregate_corpus(patterns, Settings.from_id(sid))[0]
-        for sid in ALL_SETTINGS_IDS
-    }
-
-
 STATS_COLUMNS = [
     "settings",
     "frames",
@@ -354,9 +307,10 @@ def write_frame_summaries(valences: Sequence[ValencePattern], out_dir: Path) -> 
 
 def _decodable_token(key: FeKey) -> str:
     token = fe_key_token(key)
-    if _FE_KEY_RE.match(token) is None or parse_fe_key(token) != key:
-        raise ValueError(f"FE key {key!r} has no token that reads back as itself: {token!r}")
-    return token
+    with suppress(ValueError):
+        if parse_fe_key(token) == key:
+            return token
+    raise ValueError(f"FE key {key!r} has no token that reads back as itself: {token!r}")
 
 
 def write_valences_tsv(valences: Sequence[ValencePattern], path: Path) -> None:

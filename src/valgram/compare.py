@@ -11,18 +11,32 @@ the grammar built from them covers the removed ones through empty arguments.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .aggregate import FeKey, ValencePattern, fe_key_token, parse_fe_key
+from .aggregate import ValencePattern
+from .normalize import FeKey, fe_key_token, parse_fe_key
 
 
 class MatchLevel(str, Enum):
     SEMANTIC = "sem"
     SEMANTIC_SYNTACTIC = "semsyn"
+
+    def tokens(self, keys: Iterable[FeKey]) -> frozenset[str]:
+        """FE keys projected onto this level: the FE name alone (semantic),
+        or the name and type without syntactic function or preposition."""
+        if self is _SEMANTIC:
+            return frozenset([f"Opt_{fe}" if noncore else fe for fe, _, _, noncore in keys])
+        return frozenset(map(_semantic_syntactic_token, keys))
+
+
+# Reaching a member through its enum class is slow on Python 3.11, and the
+# projection runs once per example and shared set.
+_SEMANTIC = MatchLevel.SEMANTIC
 
 
 class MatchMode(str, Enum):
@@ -34,17 +48,17 @@ class MatchMode(str, Enum):
 PatternKey = tuple[str, str | None, frozenset[str]]
 
 
-def _level_fes(fes: Sequence[FeKey], level: MatchLevel) -> frozenset[str]:
-    if level is MatchLevel.SEMANTIC:
-        return frozenset(("Opt_" if noncore else "") + fe for fe, _, _, noncore in fes)
-    return frozenset(
-        ("Opt_" if noncore else "") + f"{fe}_{typ}" for fe, typ, _, noncore in fes
-    )
+# Cached per FE key: the FE inventory bounds the keys, and coverage projects
+# the same keys once per shared set.
+@functools.cache
+def _semantic_syntactic_token(key: FeKey) -> str:
+    fe, typ, _, noncore = key
+    return fe_key_token((fe, typ, "", noncore))
 
 
 def pattern_key(vp: ValencePattern, level: MatchLevel) -> PatternKey:
     voice = vp.voice.value if level is MatchLevel.SEMANTIC_SYNTACTIC else None
-    return (vp.frame, voice, _level_fes(vp.fes, level))
+    return (vp.frame, voice, level.tokens(vp.fes))
 
 
 def subsumes_key(a: PatternKey, b: PatternKey) -> bool:
@@ -182,17 +196,19 @@ def intersect(
     left = list(left)
     right = list(right)
     shared_frames = {v.frame for v in left} & {v.frame for v in right}
-    left_proj = _project((v for v in left if v.frame in shared_frames), level)
-    right_proj = _project((v for v in right if v.frame in shared_frames), level)
-
-    by_frame_right: dict[str, list[PatternKey]] = {}
-    for k in right_proj:
-        by_frame_right.setdefault(k[0], []).append(k)
-    by_frame_left: dict[str, list[PatternKey]] = {}
-    for k in left_proj:
-        by_frame_left.setdefault(k[0], []).append(k)
+    proj = {
+        side: _project((v for v in valences if v.frame in shared_frames), level)
+        for side, valences in (("left", left), ("right", right))
+    }
+    left_proj, right_proj = proj["left"], proj["right"]
+    # Only keys of one frame and voice can subsume each other.
+    groups: dict[str, dict[tuple[str, str | None], list[PatternKey]]] = {s: {} for s in proj}
+    for side, keys in proj.items():
+        for k in keys:
+            groups[side].setdefault(k[:2], []).append(k)
 
     admitted: dict[PatternKey, SharedPattern] = {}
+    admitted_groups: dict[tuple[str, str | None], list[PatternKey]] = {}
 
     def admit(key: PatternKey, side: str, subsumers: list[PatternKey]) -> None:
         sp = admitted.get(key)
@@ -206,6 +222,7 @@ def intersect(
                 right_count=right_proj[key].count if key in right_proj else 0,
             )
             admitted[key] = sp
+            admitted_groups.setdefault(key[:2], []).append(key)
         if side not in sp.sides:
             sp.sides = tuple(sorted(set(sp.sides) | {side}))
         strict = [", ".join(sorted(s[2])) for s in subsumers if s != key]
@@ -214,39 +231,26 @@ def intersect(
             for s in strict:
                 if s not in sp.subsumed_by[side]:
                     sp.subsumed_by[side].append(s)
-        own = left_proj if side == "left" else right_proj
         sp.syn_variants.setdefault(side, [])
-        for fes, count in sorted(own[key].variants.items()):
+        for fes, count in sorted(proj[side][key].variants.items()):
             if (fes, count) not in sp.syn_variants[side]:
                 sp.syn_variants[side].append((fes, count))
 
-    if mode is MatchMode.EXACT:
-        for key in left_proj:
-            if key in right_proj:
-                admit(key, "left", [key])
-                admit(key, "right", [key])
-    else:
-        for key in left_proj:
-            subsumers = [k for k in by_frame_right.get(key[0], ()) if subsumes_key(k, key)]
+    # Exact mode admits a key the other side has; fuzzy mode one it subsumes.
+    exact = mode is MatchMode.EXACT
+    for side, other in (("left", "right"), ("right", "left")):
+        for key in proj[side]:
+            if exact:
+                subsumers = [key] if key in proj[other] else []
+            else:
+                subsumers = [k for k in groups[other].get(key[:2], ()) if k[2] >= key[2]]
             if subsumers:
-                admit(key, "left", subsumers)
-        for key in right_proj:
-            subsumers = [k for k in by_frame_left.get(key[0], ()) if subsumes_key(k, key)]
-            if subsumers:
-                admit(key, "right", subsumers)
+                admit(key, side, subsumers)
 
-    admitted_keys = list(admitted)
-    by_frame_admitted: dict[str, list[PatternKey]] = {}
-    for k in admitted_keys:
-        by_frame_admitted.setdefault(k[0], []).append(k)
-    final: list[SharedPattern] = []
-    for key, sp in admitted.items():
-        if any(
-            other != key and subsumes_key(other, key)
-            for other in by_frame_admitted[key[0]]
-        ):
-            continue
-        final.append(sp)
+    final = [
+        sp for key, sp in admitted.items()
+        if not any(other[2] > key[2] for other in admitted_groups[key[:2]])
+    ]
     final.sort(key=lambda sp: sp.sort_key())
 
     n_admitted_left = sum(1 for k in left_proj if k in admitted)

@@ -48,12 +48,14 @@ class CoverageReport:
 def reduce_example(p: SentencePattern, level: MatchLevel) -> frozenset[str]:
     """Reduced pattern of one example: non-core FEs dropped, word order and
     prepositions ignored, repeats collapsed by the set representation."""
-    core = [r for r in p.realizations if r.coreness is not Coreness.NONCORE]
     if level is MatchLevel.SEMANTIC:
-        return frozenset(r.fe_name for r in core)
-    return frozenset(
-        f"{r.fe_name}_{r.rgl_type.value}" for r in core if r.rgl_type is not None
-    )
+        keys = [r.native_key for r in p.realizations if r.coreness is not Coreness.NONCORE]
+    else:
+        keys = [
+            r.rgl_key for r in p.realizations
+            if r.coreness is not Coreness.NONCORE and r.rgl_type is not None
+        ]
+    return level.tokens(keys)
 
 
 def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> CoverageReport:

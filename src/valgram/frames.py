@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Mapping
+from typing import Mapping
 
 
 class FrameIndexError(ValueError):
@@ -62,21 +62,19 @@ class FrameIndex:
         return FrameIndex(defs=defs)
 
 
-def _read_text(source: bytes | str | Path | IO[bytes]) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+def load_frame_index(source: bytes | str | Path) -> FrameIndex:
+    """Load the TSV format (``bytes`` or ``str`` hold the text, a ``Path``
+    names the file), merging repeated rows per frame. An FE name that FE
+    tokens cannot carry is an error."""
+    from .normalize import fe_name_fits_tokens  # normalize imports this module
+
     if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    if isinstance(source, str):
-        return source
-    return source.read().decode("utf-8")
-
-
-def load_frame_index(source: bytes | str | Path | IO[bytes]) -> FrameIndex:
-    """Load the TSV format, merging repeated rows per frame."""
+        source = source.read_text(encoding="utf-8")
+    elif isinstance(source, bytes):
+        source = source.decode("utf-8")
     core: dict[str, set[str]] = {}
     noncore: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
+    for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -85,6 +83,9 @@ def load_frame_index(source: bytes | str | Path | IO[bytes]) -> FrameIndex:
             raise FrameIndexError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
         frame, kind, fes_field = parts
         fes = {fe.strip() for fe in fes_field.split(",") if fe.strip()}
+        bad = sorted(fe for fe in fes if not fe_name_fits_tokens(fe))
+        if bad:
+            raise FrameIndexError(f"line {lineno}: FE tokens cannot carry the FE names {bad}")
         if kind == "core":
             core.setdefault(frame, set()).update(fes)
         elif kind == "noncore":

@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .aggregate import FeKey
 from .compare import MatchLevel, SharedPattern, SharedPatternSet
-from .normalize import RglType, SentencePattern, SynFunction
+from .frames import Coreness
+from .normalize import FeKey, RglType, SentencePattern, SynFunction, parse_fe_category
 
 
 ARITY_ORDER = {"V": 0, "V2": 1, "V3": 2}
@@ -76,24 +76,15 @@ class AbstractGrammar:
 # Derivation
 # ---------------------------------------------------------------------------
 
-_CATEGORY_RE = re.compile(r"^(?P<opt>Opt_)?(?P<fe>.+?)_(?P<ty>NP|Adv|VP)$")
-
-
-def _category_from_token(token: str) -> FeCategory:
-    m = _CATEGORY_RE.match(token)
-    if m is None:
-        raise GrammarError(f"cannot interpret FE token {token!r} as a category")
-    return FeCategory(
-        name=token,
-        rgl_type=RglType(m.group("ty")),
-        optional=bool(m.group("opt")),
-    )
+def _category(token: str) -> FeCategory:
+    _, typ, _, optional = parse_fe_category(token)
+    return FeCategory(name=token, rgl_type=RglType(typ), optional=optional)
 
 
 def derive_fe_categories(shared: SharedPatternSet) -> list[FeCategory]:
     """One category per distinct FE-name/type pair used by a final pattern."""
     tokens = {token for sp in shared.patterns for token in sp.fes}
-    return sorted((_category_from_token(t) for t in tokens), key=lambda c: c.name)
+    return sorted((_category(t) for t in tokens), key=lambda c: c.name)
 
 
 def choose_verb_arity(fes: Iterable[FeKey]) -> str:
@@ -118,12 +109,10 @@ def _pattern_arity(sp: SharedPattern) -> str:
     if arities:
         return max(arities, key=lambda a: ARITY_ORDER[a])
     # No syntactic-function evidence (hand-written shared sets): assume one
-    # NP is the subject and everything else fills a complement slot.
-    n_np = sum(1 for t in sp.fes if t.endswith("_NP"))
-    n_vp = sum(1 for t in sp.fes if t.endswith("_VP"))
-    return choose_verb_arity(
-        [("", "NP", "Obj", False)] * max(0, n_np - 1) + [("", "VP", "", False)] * n_vp
-    )
+    # NP is the subject and every other NP an object.
+    keys = [parse_fe_category(t) for t in sp.fes]
+    n_np = sum(1 for _, typ, _, _ in keys if typ == RglType.NP.value)
+    return choose_verb_arity(keys + [("", "NP", "Obj", False)] * max(0, n_np - 1))
 
 
 def derive_frame_functions(shared: SharedPatternSet) -> list[FrameFunction]:
@@ -254,12 +243,11 @@ def derive_grammar(
 def noncore_categories(patterns: Iterable[SentencePattern]) -> list[FeCategory]:
     """Optional (non-core) FE categories attested in sentence patterns, for
     users who want them listed alongside the core inventory."""
-    tokens = set()
-    for p in patterns:
-        for r in p.realizations:
-            if r.rgl_type is not None and r.coreness.value == "NonCore":
-                tokens.add(f"Opt_{r.fe_name}_{r.rgl_type.value}")
-    return sorted((_category_from_token(t) for t in tokens), key=lambda c: c.name)
+    tokens = MatchLevel.SEMANTIC_SYNTACTIC.tokens(
+        r.rgl_key for p in patterns for r in p.realizations
+        if r.rgl_type is not None and r.coreness is Coreness.NONCORE
+    )
+    return sorted((_category(t) for t in tokens), key=lambda c: c.name)
 
 
 # ---------------------------------------------------------------------------

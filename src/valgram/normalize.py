@@ -27,6 +27,9 @@ class RglType(str, Enum):
     VP = "VP"
 
 
+_RGL_TYPES = frozenset(t.value for t in RglType)
+
+
 class SynFunction(str, Enum):
     SUBJ = "Subj"
     OBJ = "Obj"
@@ -63,8 +66,76 @@ class Generalized:
     preposition: str | None = None
 
 
+# ---------------------------------------------------------------------------
+# FE tokens
+# ---------------------------------------------------------------------------
+
 # An FE's key at one granularity: (fe_name, type, syntactic function, non-core).
-_FeKey = tuple[str, str, str, bool]
+FeKey = tuple[str, str, str, bool]
+
+
+def fe_key_token(key: FeKey) -> str:
+    """The typed FE token of a key: ``[Opt_]<FE>_<type>[.Subj|.Obj]``. A
+    sentence-pattern token appends ``[prep]`` to it."""
+    fe, typ, syn, noncore = key
+    token = f"Opt_{fe}_{typ}" if noncore else f"{fe}_{typ}"
+    return f"{token}.{syn}" if syn else token
+
+
+# An FE name holds no "." or "[" (see fe_name_fits_tokens) and a type no "_",
+# so the last "_" before the type separates the two.
+_FE_TOKEN_RE = re.compile(
+    r"^(?P<opt>Opt_)?(?P<fe>[^.\[]+)_(?P<ty>[^_]+?)"
+    r"(?:\.(?P<syn>Subj|Obj))?(?:\[(?P<prep>[^\]]*)\])?$"
+)
+
+
+def _decode_fe_token(token: str, reading: str) -> tuple[FeKey, str | None]:
+    """The one FE-token decoder; returns the key and the preposition.
+
+    A ``key`` reading takes any type and folds a matched ``[prep]`` (with any
+    syntactic function before it) back into the type, so the native type
+    ``PP[to]`` stays a type. A ``pattern`` reading requires an interlingual
+    type and returns the preposition; a ``category`` reading also requires no
+    syntactic function and no preposition.
+    """
+    m = _FE_TOKEN_RE.match(token)
+    if m is not None:
+        opt, fe, ty, syn, prep = m.group("opt", "fe", "ty", "syn", "prep")
+        if reading == "key":
+            if prep is not None:
+                ty, syn, prep = token[m.start("ty"):], None, None
+            return (fe, ty, syn or "", bool(opt)), prep
+        if ty in _RGL_TYPES and (reading == "pattern" or not syn and prep is None):
+            return (fe, ty, syn or "", bool(opt)), prep
+    raise ValueError(f"cannot parse FE token {token!r} as a {reading}")
+
+
+def parse_fe_key(token: str) -> FeKey:
+    """Inverse of :func:`fe_key_token`, for interlingual and corpus-native
+    types alike (valence and shared-set keys)."""
+    return _decode_fe_token(token, "key")[0]
+
+
+def parse_fe_token(token: str) -> FeRealization:
+    """A sentence-pattern token at interlingual types, with its ``[prep]``."""
+    (fe, ty, syn, noncore), prep = _decode_fe_token(token, "pattern")
+    return FeRealization(
+        fe, "", RglType(ty), SynFunction(syn) if syn else SynFunction.NONE, prep,
+        coreness=Coreness.NONCORE if noncore else Coreness.CORE,
+    )
+
+
+def parse_fe_category(token: str) -> FeKey:
+    """Key of a grammar category name such as ``Opt_Degree_Adv``: an
+    interlingual type, no syntactic function and no preposition."""
+    return _decode_fe_token(token, "category")[0]
+
+
+def fe_name_fits_tokens(name: str) -> bool:
+    """Whether FE tokens can carry an FE name: it holds no ".", "[", "]" or
+    whitespace, and has no "Opt_" prefix, which would read as non-core."""
+    return not name.startswith("Opt_") and not any(c in ".[]" or c.isspace() for c in name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,49 +155,42 @@ class FeRealization:
     preposition: str | None = None
     coreness: Coreness = Coreness.CORE
     skip_reason: SkipReason | None = None
-    # (key, token) at corpus-native and at interlingual types, derived from
-    # the fields above in __post_init__ (so ``dataclasses.replace`` derives
-    # them anew); the interlingual pair is None for an untyped FE. Equality
-    # and hashing stay field-based.
-    _native: tuple[_FeKey, str] = field(init=False, repr=False, compare=False)
-    _rgl: tuple[_FeKey, str] | None = field(init=False, repr=False, compare=False)
+    # Derived in __post_init__ (so ``dataclasses.replace`` derives them anew):
+    # the key and token at corpus-native types, and the (key, token) pair at
+    # interlingual types, None for an untyped FE. Identity stays field-based.
+    native_key: FeKey = field(init=False, repr=False, compare=False)
+    _native_token: str = field(init=False, repr=False, compare=False)
+    _rgl: tuple[FeKey, str] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        opt = "Opt_" if self.coreness is Coreness.NONCORE else ""
         syn = self.syn_function.value if self.syn_function is not SynFunction.NONE else ""
         noncore = self.coreness is Coreness.NONCORE
-        object.__setattr__(self, "_native", (
-            (self.fe_name, self.native_type, syn, noncore),
-            f"{opt}{self.fe_name}_{self.native_type}",
-        ))
+        object.__setattr__(self, "native_key", (self.fe_name, self.native_type, syn, noncore))
+        # The native token leaves out the syntactic function: the native type
+        # already names the grammatical function.
+        object.__setattr__(
+            self, "_native_token", fe_key_token((self.fe_name, self.native_type, "", noncore))
+        )
         rgl = None
         if self.rgl_type is not None:
-            token = f"{opt}{self.fe_name}_{self.rgl_type.value}"
-            if syn:
-                token += f".{syn}"
-            if self.preposition:
-                token += f"[{self.preposition}]"
-            rgl = ((self.fe_name, self.rgl_type.value, syn, noncore), token)
+            key = (self.fe_name, self.rgl_type.value, syn, noncore)
+            token = fe_key_token(key)
+            rgl = (key, f"{token}[{self.preposition}]" if self.preposition else token)
         object.__setattr__(self, "_rgl", rgl)
 
-    def _rgl_pair(self) -> tuple[_FeKey, str]:
+    @property
+    def rgl_key(self) -> FeKey:
         if self._rgl is None:
             raise ValueError(f"FE {self.fe_name!r} has no interlingual type")
-        return self._rgl
-
-    @property
-    def rgl_key(self) -> _FeKey:
-        return self._rgl_pair()[0]
-
-    @property
-    def native_key(self) -> _FeKey:
-        return self._native[0]
+        return self._rgl[0]
 
     def rgl_token(self) -> str:
-        return self._rgl_pair()[1]
+        if self._rgl is None:
+            raise ValueError(f"FE {self.fe_name!r} has no interlingual type")
+        return self._rgl[1]
 
     def native_token(self) -> str:
-        return self._native[1]
+        return self._native_token
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,12 +217,12 @@ class SentencePattern:
         return " ".join([r.native_token() for r in self.realizations])
 
     @property
-    def rgl_fe_set(self) -> tuple[_FeKey, ...]:
+    def rgl_fe_set(self) -> tuple[FeKey, ...]:
         """Sorted, deduplicated FE keys at interlingual granularity."""
         return tuple(sorted({r.rgl_key for r in self.realizations}))
 
     @property
-    def native_fe_set(self) -> tuple[_FeKey, ...]:
+    def native_fe_set(self) -> tuple[FeKey, ...]:
         return tuple(sorted({r.native_key for r in self.realizations}))
 
 
@@ -551,28 +615,6 @@ def normalize_corpus(
 # ---------------------------------------------------------------------------
 # Pattern TSV
 # ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"^(?P<opt>Opt_)?(?P<fe>.+?)_(?P<ty>NP|Adv|VP)"
-    r"(?:\.(?P<syn>Subj|Obj))?(?:\[(?P<prep>[^\]]*)\])?$"
-)
-
-
-def parse_fe_token(token: str) -> FeRealization:
-    m = _TOKEN_RE.match(token)
-    if m is None:
-        raise ValueError(f"cannot parse FE token {token!r}")
-    rgl = RglType(m.group("ty"))
-    syn = SynFunction(m.group("syn")) if m.group("syn") else SynFunction.NONE
-    return FeRealization(
-        fe_name=m.group("fe"),
-        native_type="",
-        rgl_type=rgl,
-        syn_function=syn,
-        preposition=m.group("prep"),
-        coreness=Coreness.NONCORE if m.group("opt") else Coreness.CORE,
-    )
-
 
 def write_patterns_tsv(
     patterns: Iterable[SentencePattern], path: Path, *, native: bool = False

@@ -16,11 +16,11 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .aggregate import (
+    ALL_SETTINGS_IDS,
     Settings,
     ValencePattern,
     aggregate_corpus,
-    compute_all_settings,
-    stats_table,
+    stats_row,
     write_frame_summaries,
     write_stats_csv,
     write_valences_tsv,
@@ -157,10 +157,16 @@ def aggregate_patterns(
     stats_out: Path | None = None,
 ) -> tuple[list[ValencePattern], list[SentencePattern]]:
     """Returns (valences, filtered patterns); ``stats_out`` gets the
-    statistics table over all settings."""
+    statistics table over all settings ids, each aggregated once."""
+    rows = []
+    for sid in ALL_SETTINGS_IDS if stats_out is not None else [settings.id]:
+        each = settings if sid == settings.id else Settings.from_id(sid)
+        each_valences, each_filtered, _ = aggregate_corpus(patterns, each)
+        rows.append(stats_row(each, each_valences))
+        if each is settings:
+            valences, filtered = each_valences, each_filtered
     if stats_out is not None:
-        write_stats_csv(stats_table(compute_all_settings(patterns)), stats_out)
-    valences, filtered, _ = aggregate_corpus(patterns, settings)
+        write_stats_csv(rows, stats_out)
     if valences_out is not None:
         write_valences_tsv(valences, valences_out)
     if patterns_out is not None:

@@ -4,9 +4,9 @@ import importlib.util
 import itertools
 from pathlib import Path
 
-from valgram.aggregate import ValencePattern, parse_fe_key
+from valgram.aggregate import ALL_SETTINGS_IDS, Settings, ValencePattern, aggregate_corpus
 from valgram.compare import MatchLevel
-from valgram.normalize import SentencePattern, Voice, parse_fe_token
+from valgram.normalize import SentencePattern, Voice, parse_fe_key, parse_fe_token
 
 _counter = itertools.count()
 
@@ -45,6 +45,13 @@ def vp(frame, voice, tokens, count=1):
         sentence_variants={" ".join(tokens): count},
         lu_refs={"lu.v.1"},
     )
+
+
+def valences_by_settings(patterns):
+    """Each settings id's valence patterns for one corpus's patterns."""
+    return {
+        sid: aggregate_corpus(patterns, Settings.from_id(sid))[0] for sid in ALL_SETTINGS_IDS
+    }
 
 
 def random_side(rng, max_patterns=8, max_fes=5):

@@ -11,12 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from valgram.aggregate import (
-    Settings,
-    aggregate_corpus,
-    compute_all_settings,
-    read_valences_tsv,
-)
+from valgram.aggregate import Settings, aggregate_corpus, read_valences_tsv
 from valgram.cli import main as cli_main
 from valgram.compare import MatchLevel, MatchMode, intersect
 from valgram.coverage import coverage
@@ -24,7 +19,12 @@ from valgram.frames import load_frame_index
 from valgram.ingest import parse_bfn_corpus, parse_corpus, parse_swefn_corpus, Dialect
 from valgram.normalize import normalize_corpus
 from valgram.pipeline import PipelineConfig, SideConfig, run_pipeline
-from helpers import load_corpus_generator, oracle_fuzzy_intersection, random_side
+from helpers import (
+    load_corpus_generator,
+    oracle_fuzzy_intersection,
+    random_side,
+    valences_by_settings,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -127,7 +127,7 @@ def test_criterion_5_lattice_monotonicity(bfn_mini, swefn_mini, frames_tsv, fram
     # settings chains on both bundled corpora
     for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
         patterns, _ = normalize_corpus(parse(path), frame_index, skip_unconsidered=False)
-        results = compute_all_settings(patterns)
+        results = valences_by_settings(patterns)
         for x in ("1", "2", "3"):
             assert len(results[f"{x}.B"]) <= len(results[f"{x}.A"]) <= len(results[f"{x}.0"])
         for y in ("0", "A", "B"):

@@ -1,26 +1,24 @@
+import csv
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from valgram import pipeline
 from valgram.aggregate import (
     ALL_SETTINGS_IDS,
     Settings,
     aggregate_corpus,
     apply_settings,
-    compute_all_settings,
     ValencePattern,
-    fe_key_token,
     frame_summary,
     group_valence_patterns,
-    parse_fe_key,
     read_valences_tsv,
     stats_row,
-    stats_table,
     write_valences_tsv,
 )
-from helpers import mk
+from helpers import mk, valences_by_settings
 from valgram.frames import Coreness
 from valgram.ingest import parse_bfn_corpus, parse_swefn_corpus
 from valgram.normalize import (
@@ -30,7 +28,9 @@ from valgram.normalize import (
     SkipReason,
     SynFunction,
     Voice,
+    fe_key_token,
     normalize_corpus,
+    parse_fe_key,
 )
 
 def keys(valences):
@@ -230,12 +230,34 @@ def test_empty_corpus_all_zero_row():
     assert row.valence_per_frame == 0.0
 
 
-def test_stats_table_covers_all_settings(bfn_mini, frame_index):
+def test_stats_table_covers_all_settings(tmp_path, bfn_mini, frame_index):
     patterns, _ = normalize_corpus(
         parse_bfn_corpus(bfn_mini), frame_index, skip_unconsidered=False
     )
-    rows = stats_table(compute_all_settings(patterns))
-    assert [r.settings_id for r in rows] == ALL_SETTINGS_IDS
+    out = tmp_path / "stats.csv"
+    pipeline.aggregate_patterns(patterns, Settings.from_id("2.B"), stats_out=out)
+    with out.open(encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["settings"] for r in rows] == ALL_SETTINGS_IDS
+
+
+def test_stats_out_aggregates_each_settings_id_once(tmp_path, bfn_mini, frame_index, monkeypatch):
+    patterns, _ = normalize_corpus(
+        parse_bfn_corpus(bfn_mini), frame_index, skip_unconsidered=False
+    )
+    calls = []
+
+    def counting(patterns, settings):
+        calls.append(settings.id)
+        return aggregate_corpus(patterns, settings)
+
+    monkeypatch.setattr(pipeline, "aggregate_corpus", counting)
+    settings = Settings.from_id("3.B")
+    valences, filtered = pipeline.aggregate_patterns(
+        patterns, settings, stats_out=tmp_path / "stats.csv"
+    )
+    assert calls == ALL_SETTINGS_IDS
+    assert (valences, filtered) == aggregate_corpus(patterns, settings)[:2]
 
 
 def test_summary_layout():
@@ -338,7 +360,7 @@ def test_lattice_monotonicity(patterns):
     # can merge two once-used groups into one reused group, so 3.B can exceed
     # 3.A on adversarial corpora. The guaranteed relations are checked on any
     # input; the full chain is pinned on the bundled corpora below.
-    results = compute_all_settings(patterns)
+    results = valences_by_settings(patterns)
     for x in ("1", "2"):
         assert len(results[f"{x}.B"]) <= len(results[f"{x}.A"]) <= len(results[f"{x}.0"])
     assert len(results["2.0"]) <= len(results["1.0"]) <= len(results["0.0"])
@@ -355,7 +377,7 @@ def test_full_lattice_chain_on_bundled_corpora(bfn_mini, swefn_mini, frame_index
 
     for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
         patterns, _ = normalize_corpus(parse(path), frame_index, skip_unconsidered=False)
-        results = compute_all_settings(patterns)
+        results = valences_by_settings(patterns)
         for x in ("1", "2", "3"):
             assert len(results[f"{x}.B"]) <= len(results[f"{x}.A"]) <= len(results[f"{x}.0"])
 
@@ -385,7 +407,7 @@ def test_grouping_order_independence_property(patterns, rng):
 
 @given(synthetic_corpus())
 def test_no_valence_group_mixes_voices(patterns):
-    results = compute_all_settings(patterns)
+    results = valences_by_settings(patterns)
     for valences in results.values():
         seen = {}
         for v in valences:

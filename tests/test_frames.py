@@ -71,6 +71,13 @@ def test_merged_precedence():
     assert merged.defs["Motion"].core_fes == frozenset({"Theme"})
 
 
+@pytest.mark.parametrize("name", ["Exp.erien[cer", "Opt_x", "A]b", "Exp erien"])
+def test_fe_name_the_token_format_cannot_carry_is_a_load_error(name):
+    with pytest.raises(FrameIndexError, match="^line 2: ") as excinfo:
+        load_frame_index(f"Desiring\tcore\tEvent\nDesiring\tnoncore\tDegree,{name}\n")
+    assert repr(name) in str(excinfo.value)
+
+
 fe_names = st.text(
     alphabet=st.sampled_from("ABCDEFGHabcdefgh_"), min_size=1, max_size=8
 ).filter(lambda s: not s.startswith("_"))

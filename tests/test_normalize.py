@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from valgram.frames import Coreness, FrameIndexError, load_frame_index
@@ -17,11 +17,15 @@ from valgram.normalize import (
     SynFunction,
     Voice,
     detect_voice,
+    fe_key_token,
+    fe_name_fits_tokens,
     generalize_bfn_fe,
     generalize_swefn_fe,
     load_voice_rules,
     normalize_corpus,
     normalize_sentence,
+    parse_fe_category,
+    parse_fe_key,
     parse_fe_token,
     promote_unconsidered_skips,
     read_patterns_tsv,
@@ -433,6 +437,52 @@ def test_fe_token_round_trip(fe, rgl, syn, prep, noncore):
     parsed = parse_fe_token(r.rgl_token())
     assert (parsed.fe_name, parsed.rgl_type, parsed.syn_function,
             parsed.preposition, parsed.coreness) == (fe, rgl, syn, prep, r.coreness)
+
+
+# FE names the frame index accepts, with the "_"s and type-like parts that
+# make the FE/type split of a token ambiguous to a naive reader.
+codec_fe_st = st.text(alphabet="AaOpt_NPVdv", min_size=1, max_size=10).filter(fe_name_fits_tokens)
+native_type_st = st.sampled_from([
+    "NP.Ext", "NP.Obj", "PP[by].Ext", "PP[to]", "PP[for].Dep", "VB.INF.VG", "Sfin.Dep",
+    "AVP.Dep", "VPto.Dep", "PN.SS", "NN.UTR.SIN.IND.NOM.OO",
+])
+syn_st = st.sampled_from(["", "Subj", "Obj"])
+
+
+@given(codec_fe_st, native_type_st | st.sampled_from([t.value for t in RglType]), syn_st,
+       st.booleans())
+def test_fe_key_codec_round_trips_native_and_interlingual_keys(fe, typ, syn, noncore):
+    # A native type ending in a syntactic function needs one after it to
+    # read back (valence writing rejects such keys without one).
+    assume(syn or not typ.endswith((".Subj", ".Obj")))
+    key = (fe, typ, syn, noncore)
+    assert parse_fe_key(fe_key_token(key)) == key
+
+
+@given(codec_fe_st, st.sampled_from(list(RglType)), syn_st,
+       st.one_of(st.none(), st.sampled_from(["for", "by", "på", "a_b"])), st.booleans())
+def test_pattern_and_category_tokens_round_trip(fe, rgl, syn, prep, noncore):
+    coreness = Coreness.NONCORE if noncore else Coreness.CORE
+    r = FeRealization(fe, "", rgl, SynFunction(syn) if syn else SynFunction.NONE, prep,
+                      coreness=coreness)
+    parsed = parse_fe_token(r.rgl_token())
+    assert (parsed.fe_name, parsed.rgl_type, parsed.syn_function, parsed.preposition,
+            parsed.coreness) == (fe, rgl, r.syn_function, prep, coreness)
+    category = (fe, rgl.value, "", noncore)
+    assert parse_fe_category(fe_key_token(category)) == category
+    if syn or prep:
+        with pytest.raises(ValueError, match="as a category"):
+            parse_fe_category(r.rgl_token())
+
+
+@given(codec_fe_st, native_type_st, syn_st, st.booleans())
+def test_pattern_and_category_readers_reject_native_types(fe, typ, syn, noncore):
+    assume(syn or not typ.endswith((".Subj", ".Obj")))
+    token = fe_key_token((fe, typ, syn, noncore))
+    with pytest.raises(ValueError, match="as a pattern"):
+        parse_fe_token(token)
+    with pytest.raises(ValueError, match="as a category"):
+        parse_fe_category(token)
 
 
 # ---------------------------------------------------------------------------
