@@ -26,7 +26,6 @@ from .normalize import (
     Voice,
     fe_key_token,
     parse_fe_key,
-    promote_unconsidered_skips,
     read_tsv_rows,
 )
 
@@ -77,58 +76,77 @@ class Settings:
             raise ValueError("generalize_types implies skip_unconsidered")
 
 
-def _granularity(settings: Settings) -> tuple[attrgetter, attrgetter, attrgetter]:
-    """Getters for an FE's key, a pattern's FE-key set and its word-order
-    line, at interlingual types when the settings generalize and at
-    corpus-native types otherwise."""
-    if settings.generalize_types:
-        return attrgetter("rgl_key"), attrgetter("rgl_fe_set"), attrgetter("rgl_fes")
-    return attrgetter("native_key"), attrgetter("native_fe_set"), attrgetter("native_fes")
+_NONCORE = Coreness.NONCORE
+
+# The switches that decide how patterns are grouped: (generalize_types,
+# skip_unconsidered, dedupe_repeated_fes, drop_noncore). Dropping once-used
+# valence patterns only filters a grouping's result, so 3.x shares the
+# grouping of 2.x.
+_Grouping = tuple[bool, bool, bool, bool]
+
+
+def _grouping(settings: Settings) -> _Grouping:
+    return (
+        settings.generalize_types, settings.skip_unconsidered,
+        settings.dedupe_repeated_fes, settings.drop_noncore,
+    )
+
+
+# Getters for a pattern's FE-key set and its word-order line, by whether the
+# settings generalize: interlingual types if so, corpus-native types if not.
+_GRANULARITY = {
+    True: (attrgetter("rgl_fe_set"), attrgetter("rgl_fes")),
+    False: (attrgetter("native_fe_set"), attrgetter("native_fes")),
+}
+
+
+def _filtered(
+    p: SentencePattern, generalize_types: bool, dedupe: bool, drop_noncore: bool
+) -> SentencePattern | Skip:
+    """One example under the realization switches: the pattern itself when
+    they remove nothing, a pattern of the realizations they keep, or the
+    Skip that drops the example.
+
+    Non-core FEs are removed before repeated FEs are collapsed. When repeated
+    FEs disagree on their type the whole example is dropped; when they agree,
+    the first occurrence in word order is kept.
+    """
+    reals: Sequence[FeRealization] = p.realizations
+    if drop_noncore:
+        reals = [r for r in reals if r.coreness is not _NONCORE]
+        if not reals:
+            return Skip(p.sentence_id, SkipReason.EMPTY_AFTER_NONCORE_REMOVAL)
+    if dedupe:
+        first: dict[str, FeRealization] = {}
+        for r in reals:
+            first.setdefault(r.fe_name, r)
+        if len(first) < len(reals):
+            types_by_fe: dict[str, set[str]] = {}
+            for r in reals:
+                key = r.rgl_key if generalize_types else r.native_key
+                types_by_fe.setdefault(r.fe_name, set()).add(key[1])
+            mixed = [fe for fe, types in types_by_fe.items() if len(types) > 1]
+            if mixed:
+                return Skip(
+                    p.sentence_id, SkipReason.MIXED_REPEATED_FE_TYPES, ",".join(sorted(mixed))
+                )
+            reals = list(first.values())
+    if len(reals) == len(p.realizations):
+        return p
+    return SentencePattern(
+        frame=p.frame, voice=p.voice, realizations=tuple(reals),
+        lu_ref=p.lu_ref, sentence_id=p.sentence_id,
+    )
 
 
 def apply_settings(
     patterns: Iterable[SentencePattern], settings: Settings
 ) -> tuple[list[SentencePattern], list[Skip]]:
-    """Filter sentence patterns according to the settings switches.
-
-    Non-core FEs are removed before repeated FEs are collapsed. When repeated
-    FEs disagree on their type the whole example is dropped; when they agree,
-    the first occurrence in word order is kept. The function is idempotent.
-    """
-    dropped: list[Skip] = []
-    if settings.skip_unconsidered:
-        patterns, dropped = promote_unconsidered_skips(patterns)
-    fe_key = _granularity(settings)[0]
-    kept: list[SentencePattern] = []
-    for p in patterns:
-        reals: Sequence[FeRealization] = p.realizations
-        if settings.drop_noncore:
-            reals = [r for r in reals if r.coreness is not Coreness.NONCORE]
-            if not reals:
-                dropped.append(Skip(p.sentence_id, SkipReason.EMPTY_AFTER_NONCORE_REMOVAL))
-                continue
-
-        if settings.dedupe_repeated_fes:
-            first: dict[str, FeRealization] = {}
-            types_by_fe: dict[str, set[str]] = {}
-            for r in reals:
-                first.setdefault(r.fe_name, r)
-                types_by_fe.setdefault(r.fe_name, set()).add(fe_key(r)[1])
-            mixed = [fe for fe, types in types_by_fe.items() if len(types) > 1]
-            if mixed:
-                dropped.append(Skip(
-                    p.sentence_id, SkipReason.MIXED_REPEATED_FE_TYPES, ",".join(sorted(mixed)),
-                ))
-                continue
-            reals = list(first.values())
-
-        if tuple(reals) == p.realizations:
-            kept.append(p)
-        else:
-            kept.append(SentencePattern(
-                frame=p.frame, voice=p.voice, realizations=tuple(reals),
-                lu_ref=p.lu_ref, sentence_id=p.sentence_id,
-            ))
+    """Filter sentence patterns according to the settings switches (see
+    :func:`_filtered`); examples with an unconsidered FE are dropped first
+    when the settings skip them. The function is idempotent."""
+    grouping = _grouping(settings)
+    _, _, kept, dropped = _group(patterns, [grouping], grouping)
     return kept, dropped
 
 
@@ -136,7 +154,7 @@ def apply_settings(
 # Valence patterns
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ValencePattern:
     """Order- and preposition-free abstraction of sentence patterns."""
 
@@ -154,33 +172,138 @@ class ValencePattern:
         return "  ".join(fe_key_token(k) for k in self.fes)
 
 
+_ValenceKey = tuple[str, str, tuple[FeKey, ...]]  # frame, voice, FE-key set
+_Groups = dict[_ValenceKey, ValencePattern]
+# A pattern's valence key, the key's number when a pass counts groups by
+# number, and the pattern's word-order line.
+_Entry = tuple[_ValenceKey, int | None, str]
+
+
+def _valence_entry(
+    p: SentencePattern, generalize_types: bool, key_ids: dict[_ValenceKey, int] | None
+) -> _Entry:
+    fe_set, ordered_line = _GRANULARITY[generalize_types]
+    key = (p.frame, p.voice.value, fe_set(p))
+    key_id = key_ids.setdefault(key, len(key_ids)) if key_ids is not None else None
+    return key, key_id, ordered_line(p)
+
+
+def _sorted_valences(groups: _Groups, drop_singletons: bool) -> list[ValencePattern]:
+    valences = [groups[k] for k in sorted(groups)]
+    if drop_singletons:
+        valences = [v for v in valences if v.count > 1]
+    return valences
+
+
 def group_valence_patterns(
     patterns: Iterable[SentencePattern], settings: Settings
 ) -> list[ValencePattern]:
     """Group sentence patterns by (frame, voice, FE set), ignoring word order
     and prepositions. When the settings drop once-used valence patterns,
     groups with a single occurrence are removed after grouping."""
-    _, fe_set, ordered_line = _granularity(settings)
-    groups: dict[tuple[str, str, tuple[FeKey, ...]], ValencePattern] = {}
-    for p in patterns:
-        fes = fe_set(p)
-        key = (p.frame, p.voice.value, fes)
-        vp = groups.get(key)
-        if vp is None:
-            vp = ValencePattern(
-                frame=p.frame, voice=p.voice, fes=fes, count=0,
-                sentence_variants={}, lu_refs=set(),
-            )
-            groups[key] = vp
-        vp.count += 1
-        line = ordered_line(p)
-        vp.sentence_variants[line] = vp.sentence_variants.get(line, 0) + 1
-        vp.lu_refs.add(p.lu_ref)
+    grouping = (settings.generalize_types, False, False, False)
+    groups, _, _, _ = _group(patterns, [grouping], grouping)
+    return _sorted_valences(groups, settings.drop_singleton_valences)
 
-    valences = [groups[k] for k in sorted(groups)]
-    if settings.drop_singleton_valences:
-        valences = [v for v in valences if v.count > 1]
-    return valences
+
+# Of one group: its frame, examples and distinct sentence patterns, which is
+# all the statistics table reads.
+_GroupSize = tuple[str, int, int]
+
+
+def _group(
+    patterns: Iterable[SentencePattern],
+    groupings: Sequence[_Grouping],
+    full: _Grouping,
+    drop_singletons: bool = False,
+) -> tuple[_Groups, dict[_Grouping, list[_GroupSize]], list[SentencePattern], list[Skip]]:
+    """Group the patterns under each grouping in one pass over them.
+
+    An example's valence key and line at one granularity are computed once
+    for all groupings that keep the example whole, which is every grouping
+    unless the example repeats an FE or has a non-core one. ``full``, which
+    must be among the groupings, gets valence patterns, returned by valence
+    key; every other grouping only counts its groups' sizes. Also returns
+    ``full``'s kept patterns, restricted to reused valences when
+    ``drop_singletons``, and its drops, examples with an unconsidered FE
+    first.
+    """
+    groups: _Groups = {}
+    # A counted grouping's [examples, first line, set of lines once a
+    # second one appears] by key number; most groups have one line.
+    # Numbering the keys hashes each nested key tuple once per example and
+    # granularity, not once per grouping.
+    tallies: dict[_Grouping, dict[int, list]] = {g: {} for g in groupings if g != full}
+    key_ids: dict[_ValenceKey, int] | None = {} if tallies else None
+    plan = [(*g, tallies.get(g)) for g in groupings]
+    any_skip = any(g[1] for g in groupings)
+    any_filter = any(g[2] or g[3] for g in groupings)
+    kept: list[SentencePattern] = []
+    counted_in: list[ValencePattern] = []
+    unconsidered: list[Skip] = []
+    dropped: list[Skip] = []
+    skip = None
+    repeats = noncore = False
+    for p in patterns:
+        reals = p.realizations
+        if any_skip:
+            skip = p.unconsidered_skip()
+        if any_filter:
+            repeats = len({r.fe_name for r in reals}) < len(reals)
+            # An example with no FE at all is dropped with the non-core ones.
+            noncore = not reals or any(r.coreness is _NONCORE for r in reals)
+        whole: list[_Entry | None] = [None, None]  # by generalize_types
+        for generalize, skip_unconsidered, dedupe, drop_noncore, tally in plan:
+            if skip is not None and skip_unconsidered:
+                if tally is None:
+                    unconsidered.append(skip)
+                continue
+            q = p
+            if (dedupe and repeats) or (drop_noncore and noncore):
+                q = _filtered(p, generalize, dedupe, drop_noncore)
+                if isinstance(q, Skip):
+                    if tally is None:
+                        dropped.append(q)
+                    continue
+            if q is p:
+                entry = whole[generalize] or _valence_entry(p, generalize, key_ids)
+                whole[generalize] = entry
+            else:
+                entry = _valence_entry(q, generalize, key_ids)
+            key, key_id, line = entry
+            if tally is not None:
+                counted = tally.get(key_id)
+                if counted is None:
+                    tally[key_id] = [1, line, None]
+                    continue
+                counted[0] += 1
+                if line != counted[1]:
+                    if counted[2] is None:
+                        counted[2] = {counted[1]}
+                    counted[2].add(line)
+                continue
+            vp = groups.get(key)
+            if vp is None:
+                vp = groups[key] = ValencePattern(
+                    frame=p.frame, voice=p.voice, fes=key[2],
+                    count=0, sentence_variants={}, lu_refs=set(),
+                )
+            vp.count += 1
+            variants = vp.sentence_variants
+            variants[line] = variants.get(line, 0) + 1
+            vp.lu_refs.add(p.lu_ref)
+            kept.append(q)
+            if drop_singletons:
+                counted_in.append(vp)
+    if drop_singletons:
+        kept = [q for q, vp in zip(kept, counted_in) if vp.count > 1]
+    frame_of = [frame for frame, _, _ in key_ids or ()]  # by key number
+    plan.clear()  # so that each tally is freed once its sizes are listed
+    sizes = {}
+    while tallies:
+        g, tally = tallies.popitem()
+        sizes[g] = [(frame_of[k], n, len(lines or (line,))) for k, (n, line, lines) in tally.items()]
+    return groups, sizes, kept, unconsidered + dropped
 
 
 def aggregate_corpus(
@@ -191,13 +314,33 @@ def aggregate_corpus(
     With singleton filtering active, kept patterns are restricted to those
     whose valence pattern survived.
     """
-    kept, dropped = apply_settings(patterns, settings)
-    valences = group_valence_patterns(kept, settings)
-    if settings.drop_singleton_valences:
-        surviving = {v.key() for v in valences}
-        fe_set = _granularity(settings)[1]
-        kept = [p for p in kept if (p.frame, p.voice.value, fe_set(p)) in surviving]
-    return valences, kept, dropped
+    grouping = _grouping(settings)
+    groups, _, kept, dropped = _group(
+        patterns, [grouping], grouping, settings.drop_singleton_valences
+    )
+    return _sorted_valences(groups, settings.drop_singleton_valences), kept, dropped
+
+
+def aggregate_lattice(
+    patterns: Iterable[SentencePattern], keep: Settings
+) -> tuple[list[StatsRow], list[ValencePattern], list[SentencePattern], list[Skip]]:
+    """The statistics row of every settings id, in ``ALL_SETTINGS_IDS``
+    order, and the valences, kept patterns and drops of ``keep``, from one
+    pass over the patterns; the same as :func:`aggregate_corpus` and
+    :func:`stats_row` per id. Each 3.x counts the groups of its 2.x."""
+    every = [Settings.from_id(sid) for sid in ALL_SETTINGS_IDS]
+    full = _grouping(keep)
+    groupings = list(dict.fromkeys([*map(_grouping, every), full]))
+    groups, sizes, kept, dropped = _group(
+        patterns, groupings, full, keep.drop_singleton_valences
+    )
+    sizes[full] = _group_sizes(groups.values())
+    rows = [
+        _stats_row(s.id, [size for size in sizes[_grouping(s)]
+                          if size[1] > 1 or not s.drop_singleton_valences])
+        for s in every
+    ]
+    return rows, _sorted_valences(groups, keep.drop_singleton_valences), kept, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +359,21 @@ class StatsRow:
     examples_per_sentence: float
 
 
+def _group_sizes(valences: Iterable[ValencePattern]) -> list[_GroupSize]:
+    return [(v.frame, v.count, len(v.sentence_variants)) for v in valences]
+
+
 def stats_row(settings: Settings, valences: Sequence[ValencePattern]) -> StatsRow:
-    frames = len({v.frame for v in valences})
-    valence_total = len(valences)
-    sentence_total = sum(len(v.sentence_variants) for v in valences)
-    examples_total = sum(v.count for v in valences)
+    return _stats_row(settings.id, _group_sizes(valences))
+
+
+def _stats_row(settings_id: str, sizes: Sequence[_GroupSize]) -> StatsRow:
+    frames = len({frame for frame, _, _ in sizes})
+    valence_total = len(sizes)
+    sentence_total = sum(lines for _, _, lines in sizes)
+    examples_total = sum(examples for _, examples, _ in sizes)
     return StatsRow(
-        settings_id=settings.id,
+        settings_id=settings_id,
         frames=frames,
         valence_total=valence_total,
         valence_per_frame=valence_total / frames if frames else 0.0,
@@ -291,10 +442,12 @@ def frame_summary(valences: Sequence[ValencePattern], frame: str, voice: Voice) 
 
 def write_frame_summaries(valences: Sequence[ValencePattern], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames = sorted({v.frame for v in valences})
-    for frame in frames:
+    by_group: dict[tuple[str, Voice], list[ValencePattern]] = {}
+    for v in valences:
+        by_group.setdefault((v.frame, v.voice), []).append(v)
+    for frame in sorted({frame for frame, _ in by_group}):
         parts = [
-            frame_summary(valences, frame, voice)
+            frame_summary(by_group.get((frame, voice), []), frame, voice)
             for voice in (Voice.ACT, Voice.PASS)
         ]
         content = "\n".join(p for p in parts if p)

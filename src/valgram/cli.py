@@ -24,6 +24,7 @@ from .pipeline import (
     PipelineConfig,
     SideConfig,
     StageError,
+    _collector_paused,
     aggregate_patterns,
     compare_valences,
     evaluate_coverage,
@@ -326,8 +327,14 @@ def main(argv: list[str] | None = None) -> int:
         level=os.environ.get("VALGRAM_LOG_LEVEL", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    with _collector_paused():
+        # The parser and the command's data are dropped when _run_command
+        # returns, before the pause ends.
+        return _run_command(argv)
+
+
+def _run_command(argv: list[str] | None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except StageError as exc:

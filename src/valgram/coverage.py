@@ -45,15 +45,21 @@ class CoverageReport:
         return self.in_shared_frames / self.total if self.total else 0.0
 
 
+# Members reached through their class cost a lookup on each use; these are
+# read once per example per shared set.
+_SEMANTIC = MatchLevel.SEMANTIC
+_NONCORE = Coreness.NONCORE
+
+
 def reduce_example(p: SentencePattern, level: MatchLevel) -> frozenset[str]:
     """Reduced pattern of one example: non-core FEs dropped, word order and
     prepositions ignored, repeats collapsed by the set representation."""
-    if level is MatchLevel.SEMANTIC:
-        keys = [r.native_key for r in p.realizations if r.coreness is not Coreness.NONCORE]
+    if level is _SEMANTIC:
+        keys = [r.native_key for r in p.realizations if r.coreness is not _NONCORE]
     else:
         keys = [
             r.rgl_key for r in p.realizations
-            if r.coreness is not Coreness.NONCORE and r.rgl_type is not None
+            if r.coreness is not _NONCORE and r.rgl_type is not None
         ]
     return level.tokens(keys)
 
@@ -65,13 +71,14 @@ def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> Co
     for sp in final.patterns:
         by_group.setdefault((sp.frame, sp.voice), []).append(sp.fes)
 
+    by_voice = level is MatchLevel.SEMANTIC_SYNTACTIC
     covered = 0
     in_shared = 0
     for p in examples:
         if p.frame not in frames:
             continue
         in_shared += 1
-        voice = p.voice.value if level is MatchLevel.SEMANTIC_SYNTACTIC else None
+        voice = p.voice.value if by_voice else None
         reduced = reduce_example(p, level)
         candidates = by_group.get((p.frame, voice), ())
         if any(reduced <= fes for fes in candidates):

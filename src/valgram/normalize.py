@@ -138,6 +138,12 @@ def fe_name_fits_tokens(name: str) -> bool:
     return not name.startswith("Opt_") and not any(c in ".[]" or c.isspace() for c in name)
 
 
+# Members reached through their class cost a lookup on each use; these are
+# read once per realization built.
+_SYN_NONE = SynFunction.NONE
+_NONCORE = Coreness.NONCORE
+
+
 @dataclass(frozen=True, slots=True)
 class FeRealization:
     """One expressed FE of a sentence pattern.
@@ -163,8 +169,8 @@ class FeRealization:
     _rgl: tuple[FeKey, str] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        syn = self.syn_function.value if self.syn_function is not SynFunction.NONE else ""
-        noncore = self.coreness is Coreness.NONCORE
+        syn = self.syn_function.value if self.syn_function is not _SYN_NONE else ""
+        noncore = self.coreness is _NONCORE
         object.__setattr__(self, "native_key", (self.fe_name, self.native_type, syn, noncore))
         # The native token leaves out the syntactic function: the native type
         # already names the grammatical function.
@@ -201,10 +207,15 @@ class SentencePattern:
     lu_ref: str
     sentence_id: str
 
-    def first_unconsidered(self) -> FeRealization | None:
-        """The first FE outside the interlingual inventory; it decides
-        whether, and why, the whole example is skipped."""
-        return next((r for r in self.realizations if r.rgl_type is None), None)
+    def unconsidered_skip(self) -> Skip | None:
+        """The skip of an example with an FE outside the interlingual
+        inventory, None for a fully mappable one; the first such FE decides
+        the reason."""
+        for r in self.realizations:
+            if r.rgl_type is None:
+                reason = r.skip_reason or SkipReason.UNCONSIDERED_PHRASE_TYPE
+                return Skip(self.sentence_id, reason, f"{r.fe_name}:{r.native_type}")
+        return None
 
     @property
     def rgl_fes(self) -> str:
@@ -580,12 +591,11 @@ def promote_unconsidered_skips(
     kept: list[SentencePattern] = []
     skips: list[Skip] = []
     for p in patterns:
-        bad = p.first_unconsidered()
-        if bad is None:
+        skip = p.unconsidered_skip()
+        if skip is None:
             kept.append(p)
         else:
-            reason = bad.skip_reason or SkipReason.UNCONSIDERED_PHRASE_TYPE
-            skips.append(Skip(p.sentence_id, reason, f"{bad.fe_name}:{bad.native_type}"))
+            skips.append(skip)
     return kept, skips
 
 

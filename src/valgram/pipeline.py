@@ -9,18 +9,19 @@ identical inputs produce byte-identical artifact trees.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .aggregate import (
-    ALL_SETTINGS_IDS,
     Settings,
     ValencePattern,
     aggregate_corpus,
-    stats_row,
+    aggregate_lattice,
     write_frame_summaries,
     write_stats_csv,
     write_valences_tsv,
@@ -157,15 +158,11 @@ def aggregate_patterns(
     stats_out: Path | None = None,
 ) -> tuple[list[ValencePattern], list[SentencePattern]]:
     """Returns (valences, filtered patterns); ``stats_out`` gets the
-    statistics table over all settings ids, each aggregated once."""
-    rows = []
-    for sid in ALL_SETTINGS_IDS if stats_out is not None else [settings.id]:
-        each = settings if sid == settings.id else Settings.from_id(sid)
-        each_valences, each_filtered, _ = aggregate_corpus(patterns, each)
-        rows.append(stats_row(each, each_valences))
-        if each is settings:
-            valences, filtered = each_valences, each_filtered
-    if stats_out is not None:
+    statistics table over all settings ids, aggregated in one pass."""
+    if stats_out is None:
+        valences, filtered, _ = aggregate_corpus(patterns, settings)
+    else:
+        rows, valences, filtered, _ = aggregate_lattice(patterns, settings)
         write_stats_csv(rows, stats_out)
     if valences_out is not None:
         write_valences_tsv(valences, valences_out)
@@ -244,11 +241,41 @@ def evaluate_coverage(
 # Whole run
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the enclosed work with Python's cyclic garbage collector off, and
+    restore the state found on exit, also on an error.
+
+    The records the stages build hold no reference cycles, so reference
+    counting frees them; the collector would only rescan a heap of records
+    that grows to hundreds of MiB. A collector found on runs one full
+    collection on exit, the one the pause postponed: it also empties the
+    interpreter's free lists, whose objects would otherwise keep the memory
+    blocks of the freed records from being returned to the system.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect()
+
+
 def run_pipeline(config: PipelineConfig) -> Path:
     """Execute all stages; returns the output directory.
 
     Any stage failure is wrapped in a :class:`StageError` naming the stage.
     """
+    with _collector_paused():
+        # The stages' records are freed when _run_stages returns, before the
+        # collector resumes and would scan them.
+        _run_stages(config)
+    return config.out_dir
+
+
+def _run_stages(config: PipelineConfig) -> None:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -340,4 +367,3 @@ def run_pipeline(config: PipelineConfig) -> Path:
         raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
-    return out

@@ -241,22 +241,27 @@ def test_stats_table_covers_all_settings(tmp_path, bfn_mini, frame_index):
     assert [r["settings"] for r in rows] == ALL_SETTINGS_IDS
 
 
-def test_stats_out_aggregates_each_settings_id_once(tmp_path, bfn_mini, frame_index, monkeypatch):
+def test_stats_out_aggregates_every_settings_id_in_one_pass(
+    tmp_path, bfn_mini, frame_index, monkeypatch
+):
     patterns, _ = normalize_corpus(
         parse_bfn_corpus(bfn_mini), frame_index, skip_unconsidered=False
     )
+
+    class Walked(list):
+        passes = 0
+
+        def __iter__(self):
+            Walked.passes += 1
+            return super().__iter__()
+
     calls = []
-
-    def counting(patterns, settings):
-        calls.append(settings.id)
-        return aggregate_corpus(patterns, settings)
-
-    monkeypatch.setattr(pipeline, "aggregate_corpus", counting)
+    monkeypatch.setattr(pipeline, "aggregate_corpus", lambda *a: calls.append(a))
     settings = Settings.from_id("3.B")
     valences, filtered = pipeline.aggregate_patterns(
-        patterns, settings, stats_out=tmp_path / "stats.csv"
+        Walked(patterns), settings, stats_out=tmp_path / "stats.csv"
     )
-    assert calls == ALL_SETTINGS_IDS
+    assert Walked.passes == 1 and calls == []
     assert (valences, filtered) == aggregate_corpus(patterns, settings)[:2]
 
 
