@@ -139,17 +139,6 @@ def _filtered(
     )
 
 
-def apply_settings(
-    patterns: Iterable[SentencePattern], settings: Settings
-) -> tuple[list[SentencePattern], list[Skip]]:
-    """Filter sentence patterns according to the settings switches (see
-    :func:`_filtered`); examples with an unconsidered FE are dropped first
-    when the settings skip them. The function is idempotent."""
-    grouping = _grouping(settings)
-    _, _, kept, dropped = _group(patterns, [grouping], grouping)
-    return kept, dropped
-
-
 # ---------------------------------------------------------------------------
 # Valence patterns
 # ---------------------------------------------------------------------------
@@ -193,17 +182,6 @@ def _sorted_valences(groups: _Groups, drop_singletons: bool) -> list[ValencePatt
     if drop_singletons:
         valences = [v for v in valences if v.count > 1]
     return valences
-
-
-def group_valence_patterns(
-    patterns: Iterable[SentencePattern], settings: Settings
-) -> list[ValencePattern]:
-    """Group sentence patterns by (frame, voice, FE set), ignoring word order
-    and prepositions. When the settings drop once-used valence patterns,
-    groups with a single occurrence are removed after grouping."""
-    grouping = (settings.generalize_types, False, False, False)
-    groups, _, _, _ = _group(patterns, [grouping], grouping)
-    return _sorted_valences(groups, settings.drop_singleton_valences)
 
 
 # Of one group: its frame, examples and distinct sentence patterns, which is
@@ -325,16 +303,16 @@ def aggregate_lattice(
     patterns: Iterable[SentencePattern], keep: Settings
 ) -> tuple[list[StatsRow], list[ValencePattern], list[SentencePattern], list[Skip]]:
     """The statistics row of every settings id, in ``ALL_SETTINGS_IDS``
-    order, and the valences, kept patterns and drops of ``keep``, from one
-    pass over the patterns; the same as :func:`aggregate_corpus` and
-    :func:`stats_row` per id. Each 3.x counts the groups of its 2.x."""
+    order, each over the valences :func:`aggregate_corpus` gives that id,
+    and :func:`aggregate_corpus`'s result for ``keep``, from one pass over
+    the patterns. Each 3.x counts the groups of its 2.x."""
     every = [Settings.from_id(sid) for sid in ALL_SETTINGS_IDS]
     full = _grouping(keep)
     groupings = list(dict.fromkeys([*map(_grouping, every), full]))
     groups, sizes, kept, dropped = _group(
         patterns, groupings, full, keep.drop_singleton_valences
     )
-    sizes[full] = _group_sizes(groups.values())
+    sizes[full] = [(v.frame, v.count, len(v.sentence_variants)) for v in groups.values()]
     rows = [
         _stats_row(s.id, [size for size in sizes[_grouping(s)]
                           if size[1] > 1 or not s.drop_singleton_valences])
@@ -357,14 +335,6 @@ class StatsRow:
     sentences_per_valence: float
     examples_total: int
     examples_per_sentence: float
-
-
-def _group_sizes(valences: Iterable[ValencePattern]) -> list[_GroupSize]:
-    return [(v.frame, v.count, len(v.sentence_variants)) for v in valences]
-
-
-def stats_row(settings: Settings, valences: Sequence[ValencePattern]) -> StatsRow:
-    return _stats_row(settings.id, _group_sizes(valences))
 
 
 def _stats_row(settings_id: str, sizes: Sequence[_GroupSize]) -> StatsRow:

@@ -18,7 +18,7 @@ from . import __version__
 from .aggregate import ALL_SETTINGS_IDS, Settings, read_valences_tsv
 from .compare import MatchLevel, MatchMode, read_shared_tsv
 from .grammar import file_digest
-from .ingest import Dialect, read_sentences_jsonl, sentence_to_dict
+from .ingest import Dialect, _sentence_line, read_sentences_jsonl
 from .normalize import load_voice_rules, read_patterns_tsv
 from .pipeline import (
     PipelineConfig,
@@ -58,7 +58,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     sentences = ingest_corpora(args.paths, Dialect(args.dialect), _optional_path(args.out))
     if not args.out:
         for s in sentences:
-            sys.stdout.write(json.dumps(sentence_to_dict(s), ensure_ascii=False, sort_keys=True))
+            sys.stdout.write(_sentence_line(s))
             sys.stdout.write("\n")
     logger.info("ingested %d sentences", len(sentences))
     return 0

@@ -305,4 +305,12 @@ def emit_abstract_syntax(grammar: AbstractGrammar, out_dir: Path) -> dict[str, P
 
 
 def file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """SHA-256 of the file, read one MiB at a time into one buffer, so that
+    hashing a large corpus does not hold it in memory."""
+    digest = hashlib.sha256()
+    buffer = bytearray(1 << 20)
+    view = memoryview(buffer)
+    with path.open("rb") as f:
+        while n := f.readinto(buffer):
+            digest.update(view[:n])
+    return digest.hexdigest()

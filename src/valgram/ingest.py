@@ -141,20 +141,6 @@ def _int(value: str, sid: str, what: str) -> int:
         raise _RecordError(f"sentence {sid!r}: {what} {value!r} is not an integer") from None
 
 
-def _parse_records(
-    source: bytes | str | Path,
-    parse_sentence: Callable[[ET.Element], list[AnnotatedSentence]],
-    dialect_name: str,
-) -> list[AnnotatedSentence]:
-    out: list[AnnotatedSentence] = []
-    for sent in _iter_sentences(source):
-        try:
-            out.extend(parse_sentence(sent))
-        except _RecordError as exc:
-            logger.warning("skipping %s record: %s", dialect_name, exc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # BFN dialect
 # ---------------------------------------------------------------------------
@@ -274,17 +260,6 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
     return out
 
 
-def parse_bfn_corpus(source: bytes | str | Path) -> list[AnnotatedSentence]:
-    """Parse a BFN-style corpus document.
-
-    Produces one sentence record per target-bearing annotation set. Sentences
-    with inconsistent annotations (FE offsets outside the text, missing frame
-    name, target labels without offsets, non-integer offsets) are skipped and
-    logged rather than aborting the run.
-    """
-    return _parse_records(source, _parse_bfn_sentence, "BFN")
-
-
 # ---------------------------------------------------------------------------
 # SweFN dialect
 # ---------------------------------------------------------------------------
@@ -368,20 +343,32 @@ def _parse_swefn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
     )]
 
 
-def parse_swefn_corpus(source: bytes | str | Path) -> list[AnnotatedSentence]:
-    """Parse a SweFN-style corpus document (one record per sentence element).
-
-    Sentences with no frame or LU, a word with an empty surface, or a
-    non-integer ``ref`` or ``dephead`` are skipped and logged."""
-    return _parse_records(source, _parse_swefn_sentence, "SweFN")
+# The sentence parser of each dialect and the name its skips are logged under.
+_DIALECT_PARSERS: dict[Dialect, tuple[Callable[[ET.Element], list[AnnotatedSentence]], str]] = {
+    Dialect.BFN_PHRASE: (_parse_bfn_sentence, "BFN"),
+    Dialect.SWEFN_DEP: (_parse_swefn_sentence, "SweFN"),
+}
 
 
 def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[AnnotatedSentence]:
     """Sentence records of one document; ``bytes`` and ``str`` are the XML
-    itself, a ``Path`` names the file."""
-    if dialect is Dialect.BFN_PHRASE:
-        return parse_bfn_corpus(source)
-    return parse_swefn_corpus(source)
+    itself, a ``Path`` names the file.
+
+    A BFN document gives one record per target-bearing annotation set, a
+    SweFN document one per sentence element. A sentence with inconsistent
+    annotations is skipped and logged rather than aborting the run: in BFN,
+    FE offsets outside the text, a missing frame name, target labels without
+    offsets or non-integer offsets; in SweFN, no frame or LU, a word with an
+    empty surface, or a non-integer ``ref`` or ``dephead``.
+    """
+    parse_sentence, dialect_name = _DIALECT_PARSERS[dialect]
+    out: list[AnnotatedSentence] = []
+    for sent in _iter_sentences(source):
+        try:
+            out.extend(parse_sentence(sent))
+        except _RecordError as exc:
+            logger.warning("skipping %s record: %s", dialect_name, exc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +453,15 @@ def sentence_from_dict(d: dict) -> AnnotatedSentence:
     )
 
 
+def _sentence_line(s: AnnotatedSentence) -> str:
+    """The JSON-lines text of one sentence, without its newline."""
+    return json.dumps(sentence_to_dict(s), ensure_ascii=False, sort_keys=True)
+
+
 def write_sentences_jsonl(sentences: Iterable[AnnotatedSentence], path: Path) -> None:
     with path.open("w", encoding="utf-8") as f:
         for s in sentences:
-            f.write(json.dumps(sentence_to_dict(s), ensure_ascii=False, sort_keys=True))
+            f.write(_sentence_line(s))
             f.write("\n")
 
 

@@ -599,6 +599,15 @@ def promote_unconsidered_skips(
     return kept, skips
 
 
+def _skip_unconsidered(
+    patterns: Iterable[SentencePattern], skips: list[Skip]
+) -> tuple[list[SentencePattern], list[Skip]]:
+    """The fully mappable patterns, and ``skips`` with the skips of the other
+    examples merged in, sorted by sentence id."""
+    kept, promoted = promote_unconsidered_skips(patterns)
+    return kept, sorted(skips + promoted, key=lambda sk: sk.sentence_id)
+
+
 def normalize_corpus(
     sentences: Iterable[AnnotatedSentence],
     index: FrameIndex,
@@ -616,9 +625,7 @@ def normalize_corpus(
         else:
             patterns.append(result)
     if skip_unconsidered:
-        patterns, promoted = promote_unconsidered_skips(patterns)
-        skips.extend(promoted)
-        skips.sort(key=lambda sk: sk.sentence_id)
+        return _skip_unconsidered(patterns, skips)
     return patterns, skips
 
 

@@ -44,9 +44,9 @@ from .ingest import AnnotatedSentence, Dialect, parse_corpus, write_sentences_js
 from .normalize import (
     SentencePattern,
     Skip,
+    _skip_unconsidered,
     load_voice_rules,
     normalize_corpus,
-    promote_unconsidered_skips,
     write_patterns_tsv,
     write_skips_tsv,
 )
@@ -139,8 +139,7 @@ def normalize_sentences(
     all_patterns, skips = normalize_corpus(sentences, index, rules, skip_unconsidered=False)
     patterns = all_patterns
     if skip_unconsidered:
-        patterns, promoted = promote_unconsidered_skips(all_patterns)
-        skips = sorted(skips + promoted, key=lambda sk: sk.sentence_id)
+        patterns, skips = _skip_unconsidered(all_patterns, skips)
     if patterns_out is not None:
         write_patterns_tsv(patterns, patterns_out, native=native)
     if skips_out is not None:

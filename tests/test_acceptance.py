@@ -16,7 +16,7 @@ from valgram.cli import main as cli_main
 from valgram.compare import MatchLevel, MatchMode, intersect
 from valgram.coverage import coverage
 from valgram.frames import load_frame_index
-from valgram.ingest import parse_bfn_corpus, parse_corpus, parse_swefn_corpus, Dialect
+from valgram.ingest import Dialect, parse_corpus
 from valgram.normalize import normalize_corpus
 from valgram.pipeline import PipelineConfig, SideConfig, run_pipeline
 from helpers import (
@@ -31,7 +31,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 def test_criterion_1_reference_sentence_pattern_lines(bfn_mini, frame_index):
     started = time.perf_counter()
-    sentences = parse_bfn_corpus(bfn_mini)
+    sentences = parse_corpus(bfn_mini, Dialect.BFN_PHRASE)
     patterns, skips = normalize_corpus(sentences, frame_index)
     elapsed = time.perf_counter() - started
     lines = [(p.frame, p.voice.value, p.rgl_fes) for p in patterns]
@@ -125,8 +125,10 @@ def test_criterion_4_subsumption_oracle_equivalence():
 
 def test_criterion_5_lattice_monotonicity(bfn_mini, swefn_mini, frames_tsv, frame_index, data_dir):
     # settings chains on both bundled corpora
-    for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
-        patterns, _ = normalize_corpus(parse(path), frame_index, skip_unconsidered=False)
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        patterns, _ = normalize_corpus(
+            parse_corpus(path, dialect), frame_index, skip_unconsidered=False
+        )
         results = valences_by_settings(patterns)
         for x in ("1", "2", "3"):
             assert len(results[f"{x}.B"]) <= len(results[f"{x}.A"]) <= len(results[f"{x}.0"])
@@ -155,8 +157,8 @@ def test_criterion_5_lattice_monotonicity(bfn_mini, swefn_mini, frames_tsv, fram
 
 def test_criterion_6_self_coverage(bfn_mini, swefn_mini, frame_index, tmp_path):
     corpora = [
-        parse_bfn_corpus(bfn_mini),
-        parse_swefn_corpus(swefn_mini),
+        parse_corpus(bfn_mini, Dialect.BFN_PHRASE),
+        parse_corpus(swefn_mini, Dialect.SWEFN_DEP),
     ]
     synth = load_corpus_generator()
     paths = synth.write_corpus_files(tmp_path, n_bfn=1500, n_swefn=400, n_frames=40)

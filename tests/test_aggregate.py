@@ -10,17 +10,15 @@ from valgram.aggregate import (
     ALL_SETTINGS_IDS,
     Settings,
     aggregate_corpus,
-    apply_settings,
+    aggregate_lattice,
     ValencePattern,
     frame_summary,
-    group_valence_patterns,
     read_valences_tsv,
-    stats_row,
     write_valences_tsv,
 )
 from helpers import mk, valences_by_settings
 from valgram.frames import Coreness
-from valgram.ingest import parse_bfn_corpus, parse_swefn_corpus
+from valgram.ingest import Dialect, parse_corpus
 from valgram.normalize import (
     FeRealization,
     RglType,
@@ -69,12 +67,12 @@ def test_inconsistent_flag_combination_rejected():
 
 
 # ---------------------------------------------------------------------------
-# apply_settings
+# Settings filter: the kept patterns and drops of aggregate_corpus
 # ---------------------------------------------------------------------------
 
 def test_repeated_identical_fes_collapse():
     p = mk("Desiring", "Act", "Experiencer_NP.Subj Experiencer_NP.Subj Event_VP")
-    kept, dropped = apply_settings([p], Settings.from_id("2.A"))
+    kept, dropped = aggregate_corpus([p], Settings.from_id("2.A"))[1:]
     assert dropped == []
     assert [r.rgl_token() for r in kept[0].realizations] == [
         "Experiencer_NP.Subj", "Event_VP",
@@ -83,14 +81,14 @@ def test_repeated_identical_fes_collapse():
 
 def test_repeated_fes_of_different_types_drop_example():
     p = mk("Motion", "Act", "Theme_NP.Subj Theme_Adv Goal_Adv")
-    kept, dropped = apply_settings([p], Settings.from_id("2.A"))
+    kept, dropped = aggregate_corpus([p], Settings.from_id("2.A"))[1:]
     assert kept == []
     assert dropped[0].reason == SkipReason.MIXED_REPEATED_FE_TYPES.value
 
 
 def test_noncore_fes_removed_core_intact():
     p = mk("Desiring", "Act", "Experiencer_NP.Subj Opt_Degree_Adv Event_NP.Obj")
-    kept, _ = apply_settings([p], Settings.from_id("2.B"))
+    kept, _ = aggregate_corpus([p], Settings.from_id("2.B"))[1:]
     assert [r.rgl_token() for r in kept[0].realizations] == [
         "Experiencer_NP.Subj", "Event_NP.Obj",
     ]
@@ -98,26 +96,26 @@ def test_noncore_fes_removed_core_intact():
 
 def test_example_left_empty_after_noncore_removal_is_dropped():
     p = mk("Desiring", "Act", "Opt_Degree_Adv")
-    kept, dropped = apply_settings([p], Settings.from_id("2.B"))
+    kept, dropped = aggregate_corpus([p], Settings.from_id("2.B"))[1:]
     assert kept == []
     assert dropped[0].reason == "EmptyAfterNonCoreRemoval"
 
 
-def test_apply_settings_is_idempotent():
+def test_settings_filter_is_idempotent():
     patterns = [
         mk("Desiring", "Act", "Experiencer_NP.Subj Experiencer_NP.Subj Opt_Manner_Adv Event_VP"),
         mk("Desiring", "Pass", "Event_NP.Subj"),
     ]
     for sid in ("2.A", "2.B"):
         settings = Settings.from_id(sid)
-        once, _ = apply_settings(patterns, settings)
-        twice, dropped = apply_settings(once, settings)
+        once, _ = aggregate_corpus(patterns, settings)[1:]
+        twice, dropped = aggregate_corpus(once, settings)[1:]
         assert twice == once
         assert dropped == []
 
 
 # ---------------------------------------------------------------------------
-# group_valence_patterns: the reference grouping block
+# Grouping: the reference block, which no setting filters
 # ---------------------------------------------------------------------------
 
 def desiring_active_block():
@@ -133,7 +131,8 @@ def desiring_active_block():
 
 
 def test_reference_grouping_counts():
-    valences = group_valence_patterns(desiring_active_block(), Settings.from_id("2.B"))
+    valences, _, dropped = aggregate_corpus(desiring_active_block(), Settings.from_id("2.B"))
+    assert dropped == []
     by_string = {v.fes_string(): v for v in valences}
     assert set(by_string) == {
         "Event_VP  Experiencer_NP.Subj",
@@ -160,7 +159,8 @@ def test_prepositions_ignored_in_grouping_kept_in_variants():
         mk("Desiring", "Act", "Experiencer_NP.Subj Event_Adv[for]"),
         mk("Desiring", "Act", "Experiencer_NP.Subj Event_Adv[after]"),
     ]
-    (v,) = group_valence_patterns(patterns, Settings.from_id("2.B"))
+    (v,), _, dropped = aggregate_corpus(patterns, Settings.from_id("2.B"))
+    assert dropped == []
     assert v.fes_string() == "Event_Adv  Experiencer_NP.Subj"
     assert sorted(v.sentence_variants) == [
         "Experiencer_NP.Subj Event_Adv[after]",
@@ -169,15 +169,16 @@ def test_prepositions_ignored_in_grouping_kept_in_variants():
 
 
 def test_empty_input_empty_output():
-    assert group_valence_patterns([], Settings.from_id("2.B")) == []
+    assert aggregate_corpus([], Settings.from_id("2.B")) == ([], [], [])
 
 
 def test_grouping_is_order_independent():
     patterns = desiring_active_block()
     shuffled = patterns[:]
     random.Random(7).shuffle(shuffled)
-    a = group_valence_patterns(patterns, Settings.from_id("2.B"))
-    b = group_valence_patterns(shuffled, Settings.from_id("2.B"))
+    a, _, dropped_a = aggregate_corpus(patterns, Settings.from_id("2.B"))
+    b, _, dropped_b = aggregate_corpus(shuffled, Settings.from_id("2.B"))
+    assert dropped_a == dropped_b == []
     assert {(v.frame, v.voice, v.fes, v.count) for v in a} == {
         (v.frame, v.voice, v.fes, v.count) for v in b
     }
@@ -189,15 +190,17 @@ def test_voices_never_merge():
         mk("Desiring", "Act", "Experiencer_NP.Subj Event_NP.Obj"),
         mk("Desiring", "Pass", "Event_NP.Subj Experiencer_NP.Obj"),
     ]
-    valences = group_valence_patterns(patterns, Settings.from_id("2.B"))
+    valences, _, dropped = aggregate_corpus(patterns, Settings.from_id("2.B"))
+    assert dropped == []
     assert len(valences) == 2
     assert {v.voice for v in valences} == {Voice.ACT, Voice.PASS}
 
 
 def test_singleton_valences_dropped_under_3x():
     patterns = desiring_active_block()
-    with_singletons = group_valence_patterns(patterns, Settings.from_id("2.A"))
-    without = group_valence_patterns(patterns, Settings.from_id("3.A"))
+    with_singletons, _, dropped_2a = aggregate_corpus(patterns, Settings.from_id("2.A"))
+    without, _, dropped_3a = aggregate_corpus(patterns, Settings.from_id("3.A"))
+    assert dropped_2a == dropped_3a == []
     assert {v.fes_string() for v in with_singletons} - {v.fes_string() for v in without} == {
         "Event_VP"
     }
@@ -208,9 +211,9 @@ def test_singleton_valences_dropped_under_3x():
 # ---------------------------------------------------------------------------
 
 def test_mini_corpus_stats_under_2b(bfn_mini, frame_index):
-    patterns, _ = normalize_corpus(parse_bfn_corpus(bfn_mini), frame_index)
-    valences, _, _ = aggregate_corpus(patterns, Settings.from_id("2.B"))
-    row = stats_row(Settings.from_id("2.B"), valences)
+    patterns, _ = normalize_corpus(parse_corpus(bfn_mini, Dialect.BFN_PHRASE), frame_index)
+    rows, valences, _, _ = aggregate_lattice(patterns, Settings.from_id("2.B"))
+    (row,) = [r for r in rows if r.settings_id == "2.B"]
     # Hand enumeration of the seven fixture lines: four active groups
     # ({Event_NP,Experiencer_NP}x3, {Event_Adv,Experiencer_NP},
     #  {Event_VP,Experiencer_NP}, {Event_VP}) plus one passive group.
@@ -225,14 +228,18 @@ def test_mini_corpus_stats_under_2b(bfn_mini, frame_index):
 
 
 def test_empty_corpus_all_zero_row():
-    row = stats_row(Settings.from_id("2.B"), [])
-    assert (row.frames, row.valence_total, row.sentence_total, row.examples_total) == (0, 0, 0, 0)
-    assert row.valence_per_frame == 0.0
+    rows, _, _, _ = aggregate_lattice([], Settings.from_id("2.B"))
+    assert [row.settings_id for row in rows] == ALL_SETTINGS_IDS
+    for row in rows:
+        assert (row.frames, row.valence_total, row.sentence_total, row.examples_total) == (
+            0, 0, 0, 0
+        )
+        assert row.valence_per_frame == 0.0
 
 
 def test_stats_table_covers_all_settings(tmp_path, bfn_mini, frame_index):
     patterns, _ = normalize_corpus(
-        parse_bfn_corpus(bfn_mini), frame_index, skip_unconsidered=False
+        parse_corpus(bfn_mini, Dialect.BFN_PHRASE), frame_index, skip_unconsidered=False
     )
     out = tmp_path / "stats.csv"
     pipeline.aggregate_patterns(patterns, Settings.from_id("2.B"), stats_out=out)
@@ -245,7 +252,7 @@ def test_stats_out_aggregates_every_settings_id_in_one_pass(
     tmp_path, bfn_mini, frame_index, monkeypatch
 ):
     patterns, _ = normalize_corpus(
-        parse_bfn_corpus(bfn_mini), frame_index, skip_unconsidered=False
+        parse_corpus(bfn_mini, Dialect.BFN_PHRASE), frame_index, skip_unconsidered=False
     )
 
     class Walked(list):
@@ -266,7 +273,8 @@ def test_stats_out_aggregates_every_settings_id_in_one_pass(
 
 
 def test_summary_layout():
-    valences = group_valence_patterns(desiring_active_block(), Settings.from_id("2.B"))
+    valences, _, dropped = aggregate_corpus(desiring_active_block(), Settings.from_id("2.B"))
+    assert dropped == []
     text = frame_summary(valences, "Desiring", Voice.ACT)
     lines = text.splitlines()
     assert lines[0] == "Desiring Act"
@@ -280,7 +288,8 @@ def test_summary_layout():
 
 
 def test_valences_tsv_round_trip(tmp_path):
-    valences = group_valence_patterns(desiring_active_block(), Settings.from_id("2.B"))
+    valences, _, dropped = aggregate_corpus(desiring_active_block(), Settings.from_id("2.B"))
+    assert dropped == []
     path = tmp_path / "valences.tsv"
     write_valences_tsv(valences, path)
     loaded = read_valences_tsv(path)
@@ -378,21 +387,21 @@ def test_lattice_monotonicity(patterns):
 
 
 def test_full_lattice_chain_on_bundled_corpora(bfn_mini, swefn_mini, frame_index):
-    from valgram.ingest import parse_swefn_corpus
-
-    for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
-        patterns, _ = normalize_corpus(parse(path), frame_index, skip_unconsidered=False)
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        patterns, _ = normalize_corpus(
+            parse_corpus(path, dialect), frame_index, skip_unconsidered=False
+        )
         results = valences_by_settings(patterns)
         for x in ("1", "2", "3"):
             assert len(results[f"{x}.B"]) <= len(results[f"{x}.A"]) <= len(results[f"{x}.0"])
 
 
 @given(synthetic_corpus())
-def test_apply_settings_idempotent_property(patterns):
+def test_settings_filter_idempotent_property(patterns):
     for sid in ("1.A", "2.A", "2.B", "3.B"):
         settings = Settings.from_id(sid)
-        once, _ = apply_settings(patterns, settings)
-        twice, dropped = apply_settings(once, settings)
+        once, _ = aggregate_corpus(patterns, settings)[1:]
+        twice, dropped = aggregate_corpus(once, settings)[1:]
         assert twice == once and dropped == []
 
 
@@ -401,10 +410,11 @@ def test_grouping_order_independence_property(patterns, rng):
     settings = Settings.from_id("2.B")
     shuffled = patterns[:]
     rng.shuffle(shuffled)
-    kept_a, _ = apply_settings(patterns, settings)
-    kept_b, _ = apply_settings(shuffled, settings)
-    a = group_valence_patterns(kept_a, settings)
-    b = group_valence_patterns(kept_b, settings)
+    kept_a, _ = aggregate_corpus(patterns, settings)[1:]
+    kept_b, _ = aggregate_corpus(shuffled, settings)[1:]
+    a, _, dropped_a = aggregate_corpus(kept_a, settings)
+    b, _, dropped_b = aggregate_corpus(kept_b, settings)
+    assert dropped_a == dropped_b == []
     assert {(v.frame, v.voice, v.fes, v.count) for v in a} == {
         (v.frame, v.voice, v.fes, v.count) for v in b
     }
@@ -467,8 +477,10 @@ def test_valences_tsv_rejects_key_that_reads_back_differently(tmp_path):
 
 @pytest.mark.parametrize("sid", ALL_SETTINGS_IDS)
 def test_bundled_corpus_keys_round_trip(tmp_path, sid, bfn_mini, swefn_mini, frame_index):
-    for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
-        patterns, _ = normalize_corpus(parse(path), frame_index, skip_unconsidered=False)
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        patterns, _ = normalize_corpus(
+            parse_corpus(path, dialect), frame_index, skip_unconsidered=False
+        )
         valences, _, _ = aggregate_corpus(patterns, Settings.from_id(sid))
         keys = {k for v in valences for k in v.fes}
         assert keys

@@ -23,6 +23,16 @@ def test_ingest_writes_sorted_jsonl(tmp_path, bfn_mini):
     assert ids == sorted(ids) and len(ids) == 7
 
 
+def test_ingest_stdout_matches_out_file(tmp_path, capsys, swefn_mini):
+    out = tmp_path / "sentences.jsonl"
+    assert run_cli("ingest", "--dialect", "swefn", "--out", out, swefn_mini) == 0
+    capsys.readouterr()
+    assert run_cli("ingest", "--dialect", "swefn", swefn_mini) == 0
+    stdout = capsys.readouterr().out
+    assert "å" in stdout  # written as UTF-8 text, not as \u escapes
+    assert stdout == out.read_text(encoding="utf-8")
+
+
 def test_frames_validate(capsys, frames_tsv):
     assert run_cli("frames", "--validate", frames_tsv) == 0
     assert "2 frames" in capsys.readouterr().out

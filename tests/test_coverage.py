@@ -5,7 +5,7 @@ import pytest
 from valgram.aggregate import Settings, aggregate_corpus, read_valences_tsv
 from valgram.compare import MatchLevel, MatchMode, intersect
 from valgram.coverage import coverage, reduce_example
-from valgram.ingest import parse_bfn_corpus, parse_swefn_corpus
+from valgram.ingest import Dialect, parse_corpus
 from valgram.normalize import normalize_corpus
 from helpers import mk, random_side, vp
 
@@ -67,8 +67,8 @@ def test_reduce_example_collapses_repeats():
 
 
 def test_self_coverage_is_total(bfn_mini, swefn_mini, frame_index):
-    for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
-        patterns, _ = normalize_corpus(parse(path), frame_index)
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        patterns, _ = normalize_corpus(parse_corpus(path, dialect), frame_index)
         settings = Settings.from_id("2.B")
         valences, filtered, _ = aggregate_corpus(patterns, settings)
         final = intersect(valences, valences, MatchLevel.SEMANTIC_SYNTACTIC, MatchMode.FUZZY)

@@ -1,3 +1,7 @@
+import hashlib
+import random
+import tracemalloc
+
 import pytest
 
 from valgram.aggregate import read_valences_tsv
@@ -11,6 +15,7 @@ from valgram.grammar import (
     derive_grammar,
     derive_lu_module,
     emit_abstract_syntax,
+    file_digest,
     render_fe_module,
     render_frame_module,
 )
@@ -255,3 +260,27 @@ def test_optional_noncore_categories(tmp_path, data_dir):
     fe_text = render_fe_module(grammar)
     assert "cat Opt_Degree_Adv ;" in fe_text
     assert "cat Experiencer_NP ;" in fe_text
+
+
+# ---------------------------------------------------------------------------
+# Input digests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [0, 1000, 3 * 2**20 + 17], ids=["empty", "small", "chunks"])
+def test_file_digest_is_the_sha256_of_the_contents(tmp_path, size):
+    path = tmp_path / "input.bin"
+    path.write_bytes(random.Random(size).randbytes(size))
+    assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_file_digest_memory_is_bounded_by_one_chunk(tmp_path):
+    path = tmp_path / "input.bin"
+    path.write_bytes(bytes(8 * 2**20))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        file_digest(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2 * 2**20

@@ -9,21 +9,19 @@ from valgram.ingest import (
     CorpusParseError,
     Dialect,
     TokenSpan,
-    parse_bfn_corpus,
     parse_corpus,
-    parse_swefn_corpus,
     sentence_from_dict,
     sentence_to_dict,
 )
 
 
 def test_bfn_round_trip_count(bfn_mini):
-    sentences = parse_bfn_corpus(bfn_mini)
+    sentences = parse_corpus(bfn_mini, Dialect.BFN_PHRASE)
     assert len(sentences) == 7  # one per target-bearing annotation set
 
 
 def test_bfn_excerpt_sentence(bfn_mini):
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-002")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-002")
     assert s.text == "Traders in the city want a change."
     assert s.frame == "Desiring"
     assert s.target == TokenSpan(20, 23)
@@ -37,7 +35,7 @@ def test_bfn_excerpt_sentence(bfn_mini):
 
 
 def test_bfn_offset_discipline(bfn_mini):
-    for s in parse_bfn_corpus(bfn_mini):
+    for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE):
         for fe in s.fe_spans:
             if fe.span is None:
                 continue
@@ -47,14 +45,14 @@ def test_bfn_offset_discipline(bfn_mini):
 
 
 def test_bfn_inclusive_offsets(bfn_mini):
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-002")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-002")
     experiencer = next(fe for fe in s.fe_spans if fe.fe_name == "Experiencer")
     assert s.text[experiencer.span.start:experiencer.span.end + 1] == "Traders in the city"
 
 
 def test_empty_corpus_documents():
-    assert parse_bfn_corpus(b"<corpus/>") == []
-    assert parse_swefn_corpus(b"<corpus/>") == []
+    assert parse_corpus(b"<corpus/>", Dialect.BFN_PHRASE) == []
+    assert parse_corpus(b"<corpus/>", Dialect.SWEFN_DEP) == []
 
 
 def test_bfn_fe_without_pt_gf_becomes_null_instantiated():
@@ -72,7 +70,7 @@ def test_bfn_fe_without_pt_gf_becomes_null_instantiated():
         <layer name="Target"><label start="20" end="23" name="Target"/></layer>
       </annotationSet>
     </sentence></corpus>"""
-    (s,) = parse_bfn_corpus(xml)
+    (s,) = parse_corpus(xml, Dialect.BFN_PHRASE)
     by_name = {fe.fe_name: fe for fe in s.fe_spans}
     assert by_name["Experiencer"].null_instantiated
     assert not by_name["Event"].null_instantiated
@@ -80,7 +78,7 @@ def test_bfn_fe_without_pt_gf_becomes_null_instantiated():
 
 
 def test_bfn_null_instantiated_without_offsets(bfn_mini):
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-005")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-005")
     experiencer = next(fe for fe in s.fe_spans if fe.fe_name == "Experiencer")
     assert experiencer.null_instantiated
     assert experiencer.span is None
@@ -97,7 +95,7 @@ def test_bfn_fe_offsets_outside_text_skips_record(caplog):
       </annotationSet>
     </sentence></corpus>"""
     with caplog.at_level("WARNING"):
-        assert parse_bfn_corpus(xml) == []
+        assert parse_corpus(xml, Dialect.BFN_PHRASE) == []
     assert "overlap no text" in caplog.text
 
 
@@ -117,7 +115,7 @@ def test_bfn_multiple_annotation_sets_yield_multiple_examples():
         <layer name="Target"><label start="14" end="18" name="Target"/></layer>
       </annotationSet>
     </sentence></corpus>"""
-    sentences = parse_bfn_corpus(xml)
+    sentences = parse_corpus(xml, Dialect.BFN_PHRASE)
     assert len(sentences) == 2
     assert {s.lu_ref for s in sentences} == {"want.v.6412", "crave.v.6596"}
 
@@ -133,22 +131,22 @@ def test_bfn_unknown_layers_ignored():
         <layer name="Target"><label start="5" end="8" name="Target"/></layer>
       </annotationSet>
     </sentence></corpus>"""
-    (s,) = parse_bfn_corpus(xml)
+    (s,) = parse_corpus(xml, Dialect.BFN_PHRASE)
     assert len(s.fe_spans) == 1
 
 
 def test_malformed_xml_raises_with_position():
     with pytest.raises(CorpusParseError) as excinfo:
-        parse_bfn_corpus(b"<corpus><sentence>")
+        parse_corpus(b"<corpus><sentence>", Dialect.BFN_PHRASE)
     assert "line" in str(excinfo.value)
 
 
 def test_swefn_round_trip_count(swefn_mini):
-    assert len(parse_swefn_corpus(swefn_mini)) == 6
+    assert len(parse_corpus(swefn_mini, Dialect.SWEFN_DEP)) == 6
 
 
 def test_swefn_excerpt_sentence(swefn_mini):
-    s = next(s for s in parse_swefn_corpus(swefn_mini) if s.sentence_id == "swefn-001")
+    s = next(s for s in parse_corpus(swefn_mini, Dialect.SWEFN_DEP) if s.sentence_id == "swefn-001")
     assert s.frame == "Desiring"
     assert s.lu_ref == "vilja.vb.1"
     assert s.text == "Nästa gång skulle jag vilja ha sju sångare"
@@ -173,13 +171,13 @@ def test_swefn_zero_fe_elements():
         '<element name="LU"><w msd="VB.PRS.AKT" ref="2" deprel="ROOT">går</w></element>',
         "</sentence></corpus>",
     ]).encode("utf-8")
-    (s,) = parse_swefn_corpus(xml)
+    (s,) = parse_corpus(xml, Dialect.SWEFN_DEP)
     assert s.fe_spans == ()
     assert s.text == "Han går"
 
 
 def test_swefn_conjunction_initial_words_preserved(swefn_mini):
-    s = next(s for s in parse_swefn_corpus(swefn_mini) if s.sentence_id == "swefn-003")
+    s = next(s for s in parse_corpus(swefn_mini, Dialect.SWEFN_DEP) if s.sentence_id == "swefn-003")
     experiencer = next(fe for fe in s.fe_spans if fe.fe_name == "Experiencer")
     assert [w.surface for w in experiencer.words] == ["Och", "hunden"]
     assert experiencer.words[0].pos == "KN"
@@ -190,32 +188,29 @@ def test_swefn_missing_lu_skips_sentence(caplog):
       <w pos="PN" ref="1" deprel="SS">jag</w>
     </sentence></corpus>"""
     with caplog.at_level("WARNING"):
-        assert parse_swefn_corpus(xml) == []
+        assert parse_corpus(xml, Dialect.SWEFN_DEP) == []
     assert "no LU element" in caplog.text
 
 
-@pytest.mark.parametrize("parse,fixture", [
-    (parse_bfn_corpus, "bfn_mini.xml"),
-    (parse_swefn_corpus, "swefn_mini.xml"),
-])
-def test_parsing_is_pure(data_dir, parse, fixture):
-    data = (data_dir / fixture).read_bytes()
-    assert parse(data) == parse(data)
+@pytest.mark.parametrize("dialect", list(Dialect))
+def test_parsing_is_pure(data_dir, dialect):
+    data = (data_dir / f"{dialect.value}_mini.xml").read_bytes()
+    assert parse_corpus(data, dialect) == parse_corpus(data, dialect)
 
 
 def test_jsonl_round_trip(bfn_mini, swefn_mini):
-    for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
-        for s in parse(path):
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        for s in parse_corpus(path, dialect):
             assert sentence_from_dict(sentence_to_dict(s)) == s
 
 
 def test_dialect_determines_annotation_fields(bfn_mini, swefn_mini):
-    for s in parse_bfn_corpus(bfn_mini):
+    for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE):
         assert s.dialect is Dialect.BFN_PHRASE
         for fe in s.fe_spans:
             assert fe.words is None
             assert fe.null_instantiated or fe.phrase_type is not None
-    for s in parse_swefn_corpus(swefn_mini):
+    for s in parse_corpus(swefn_mini, Dialect.SWEFN_DEP):
         assert s.dialect is Dialect.SWEFN_DEP
         for fe in s.fe_spans:
             assert fe.phrase_type is None
@@ -225,7 +220,7 @@ def test_dialect_determines_annotation_fields(bfn_mini, swefn_mini):
 def test_parse_error_reports_byte_offset():
     data = b"<corpus>\n <sentence>\n</corpus>"
     with pytest.raises(CorpusParseError) as excinfo:
-        parse_bfn_corpus(data)
+        parse_corpus(data, Dialect.BFN_PHRASE)
     message = str(excinfo.value)
     assert "byte" in message
     offset = int(message.split("byte ")[1].split(" ")[0])
@@ -233,7 +228,7 @@ def test_parse_error_reports_byte_offset():
 
 
 def test_swefn_refs_unique_within_sentence(swefn_mini):
-    for s in parse_swefn_corpus(swefn_mini):
+    for s in parse_corpus(swefn_mini, Dialect.SWEFN_DEP):
         refs = [w.ref for w in s.tokens]
         assert len(refs) == len(set(refs))
         for w in s.tokens:
@@ -294,9 +289,9 @@ def bfn_corpus_xml(draw):
 @given(bfn_corpus_xml())
 def test_generated_bfn_corpora_parse_cleanly(corpus):
     data, n_sentences = corpus
-    parsed = parse_bfn_corpus(data)
+    parsed = parse_corpus(data, Dialect.BFN_PHRASE)
     assert len(parsed) == n_sentences  # every annotation set is target-bearing
-    assert parse_bfn_corpus(data) == parsed  # purity
+    assert parse_corpus(data, Dialect.BFN_PHRASE) == parsed  # purity
     for s in parsed:
         assert 0 <= s.target.start <= s.target.end < len(s.text)
         for fe in s.fe_spans:
@@ -332,7 +327,7 @@ _BFN_PAIR = """<corpus><sentence ID="bad">
 def test_bfn_bad_record_is_skipped_and_neighbour_parses(caplog, fe, target, message):
     xml = _BFN_PAIR.format(fe=fe, target=target).encode()
     with caplog.at_level("WARNING"):
-        sentences = parse_bfn_corpus(xml)
+        sentences = parse_corpus(xml, Dialect.BFN_PHRASE)
     assert [s.sentence_id for s in sentences] == ["neighbour"]
     assert "sentence 'bad'" in caplog.text and message in caplog.text
 
@@ -354,7 +349,7 @@ _SWEFN_PAIR = """<corpus><sentence id="bad" frame="Desiring" lu="vilja.vb.1">
 def test_swefn_bad_record_is_skipped_and_neighbour_parses(caplog, word, verb, message):
     xml = _SWEFN_PAIR.format(word=word, verb=verb).encode()
     with caplog.at_level("WARNING"):
-        sentences = parse_swefn_corpus(xml)
+        sentences = parse_corpus(xml, Dialect.SWEFN_DEP)
     assert [s.sentence_id for s in sentences] == ["neighbour"]
     assert "sentence 'bad'" in caplog.text and message in caplog.text
 
@@ -371,18 +366,16 @@ _ATTRIBUTE_VALUES = st.one_of(
 )
 
 
-@pytest.mark.parametrize("parse,fixture", [
-    (parse_bfn_corpus, "bfn_mini.xml"),
-    (parse_swefn_corpus, "swefn_mini.xml"),
-])
+@pytest.mark.parametrize("dialect", list(Dialect))
 @given(data=st.data())
-def test_corrupted_sentence_leaves_the_others_intact(data_dir, parse, fixture, data):
+def test_corrupted_sentence_leaves_the_others_intact(data_dir, dialect, data):
     # One attribute value of one sentence is replaced, or one element of it
     # dropped. The document then either fails as a whole or parses, and
     # every untouched sentence yields exactly its records from before.
-    sentences = list(ET.parse(data_dir / fixture).getroot())
-    per_sentence = [parse(_document([s])) for s in sentences]
-    assert [r for records in per_sentence for r in records] == parse(data_dir / fixture)
+    fixture = data_dir / f"{dialect.value}_mini.xml"
+    sentences = list(ET.parse(fixture).getroot())
+    per_sentence = [parse_corpus(_document([s]), dialect) for s in sentences]
+    assert [r for records in per_sentence for r in records] == parse_corpus(fixture, dialect)
 
     i = data.draw(st.integers(0, len(sentences) - 1), label="sentence")
     target = sentences[i]
@@ -395,7 +388,7 @@ def test_corrupted_sentence_leaves_the_others_intact(data_dir, parse, fixture, d
         parent[elem].remove(elem)
 
     try:
-        parsed = parse(_document(sentences))
+        parsed = parse_corpus(_document(sentences), dialect)
     except CorpusParseError:
         return
     before = [r for records in per_sentence[:i] for r in records]
@@ -439,7 +432,7 @@ def test_malformed_xml_from_a_path_reports_its_byte_offset(tmp_path):
     messages = []
     for source in (data, path):
         with pytest.raises(CorpusParseError) as excinfo:
-            parse_bfn_corpus(source)
+            parse_corpus(source, Dialect.BFN_PHRASE)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
     offset = int(messages[1].split("byte ")[1].split(" ")[0])

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from valgram import pipeline
 from valgram.frames import Coreness, FrameIndexError, load_frame_index
-from valgram.ingest import WordAnno, parse_bfn_corpus, parse_swefn_corpus
+from valgram.ingest import Dialect, WordAnno, parse_corpus
 from valgram.normalize import (
     DEFAULT_VOICE_RULES,
     FeRealization,
@@ -62,17 +63,17 @@ def _pattern_or_skip(s, index) -> SentencePattern | Skip:
 # ---------------------------------------------------------------------------
 
 def test_bfn_active_target(bfn_mini):
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-002")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-002")
     assert detect_voice(s) is Voice.ACT
 
 
 def test_swefn_active_target(swefn_mini):
-    s = next(s for s in parse_swefn_corpus(swefn_mini) if s.sentence_id == "swefn-001")
+    s = next(s for s in parse_corpus(swefn_mini, Dialect.SWEFN_DEP) if s.sentence_id == "swefn-001")
     assert detect_voice(s) is Voice.ACT
 
 
 def test_bfn_passive_participle_with_preceding_aux(bfn_mini):
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-007")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-007")
     assert detect_voice(s) is Voice.PASS
 
 
@@ -93,12 +94,12 @@ def test_bfn_passive_by_phrase_route():
         <layer name="Target"><label start="0" end="5" name="Target"/></layer>
       </annotationSet>
     </sentence></corpus>"""
-    (s,) = parse_bfn_corpus(xml)
+    (s,) = parse_corpus(xml, Dialect.BFN_PHRASE)
     assert detect_voice(s) is Voice.PASS
 
 
 def test_swefn_s_passive(swefn_mini):
-    s = next(s for s in parse_swefn_corpus(swefn_mini) if s.sentence_id == "swefn-004")
+    s = next(s for s in parse_corpus(swefn_mini, Dialect.SWEFN_DEP) if s.sentence_id == "swefn-004")
     assert detect_voice(s) is Voice.PASS
 
 
@@ -118,7 +119,7 @@ def test_bfn_participle_without_aux_is_active():
         <layer name="Target"><label start="8" end="13" name="Target"/></layer>
       </annotationSet>
     </sentence></corpus>"""
-    (s,) = parse_bfn_corpus(xml)
+    (s,) = parse_corpus(xml, Dialect.BFN_PHRASE)
     assert detect_voice(s) is Voice.ACT
 
 
@@ -126,7 +127,7 @@ def test_voice_rules_are_configurable(tmp_path, bfn_mini):
     cfg = tmp_path / "rules.json"
     cfg.write_text('{"bfn": {"passive_target_tags": []}}', encoding="utf-8")
     rules = load_voice_rules(cfg)
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-007")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-007")
     assert detect_voice(s, rules) is Voice.ACT
     assert detect_voice(s, DEFAULT_VOICE_RULES) is Voice.PASS
 
@@ -226,7 +227,7 @@ def test_swefn_unmappable_tags_skip():
 # ---------------------------------------------------------------------------
 
 def test_bfn_excerpt_pattern(bfn_mini, frame_index):
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-002")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-002")
     pattern = _pattern_or_skip(s, frame_index)
     assert isinstance(pattern, SentencePattern)
     assert (pattern.frame, pattern.voice.value, _fes(pattern)) == (
@@ -235,7 +236,7 @@ def test_bfn_excerpt_pattern(bfn_mini, frame_index):
 
 
 def test_swefn_excerpt_pattern(swefn_mini, frame_index):
-    s = next(s for s in parse_swefn_corpus(swefn_mini) if s.sentence_id == "swefn-001")
+    s = next(s for s in parse_corpus(swefn_mini, Dialect.SWEFN_DEP) if s.sentence_id == "swefn-001")
     pattern = _pattern_or_skip(s, frame_index)
     assert (pattern.frame, pattern.voice.value, _fes(pattern)) == (
         "Desiring", "Act", "Experiencer_NP.Subj Event_VP"
@@ -243,26 +244,26 @@ def test_swefn_excerpt_pattern(swefn_mini, frame_index):
 
 
 def test_bfn_wished_for_pattern(bfn_mini, frame_index):
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-004")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-004")
     pattern = _pattern_or_skip(s, frame_index)
     assert _fes(pattern) == "Experiencer_NP.Subj Event_Adv[for]"
 
 
 def test_bfn_fixture_emits_reference_lines_verbatim(bfn_mini, frame_index):
-    patterns, skips = normalize_corpus(parse_bfn_corpus(bfn_mini), frame_index)
+    patterns, skips = normalize_corpus(parse_corpus(bfn_mini, Dialect.BFN_PHRASE), frame_index)
     assert skips == []
     lines = [(p.frame, p.voice.value, _fes(p)) for p in patterns]
     assert lines == EXPECTED_BFN_LINES
 
 
 def test_null_instantiated_fes_dropped_rest_kept(bfn_mini, frame_index):
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-005")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-005")
     pattern = _pattern_or_skip(s, frame_index)
     assert _fes(pattern) == "Event_VP"
 
 
 def test_unknown_frame_skips(bfn_mini, frame_index):
-    s = next(s for s in parse_bfn_corpus(bfn_mini) if s.sentence_id == "bfn-002")
+    s = next(s for s in parse_corpus(bfn_mini, Dialect.BFN_PHRASE) if s.sentence_id == "bfn-002")
     tiny_index = load_frame_index("Motion\tcore\tTheme\n")
     result = _pattern_or_skip(s, tiny_index)
     assert isinstance(result, Skip)
@@ -282,7 +283,7 @@ def test_unknown_fe_is_a_hard_error(frame_index):
         <layer name="Target"><label start="5" end="8" name="Target"/></layer>
       </annotationSet>
     </sentence></corpus>"""
-    (s,) = parse_bfn_corpus(xml)
+    (s,) = parse_corpus(xml, Dialect.BFN_PHRASE)
     with pytest.raises(FrameIndexError, match="Weather"):
         _pattern_or_skip(s, frame_index)
 
@@ -297,7 +298,7 @@ def test_target_without_pos_skips(frame_index):
         <layer name="Target"><label start="5" end="8" name="Target"/></layer>
       </annotationSet>
     </sentence></corpus>"""
-    (s,) = parse_bfn_corpus(xml)
+    (s,) = parse_corpus(xml, Dialect.BFN_PHRASE)
     result = _pattern_or_skip(s, frame_index)
     assert isinstance(result, Skip)
     assert result.reason is SkipReason.NO_GRAMMATICAL_ANNOTATION
@@ -325,7 +326,7 @@ def test_extra_subjects_demoted_leftmost_kept(frame_index, caplog):
         <layer name="Target"><label start="20" end="23" name="Target"/></layer>
       </annotationSet>
     </sentence></corpus>"""
-    (s,) = parse_bfn_corpus(xml)
+    (s,) = parse_corpus(xml, Dialect.BFN_PHRASE)
     with caplog.at_level("WARNING"):
         pattern = _pattern_or_skip(s, frame_index)
     assert _fes(pattern) == "Experiencer_NP.Subj Event_Adv"
@@ -342,7 +343,7 @@ def test_swefn_all_conjunction_fe_keeps_first_word_native_type(frame_index):
       <element name="LU"><w msd="VB.PRS.AKT" ref="3" deprel="ROOT">vill</w></element>
      </sentence>
     </corpus>""".encode("utf-8")
-    (s,) = parse_swefn_corpus(xml)
+    (s,) = parse_corpus(xml, Dialect.SWEFN_DEP)
     pattern = normalize_sentence(s, frame_index)
     (r,) = pattern.realizations
     assert (r.fe_name, r.native_type, r.rgl_type) == ("Experiencer", "KN.CC", None)
@@ -350,7 +351,7 @@ def test_swefn_all_conjunction_fe_keeps_first_word_native_type(frame_index):
 
 
 def test_sentence_level_skip_reason_is_first_triggered(swefn_mini, frame_index):
-    sentences = parse_swefn_corpus(swefn_mini)
+    sentences = parse_corpus(swefn_mini, Dialect.SWEFN_DEP)
     s = next(s for s in sentences if s.sentence_id == "swefn-005")
     result = _pattern_or_skip(s, frame_index)
     assert isinstance(result, Skip)
@@ -358,15 +359,15 @@ def test_sentence_level_skip_reason_is_first_triggered(swefn_mini, frame_index):
 
 
 def test_skip_accounting(bfn_mini, swefn_mini, frame_index):
-    for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
-        sentences = parse(path)
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        sentences = parse_corpus(path, dialect)
         patterns, skips = normalize_corpus(sentences, frame_index)
         assert len(patterns) + len(skips) == len(sentences)
 
 
 def test_no_native_tags_leak(bfn_mini, swefn_mini, frame_index):
-    for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
-        patterns, _ = normalize_corpus(parse(path), frame_index)
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        patterns, _ = normalize_corpus(parse_corpus(path, dialect), frame_index)
         for p in patterns:
             for r in p.realizations:
                 assert r.rgl_type in (RglType.NP, RglType.ADV, RglType.VP)
@@ -375,8 +376,8 @@ def test_no_native_tags_leak(bfn_mini, swefn_mini, frame_index):
 
 
 def test_syn_function_only_on_np(bfn_mini, swefn_mini, frame_index):
-    for parse, path in ((parse_bfn_corpus, bfn_mini), (parse_swefn_corpus, swefn_mini)):
-        patterns, _ = normalize_corpus(parse(path), frame_index)
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        patterns, _ = normalize_corpus(parse_corpus(path, dialect), frame_index)
         for p in patterns:
             subj = [r for r in p.realizations if r.syn_function is SynFunction.SUBJ]
             obj = [r for r in p.realizations if r.syn_function is SynFunction.OBJ]
@@ -389,14 +390,14 @@ def test_syn_function_only_on_np(bfn_mini, swefn_mini, frame_index):
 
 
 def test_native_types_preserved_for_baselines(bfn_mini, frame_index):
-    patterns, _ = normalize_corpus(parse_bfn_corpus(bfn_mini), frame_index)
+    patterns, _ = normalize_corpus(parse_corpus(bfn_mini, Dialect.BFN_PHRASE), frame_index)
     by_id = {p.sentence_id: p for p in patterns}
     assert [r.native_type for r in by_id["bfn-004"].realizations] == ["NP.Ext", "PP[for].Dep"]
     assert [r.native_type for r in by_id["bfn-007"].realizations] == ["NP.Ext", "PP[by].Obj"]
 
 
 def test_patterns_tsv_round_trip(tmp_path, bfn_mini, frame_index):
-    patterns, _ = normalize_corpus(parse_bfn_corpus(bfn_mini), frame_index)
+    patterns, _ = normalize_corpus(parse_corpus(bfn_mini, Dialect.BFN_PHRASE), frame_index)
     path = tmp_path / "patterns.tsv"
     write_patterns_tsv(patterns, path)
     loaded = read_patterns_tsv(path)
@@ -532,3 +533,54 @@ def test_untyped_fe_has_native_but_no_interlingual_key():
     assert (pattern.native_fes, pattern.native_fe_set) == (
         "Event_Sfin.Dep", (("Event", "Sfin.Dep", "", False),),
     )
+
+
+# ---------------------------------------------------------------------------
+# The two normalize entry points
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+def test_normalize_corpus_agrees_with_normalize_sentences(dialect, data_dir, frame_index):
+    sentences = parse_corpus(data_dir / f"{dialect.value}_mini.xml", dialect)
+    rules = load_voice_rules(None)
+    all_patterns, patterns, skips = pipeline.normalize_sentences(sentences, frame_index, rules)
+    assert normalize_corpus(sentences, frame_index, rules) == (patterns, skips)
+    unskipped, _ = normalize_corpus(sentences, frame_index, rules, skip_unconsidered=False)
+    assert unskipped == all_patterns
+
+
+# A sentence whose only FE has no interlingual type ("a-untyped", promoted to
+# a skip after normalization) and one of a frame the index lacks
+# ("b-unknown", skipped by normalization itself), after one that is kept.
+_MERGE_ORDER_XML = """<corpus>
+ <sentence id="c-kept" frame="Desiring" lu="vilja.vb.1">
+  <element name="Experiencer"><w pos="PN" ref="1" dephead="2" deprel="SS">jag</w></element>
+  <element name="LU"><w msd="VB.PRS.AKT" ref="2" deprel="ROOT">vill</w></element>
+ </sentence>
+ <sentence id="b-unknown" frame="Weather" lu="regna.vb.1">
+  <element name="LU"><w msd="VB.PRS.AKT" ref="1" deprel="ROOT">regnar</w></element>
+ </sentence>
+ <sentence id="a-untyped" frame="Desiring" lu="vilja.vb.1">
+  <element name="Experiencer"><w pos="KN" ref="1" dephead="2" deprel="CC">och</w></element>
+  <element name="LU"><w msd="VB.PRS.AKT" ref="2" deprel="ROOT">vill</w></element>
+ </sentence>
+</corpus>""".encode("utf-8")
+
+
+def test_promoted_skips_merge_with_sentence_skips_by_sentence_id(frame_index):
+    sentences = parse_corpus(_MERGE_ORDER_XML, Dialect.SWEFN_DEP)
+    rules = load_voice_rules(None)
+    _, unmerged = normalize_corpus(sentences, frame_index, rules, skip_unconsidered=False)
+    assert [(sk.sentence_id, sk.reason) for sk in unmerged] == [
+        ("b-unknown", SkipReason.UNKNOWN_FRAME),
+    ]
+    expected = [
+        ("a-untyped", SkipReason.UNCONSIDERED_PHRASE_TYPE),
+        ("b-unknown", SkipReason.UNKNOWN_FRAME),
+    ]
+    patterns, skips = normalize_corpus(sentences, frame_index, rules)
+    assert [p.sentence_id for p in patterns] == ["c-kept"]
+    assert [(sk.sentence_id, sk.reason) for sk in skips] == expected
+    _, kept, skips = pipeline.normalize_sentences(sentences, frame_index, rules)
+    assert [p.sentence_id for p in kept] == ["c-kept"]
+    assert [(sk.sentence_id, sk.reason) for sk in skips] == expected
