@@ -10,6 +10,7 @@ are removed, and whether once-used valence patterns are dropped.
 from __future__ import annotations
 
 import csv
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from operator import attrgetter
@@ -152,10 +153,6 @@ class ValencePattern:
     fes: tuple[FeKey, ...]  # sorted by (fe_name, type, syn)
     count: int
     sentence_variants: dict[str, int]
-    lu_refs: set[str]
-
-    def key(self) -> tuple[str, str, tuple[FeKey, ...]]:
-        return (self.frame, self.voice.value, self.fes)
 
     def fes_string(self) -> str:
         return "  ".join(fe_key_token(k) for k in self.fes)
@@ -174,7 +171,7 @@ def _valence_entry(
     fe_set, ordered_line = _GRANULARITY[generalize_types]
     key = (p.frame, p.voice.value, fe_set(p))
     key_id = key_ids.setdefault(key, len(key_ids)) if key_ids is not None else None
-    return key, key_id, ordered_line(p)
+    return key, key_id, sys.intern(ordered_line(p))  # held once per distinct line
 
 
 def _sorted_valences(groups: _Groups, drop_singletons: bool) -> list[ValencePattern]:
@@ -264,12 +261,11 @@ def _group(
             if vp is None:
                 vp = groups[key] = ValencePattern(
                     frame=p.frame, voice=p.voice, fes=key[2],
-                    count=0, sentence_variants={}, lu_refs=set(),
+                    count=0, sentence_variants={},
                 )
             vp.count += 1
             variants = vp.sentence_variants
             variants[line] = variants.get(line, 0) + 1
-            vp.lu_refs.add(p.lu_ref)
             kept.append(q)
             if drop_singletons:
                 counted_in.append(vp)
@@ -453,7 +449,6 @@ def read_valences_tsv(path: Path) -> list[ValencePattern]:
             fes=tuple(sorted(parse_fe_key(token) for token in tokens_field.split(",") if token)),
             count=int(count),
             sentence_variants={},
-            lu_refs=set(),
         )
         for frame, voice, tokens_field, count in read_tsv_rows(path, 4)
     ]

@@ -48,7 +48,7 @@ class MatchMode(str, Enum):
 PatternKey = tuple[str, str | None, frozenset[str]]
 
 
-# Cached per FE key: the FE inventory bounds the keys, and coverage projects
+# Cached per FE key: the FE inventory bounds the keys, and intersect projects
 # the same keys once per shared set.
 @functools.cache
 def _semantic_syntactic_token(key: FeKey) -> str:
@@ -57,7 +57,8 @@ def _semantic_syntactic_token(key: FeKey) -> str:
 
 
 def pattern_key(vp: ValencePattern, level: MatchLevel) -> PatternKey:
-    voice = vp.voice.value if level is MatchLevel.SEMANTIC_SYNTACTIC else None
+    # ``_value_`` skips the ``value`` property's descriptor call.
+    voice = None if level is _SEMANTIC else vp.voice._value_
     return (vp.frame, voice, level.tokens(vp.fes))
 
 
@@ -121,18 +122,28 @@ def frame_set_report(
 # Pattern intersection
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class SharedPattern:
     frame: str
     voice: str | None
     fes: frozenset[str]
-    sides: tuple[str, ...]
-    left_count: int
-    right_count: int
     # side -> FE-set strings of the other-side patterns that subsume this one
     subsumed_by: dict[str, list[str]] = field(default_factory=dict)
     # side -> [(full FE keys with syntactic functions, count), ...]
     syn_variants: dict[str, list[tuple[tuple[FeKey, ...], int]]] = field(default_factory=dict)
+
+    @property
+    def sides(self) -> tuple[str, ...]:
+        """The sides this pattern was admitted from."""
+        return tuple(sorted(self.syn_variants))
+
+    @property
+    def left_count(self) -> int:
+        return sum(n for _, n in self.syn_variants.get("left", ()))
+
+    @property
+    def right_count(self) -> int:
+        return sum(n for _, n in self.syn_variants.get("right", ()))
 
     @property
     def combined_count(self) -> int:
@@ -150,7 +161,6 @@ class SharedPatternSet:
     level: MatchLevel
     mode: MatchMode
     patterns: list[SharedPattern]  # final set: no member subsumed by another
-    shared_frames: set[str]  # frames with patterns on both sides
     left_total: int
     right_total: int
     union_total: int
@@ -162,22 +172,27 @@ class SharedPatternSet:
         return {p.frame for p in self.patterns}
 
 
-@dataclass
-class _Side:
-    count: int = 0
-    variants: dict[tuple[FeKey, ...], int] = field(default_factory=dict)
-
-
 def _project(
-    valences: Iterable[ValencePattern], level: MatchLevel
-) -> dict[PatternKey, _Side]:
-    proj: dict[PatternKey, _Side] = {}
+    valences: Iterable[ValencePattern], frames: set[str], level: MatchLevel
+) -> dict[PatternKey, dict[tuple[FeKey, ...], int]]:
+    """Each key of the valences in ``frames``: its full FE keys -> summed count."""
+    proj: dict[PatternKey, dict[tuple[FeKey, ...], int]] = {}
     for vp in valences:
-        key = pattern_key(vp, level)
-        side = proj.setdefault(key, _Side())
-        side.count += vp.count
-        side.variants[vp.fes] = side.variants.get(vp.fes, 0) + vp.count
+        if vp.frame in frames:
+            variants = proj.setdefault(pattern_key(vp, level), {})
+            variants[vp.fes] = variants.get(vp.fes, 0) + vp.count
     return proj
+
+
+def _by_frame_voice(
+    keys: Iterable[PatternKey],
+) -> dict[tuple[str, str | None], list[frozenset[str]]]:
+    """The keys' FE sets by (frame, voice), the only keys that can subsume
+    each other."""
+    groups: dict[tuple[str, str | None], list[frozenset[str]]] = {}
+    for frame, voice, fes in keys:
+        groups.setdefault((frame, voice), []).append(fes)
+    return groups
 
 
 def intersect(
@@ -193,63 +208,41 @@ def intersect(
     directions, so either framenet can contribute the more specific pattern).
     The final set keeps only patterns not subsumed by another member.
     """
-    left = list(left)
-    right = list(right)
+    left, right = list(left), list(right)
     shared_frames = {v.frame for v in left} & {v.frame for v in right}
     proj = {
-        side: _project((v for v in valences if v.frame in shared_frames), level)
+        side: _project(valences, shared_frames, level)
         for side, valences in (("left", left), ("right", right))
     }
     left_proj, right_proj = proj["left"], proj["right"]
-    # Only keys of one frame and voice can subsume each other.
-    groups: dict[str, dict[tuple[str, str | None], list[PatternKey]]] = {s: {} for s in proj}
-    for side, keys in proj.items():
-        for k in keys:
-            groups[side].setdefault(k[:2], []).append(k)
-
-    admitted: dict[PatternKey, SharedPattern] = {}
-    admitted_groups: dict[tuple[str, str | None], list[PatternKey]] = {}
-
-    def admit(key: PatternKey, side: str, subsumers: list[PatternKey]) -> None:
-        sp = admitted.get(key)
-        if sp is None:
-            sp = SharedPattern(
-                frame=key[0],
-                voice=key[1],
-                fes=key[2],
-                sides=(),
-                left_count=left_proj[key].count if key in left_proj else 0,
-                right_count=right_proj[key].count if key in right_proj else 0,
-            )
-            admitted[key] = sp
-            admitted_groups.setdefault(key[:2], []).append(key)
-        if side not in sp.sides:
-            sp.sides = tuple(sorted(set(sp.sides) | {side}))
-        strict = [", ".join(sorted(s[2])) for s in subsumers if s != key]
-        if strict:
-            sp.subsumed_by.setdefault(side, [])
-            for s in strict:
-                if s not in sp.subsumed_by[side]:
-                    sp.subsumed_by[side].append(s)
-        sp.syn_variants.setdefault(side, [])
-        for fes, count in sorted(proj[side][key].variants.items()):
-            if (fes, count) not in sp.syn_variants[side]:
-                sp.syn_variants[side].append((fes, count))
+    groups = {side: _by_frame_voice(keys) for side, keys in proj.items()}
 
     # Exact mode admits a key the other side has; fuzzy mode one it subsumes.
+    # Each side's loop visits a key once, so it writes its provenance once.
     exact = mode is MatchMode.EXACT
+    admitted: dict[PatternKey, SharedPattern] = {}
     for side, other in (("left", "right"), ("right", "left")):
-        for key in proj[side]:
+        for key, variants in proj[side].items():
             if exact:
-                subsumers = [key] if key in proj[other] else []
+                subsumers = [key[2]] if key in proj[other] else []
             else:
-                subsumers = [k for k in groups[other].get(key[:2], ()) if k[2] >= key[2]]
-            if subsumers:
-                admit(key, side, subsumers)
+                subsumers = list(filter(key[2].issubset, groups[other].get(key[:2], ())))
+            if not subsumers:
+                continue
+            sp = admitted.get(key)
+            if sp is None:
+                sp = admitted[key] = SharedPattern(*key)
+            sp.syn_variants[side] = sorted(variants.items())
+            strict = list(dict.fromkeys(
+                ", ".join(sorted(fes)) for fes in subsumers if fes != key[2]
+            ))
+            if strict:
+                sp.subsumed_by[side] = strict
 
+    admitted_groups = _by_frame_voice(admitted)
     final = [
         sp for key, sp in admitted.items()
-        if not any(other[2] > key[2] for other in admitted_groups[key[:2]])
+        if not any(fes > key[2] for fes in admitted_groups[key[:2]])
     ]
     final.sort(key=lambda sp: sp.sort_key())
 
@@ -260,7 +253,6 @@ def intersect(
         level=level,
         mode=mode,
         patterns=final,
-        shared_frames=shared_frames,
         left_total=len(left_proj),
         right_total=len(right_proj),
         union_total=len(set(left_proj) | set(right_proj)),
@@ -394,25 +386,24 @@ def read_shared_tsv(path: Path) -> SharedPatternSet:
                 raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
             frame, voice, fes_field, _count, meta_field = parts
             meta = json.loads(meta_field)
-            syn_variants = {
-                side: [(tuple(sorted(map(parse_fe_key, tokens))), int(n)) for tokens, n in variants]
-                for side, variants in meta.get("syn", {}).items()
-            }
+            # Sides and counts derive from the variants, so the "sides" key
+            # and the count column are not read back.
             patterns.append(SharedPattern(
                 frame=frame,
                 voice=None if voice == "-" else voice,
                 fes=frozenset(t for t in fes_field.split(",") if t),
-                sides=tuple(meta.get("sides", [])),
-                left_count=sum(n for _, n in syn_variants.get("left", [])),
-                right_count=sum(n for _, n in syn_variants.get("right", [])),
                 subsumed_by=meta.get("subsumed_by", {}),
-                syn_variants=syn_variants,
+                syn_variants={
+                    side: [
+                        (tuple(sorted(map(parse_fe_key, tokens))), int(n)) for tokens, n in variants
+                    ]
+                    for side, variants in meta.get("syn", {}).items()
+                },
             ))
     return SharedPatternSet(
         level=level,
         mode=mode,
         patterns=patterns,
-        shared_frames={p.frame for p in patterns},
         left_total=0,
         right_total=0,
         union_total=0,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .compare import MatchLevel, SharedPatternSet
+from .compare import MatchLevel, SharedPatternSet, _by_frame_voice
 from .frames import Coreness
 from .normalize import SentencePattern
 
@@ -54,22 +54,19 @@ _NONCORE = Coreness.NONCORE
 def reduce_example(p: SentencePattern, level: MatchLevel) -> frozenset[str]:
     """Reduced pattern of one example: non-core FEs dropped, word order and
     prepositions ignored, repeats collapsed by the set representation."""
+    # MatchLevel.tokens, read off each realization: a core FE's semantic token is its name.
     if level is _SEMANTIC:
-        keys = [r.native_key for r in p.realizations if r.coreness is not _NONCORE]
-    else:
-        keys = [
-            r.rgl_key for r in p.realizations
-            if r.coreness is not _NONCORE and r.rgl_type is not None
-        ]
-    return level.tokens(keys)
+        return frozenset([r.fe_name for r in p.realizations if r.coreness is not _NONCORE])
+    return frozenset([
+        r.rgl_fe_type for r in p.realizations
+        if r.coreness is not _NONCORE and r.rgl_type is not None
+    ])
 
 
 def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> CoverageReport:
     level = final.level
     frames = final.final_frames()
-    by_group: dict[tuple[str, str | None], list[frozenset[str]]] = {}
-    for sp in final.patterns:
-        by_group.setdefault((sp.frame, sp.voice), []).append(sp.fes)
+    by_group = _by_frame_voice((sp.frame, sp.voice, sp.fes) for sp in final.patterns)
 
     by_voice = level is MatchLevel.SEMANTIC_SYNTACTIC
     covered = 0
@@ -78,10 +75,8 @@ def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> Co
         if p.frame not in frames:
             continue
         in_shared += 1
-        voice = p.voice.value if by_voice else None
-        reduced = reduce_example(p, level)
-        candidates = by_group.get((p.frame, voice), ())
-        if any(reduced <= fes for fes in candidates):
+        candidates = by_group.get((p.frame, p.voice._value_ if by_voice else None))
+        if candidates and any(map(reduce_example(p, level).issubset, candidates)):
             covered += 1
 
     return CoverageReport(

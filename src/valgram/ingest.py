@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
@@ -155,7 +156,8 @@ def _bfn_labels(layer: ET.Element, sid: str) -> list[tuple[str, TokenSpan | None
         span = None
         if start is not None and end is not None:
             span = TokenSpan(_int(start, sid, "label start"), _int(end, sid, "label end"))
-        labels.append((label.get("name", ""), span))
+        # Names (tags, FEs, types) repeat across a corpus: interned, each is held once.
+        labels.append((sys.intern(label.get("name", "")), span))
     return labels
 
 
@@ -193,7 +195,7 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
         target_labels = _bfn_labels(layers["Target"], sid)
         if not target_labels:
             continue
-        frame = aset.get("frameName")
+        frame = sys.intern(aset.get("frameName") or "")
         if not frame:
             raise _RecordError(f"sentence {sid!r}: target annotation set lacks a frame name")
 
@@ -271,23 +273,23 @@ def _swefn_word(el: ET.Element, sid: str, ref_fallback: int, offset: int) -> Wor
     if not surface:
         raise _RecordError(f"sentence {sid!r}: word {ref} has an empty surface")
     msd = el.get("msd")
-    pos = el.get("pos") or (msd.split(".")[0] if msd else "")
+    pos = sys.intern(el.get("pos") or (msd.split(".")[0] if msd else ""))
     dephead_attr = el.get("dephead")
     dephead = _int(dephead_attr, sid, "word dephead") if dephead_attr else None
     return WordAnno(
         surface=surface,
         pos=pos,
         ref=ref,
-        msd=msd,
+        msd=msd and sys.intern(msd),
         dephead=dephead,
-        deprel=el.get("deprel", ""),
+        deprel=sys.intern(el.get("deprel", "")),
         span=TokenSpan(offset, offset + len(surface) - 1),
     )
 
 
 def _parse_swefn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
     sid = sent.get("id") or sent.get("ID") or ""
-    frame = sent.get("frame")
+    frame = sys.intern(sent.get("frame") or "")
     if not frame:
         raise _RecordError(f"sentence {sid!r} lacks a frame attribute")
 
@@ -306,7 +308,7 @@ def _parse_swefn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
         if child.tag == "w":
             add_word(child)
         elif child.tag == "element":
-            name = child.get("name", "")
+            name = sys.intern(child.get("name", ""))
             words = [add_word(w) for w in child.findall("w")]
             elements.append((name, words))
 

@@ -8,6 +8,7 @@ never leak past this module; what cannot be mapped is skipped with a reason.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -144,6 +145,14 @@ _SYN_NONE = SynFunction.NONE
 _NONCORE = Coreness.NONCORE
 
 
+# One shared copy of each FE key, its strings and its token: thousands of
+# realizations repeat a few hundred FE, type and function combinations.
+@functools.cache
+def _shared_key(fe: str, typ: str, syn: str, noncore: bool) -> tuple[FeKey, str]:
+    key = (fe, typ, syn, noncore)
+    return key, fe_key_token(key)
+
+
 @dataclass(frozen=True, slots=True)
 class FeRealization:
     """One expressed FE of a sentence pattern.
@@ -161,39 +170,45 @@ class FeRealization:
     preposition: str | None = None
     coreness: Coreness = Coreness.CORE
     skip_reason: SkipReason | None = None
-    # Derived in __post_init__ (so ``dataclasses.replace`` derives them anew):
-    # the key and token at corpus-native types, and the (key, token) pair at
-    # interlingual types, None for an untyped FE. Identity stays field-based.
+    # Derived in __post_init__, so ``dataclasses.replace`` derives them anew, and left
+    # out of identity; the interlingual ones are None for an untyped FE.
     native_key: FeKey = field(init=False, repr=False, compare=False)
     _native_token: str = field(init=False, repr=False, compare=False)
-    _rgl: tuple[FeKey, str] | None = field(init=False, repr=False, compare=False)
+    _rgl_key: FeKey | None = field(init=False, repr=False, compare=False)
+    _rgl_token: str | None = field(init=False, repr=False, compare=False)
+    rgl_fe_type: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         syn = self.syn_function.value if self.syn_function is not _SYN_NONE else ""
         noncore = self.coreness is _NONCORE
-        object.__setattr__(self, "native_key", (self.fe_name, self.native_type, syn, noncore))
+        native_key = _shared_key(self.fe_name, self.native_type, syn, noncore)[0]
+        fe, native = native_key[0], native_key[1]
+        object.__setattr__(self, "native_type", native)
+        object.__setattr__(self, "native_key", native_key)
         # The native token leaves out the syntactic function: the native type
         # already names the grammatical function.
-        object.__setattr__(
-            self, "_native_token", fe_key_token((self.fe_name, self.native_type, "", noncore))
-        )
-        rgl = None
+        object.__setattr__(self, "_native_token", _shared_key(fe, native, "", noncore)[1])
+        rgl_key = rgl_token = fe_type = None
         if self.rgl_type is not None:
-            key = (self.fe_name, self.rgl_type.value, syn, noncore)
-            token = fe_key_token(key)
-            rgl = (key, f"{token}[{self.preposition}]" if self.preposition else token)
-        object.__setattr__(self, "_rgl", rgl)
+            typ = self.rgl_type.value
+            rgl_key, rgl_token = _shared_key(fe, typ, syn, noncore)
+            fe_type = _shared_key(fe, typ, "", noncore)[1]
+            if self.preposition:
+                rgl_token = f"{rgl_token}[{self.preposition}]"
+        object.__setattr__(self, "_rgl_key", rgl_key)
+        object.__setattr__(self, "_rgl_token", rgl_token)
+        object.__setattr__(self, "rgl_fe_type", fe_type)
 
     @property
     def rgl_key(self) -> FeKey:
-        if self._rgl is None:
+        if self._rgl_key is None:
             raise ValueError(f"FE {self.fe_name!r} has no interlingual type")
-        return self._rgl[0]
+        return self._rgl_key
 
     def rgl_token(self) -> str:
-        if self._rgl is None:
+        if self._rgl_token is None:
             raise ValueError(f"FE {self.fe_name!r} has no interlingual type")
-        return self._rgl[1]
+        return self._rgl_token
 
     def native_token(self) -> str:
         return self._native_token
@@ -300,7 +315,7 @@ def _bfn_voice(s: AnnotatedSentence, rules: dict) -> Voice:
         t for t in s.tokens
         if t.span is not None and t.span.end < s.target.start
     ]
-    window = preceding[-int(table["aux_window"]):]
+    window = preceding[max(0, len(preceding) - int(table["aux_window"])):]
     if any(t.surface.lower() in table["aux_forms"] for t in window):
         return Voice.PASS
     agent_prep = table["agent_preposition"]

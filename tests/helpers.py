@@ -43,7 +43,6 @@ def vp(frame, voice, tokens, count=1):
         fes=tuple(sorted(parse_fe_key(token) for token in tokens)),
         count=count,
         sentence_variants={" ".join(tokens): count},
-        lu_refs={"lu.v.1"},
     )
 
 

@@ -469,7 +469,7 @@ def test_valences_tsv_rejects_key_that_reads_back_differently(tmp_path):
     assert r.native_key == ("Manner", "AVP.Obj", "", False)
     v = ValencePattern(
         frame="Desiring", voice=Voice.ACT, fes=(r.native_key,), count=1,
-        sentence_variants={}, lu_refs=set(),
+        sentence_variants={},
     )
     with pytest.raises(ValueError, match=r"\('Manner', 'AVP.Obj', '', False\)"):
         write_valences_tsv([v], tmp_path / "valences.tsv")

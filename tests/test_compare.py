@@ -64,6 +64,18 @@ def test_semantic_level_ignores_types_and_syn_functions():
     )
 
 
+def test_noncore_fes_keep_their_opt_prefix_at_both_levels():
+    keys = vp("Desiring", "Act", ["Opt_Degree_Adv", "Experiencer_NP.Subj"]).fes
+    assert MatchLevel.SEMANTIC.tokens(keys) == frozenset({"Opt_Degree", "Experiencer"})
+    assert MatchLevel.SEMANTIC_SYNTACTIC.tokens(keys) == frozenset(
+        {"Opt_Degree_Adv", "Experiencer_NP"}
+    )
+    for level in MatchLevel:
+        assert pattern_key(vp("Desiring", "Act", ["Opt_Degree_Adv"]), level) != pattern_key(
+            vp("Desiring", "Act", ["Degree_Adv"]), level
+        )
+
+
 _tokens = st.lists(
     st.sampled_from([
         "Event_VP", "Event_NP.Obj", "Event_Adv",
@@ -167,7 +179,6 @@ def test_patterns_outside_shared_frames_never_enter():
     left = [vp("Desiring", "Act", ["Event_VP"]), vp("Motion", "Act", ["Theme_NP.Obj"])]
     right = [vp("Desiring", "Act", ["Event_VP"])]
     shared = intersect(left, right, MatchLevel.SEMANTIC_SYNTACTIC, MatchMode.FUZZY)
-    assert shared.shared_frames == {"Desiring"}
     assert all(sp.frame == "Desiring" for sp in shared.patterns)
     assert shared.left_total == 1  # Motion patterns excluded before comparison
 
@@ -185,6 +196,55 @@ def test_provenance_records_sides_and_subsumers():
     # the small right-side pattern was admitted via the big left pattern, then pruned
     assert len(shared.patterns) == 1
     assert shared.intersection_total == 2
+
+
+def test_provenance_pins_subsumers_variants_and_tsv_lines(tmp_path):
+    left = [
+        vp("Desiring", "Act", ["Event_VP", "Experiencer_NP.Subj"], count=5),
+        vp("Desiring", "Act", ["Event_VP", "Experiencer_NP.Obj"], count=1),
+        vp("Motion", "Act", ["Theme_NP.Subj", "Goal_Adv"], count=2),
+        vp("Motion", "Act", ["Theme_NP.Subj", "Path_Adv"], count=3),
+    ]
+    right = [
+        vp("Desiring", "Act", ["Event_VP", "Experiencer_NP.Subj"], count=2),
+        vp("Motion", "Act", ["Theme_NP.Subj"], count=4),
+    ]
+    shared = intersect(left, right, MatchLevel.SEMANTIC_SYNTACTIC, MatchMode.FUZZY)
+    desiring, motion = shared.patterns
+    assert (desiring.frame, desiring.voice, desiring.fes) == (
+        "Desiring", "Act", frozenset({"Event_VP", "Experiencer_NP"})
+    )
+    assert desiring.sides == ("left", "right")
+    assert (desiring.left_count, desiring.right_count) == (6, 2)
+    assert desiring.subsumed_by == {}
+    assert desiring.syn_variants["left"] == [
+        ((("Event", "VP", "", False), ("Experiencer", "NP", "Obj", False)), 1),
+        ((("Event", "VP", "", False), ("Experiencer", "NP", "Subj", False)), 5),
+    ]
+    assert (motion.frame, motion.voice, motion.fes) == ("Motion", "Act", frozenset({"Theme_NP"}))
+    assert motion.sides == ("right",)
+    assert (motion.left_count, motion.right_count) == (0, 4)
+    assert motion.subsumed_by == {"right": ["Goal_Adv, Theme_NP", "Path_Adv, Theme_NP"]}
+    assert shared.intersection_total == 2
+
+    path = tmp_path / "shared.tsv"
+    write_shared_tsv(shared, path)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "# level=semsyn mode=fuzzy",
+        'Desiring\tAct\tEvent_VP,Experiencer_NP\t8\t{"sides": ["left", "right"], '
+        '"subsumed_by": {}, "syn": {"left": [[["Event_VP", "Experiencer_NP.Obj"], 1], '
+        '[["Event_VP", "Experiencer_NP.Subj"], 5]], '
+        '"right": [[["Event_VP", "Experiencer_NP.Subj"], 2]]}}',
+        'Motion\tAct\tTheme_NP\t4\t{"sides": ["right"], '
+        '"subsumed_by": {"right": ["Goal_Adv, Theme_NP", "Path_Adv, Theme_NP"]}, '
+        '"syn": {"right": [[["Theme_NP.Subj"], 4]]}}',
+    ]
+
+    exact = intersect(left, right, MatchLevel.SEMANTIC_SYNTACTIC, MatchMode.EXACT)
+    assert [(sp.frame, sp.fes) for sp in exact.patterns] == [
+        ("Desiring", frozenset({"Event_VP", "Experiencer_NP"}))
+    ]
+    assert exact.intersection_total == 1
 
 
 # ---------------------------------------------------------------------------

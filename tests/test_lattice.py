@@ -86,10 +86,9 @@ def oracle(patterns, settings):
     groups = {}
     for p in kept:
         key = (p.frame, p.voice.value, tuple(sorted({_key(r, generalize) for r in p.realizations})))
-        count, variants, lu_refs = groups.setdefault(key, [0, Counter(), set()])
+        count, variants = groups.setdefault(key, [0, Counter()])
         groups[key][0] = count + 1
         variants[" ".join(_token(r, generalize) for r in p.realizations)] += 1
-        lu_refs.add(p.lu_ref)
     if settings.drop_singleton_valences:
         groups = {key: group for key, group in groups.items() if group[0] > 1}
         kept = [
@@ -98,8 +97,8 @@ def oracle(patterns, settings):
                 tuple(sorted({_key(r, generalize) for r in p.realizations}))) in groups
         ]
     valences = [
-        (frame, voice, fes, count, dict(variants), lu_refs)
-        for (frame, voice, fes), (count, variants, lu_refs) in sorted(groups.items())
+        (frame, voice, fes, count, dict(variants))
+        for (frame, voice, fes), (count, variants) in sorted(groups.items())
     ]
     return valences, kept, unconsidered + other_drops, _stats_cells(settings.id, valences)
 
@@ -137,7 +136,7 @@ def _row_cells(r):
 
 def _plain(valences):
     return [
-        (v.frame, v.voice.value, v.fes, v.count, v.sentence_variants, v.lu_refs)
+        (v.frame, v.voice.value, v.fes, v.count, v.sentence_variants)
         for v in valences
     ]
 

@@ -123,6 +123,33 @@ def test_bfn_participle_without_aux_is_active():
     assert detect_voice(s) is Voice.ACT
 
 
+@pytest.mark.parametrize("window,expected", [
+    (0, Voice.ACT), (1, Voice.PASS), (3, Voice.PASS), (10, Voice.PASS),
+])
+def test_bfn_aux_window_bounds_the_auxiliary_check(window, expected):
+    # "was" directly precedes the participle; a window of 0 turns the
+    # auxiliary check off, and a window longer than the sentence is harmless.
+    xml = b"""<corpus><sentence ID="w1">
+      <text>It was wanted.</text>
+      <annotationSet>
+        <layer name="BNC">
+          <label start="0" end="1" name="PNP"/>
+          <label start="3" end="5" name="VBD"/>
+          <label start="7" end="12" name="VVN"/>
+        </layer>
+      </annotationSet>
+      <annotationSet status="MANUAL" frameName="Desiring" luName="want.v" luID="6412">
+        <layer name="FE"><label start="0" end="1" name="Event"/></layer>
+        <layer name="GF"><label start="0" end="1" name="Ext"/></layer>
+        <layer name="PT"><label start="0" end="1" name="NP"/></layer>
+        <layer name="Target"><label start="7" end="12" name="Target"/></layer>
+      </annotationSet>
+    </sentence></corpus>"""
+    (s,) = parse_corpus(xml, Dialect.BFN_PHRASE)
+    rules = {**DEFAULT_VOICE_RULES, "bfn": {**DEFAULT_VOICE_RULES["bfn"], "aux_window": window}}
+    assert detect_voice(s, rules) is expected
+
+
 def test_voice_rules_are_configurable(tmp_path, bfn_mini):
     cfg = tmp_path / "rules.json"
     cfg.write_text('{"bfn": {"passive_target_tags": []}}', encoding="utf-8")
