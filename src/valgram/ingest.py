@@ -10,8 +10,10 @@ dependency relations at the word level.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import logging
+import re
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -94,14 +96,20 @@ class AnnotatedSentence:
         )
 
 
+# Line ends as expat counts them.
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
 def _byte_offset(data: bytes, line: int, column: int) -> int:
-    newline = 0
-    for _ in range(line - 1):
-        nxt = data.find(b"\n", newline)
-        if nxt == -1:
-            break
-        newline = nxt + 1
-    return newline + column
+    """Byte offset of expat's (line, column): the column counts characters,
+    so it is converted to bytes over the text of its line."""
+    start = 0
+    for m in itertools.islice(_LINE_END.finditer(data), line - 1):
+        start = m.end()
+    end = _LINE_END.search(data, start)
+    text = data[start:end.start() if end else None]
+    chars = text.decode("utf-8", "surrogateescape")[:column]
+    return start + len(chars.encode("utf-8", "surrogateescape"))
 
 
 def _iter_sentences(source: bytes | str | Path) -> Iterator[ET.Element]:
@@ -146,18 +154,25 @@ def _int(value: str, sid: str, what: str) -> int:
 # BFN dialect
 # ---------------------------------------------------------------------------
 
-def _bfn_labels(layer: ET.Element, sid: str) -> list[tuple[str, TokenSpan | None]]:
-    """(name, offsets) of each label; offsets are None when the label carries
-    none, as for a null-instantiated FE."""
-    labels: list[tuple[str, TokenSpan | None]] = []
+def _bfn_labels(layer: ET.Element, sid: str) -> list[tuple[str, int | None, int | None]]:
+    """(name, start, end) of each label; both offsets are None when the
+    label carries none, as for a null-instantiated FE."""
+    labels: list[tuple[str, int | None, int | None]] = []
     for label in layer.findall("label"):
+        # Names (tags, FEs, types) repeat across a corpus: interned, each is held once.
+        name = sys.intern(label.get("name", ""))
         start = label.get("start")
         end = label.get("end")
-        span = None
-        if start is not None and end is not None:
-            span = TokenSpan(_int(start, sid, "label start"), _int(end, sid, "label end"))
-        # Names (tags, FEs, types) repeat across a corpus: interned, each is held once.
-        labels.append((sys.intern(label.get("name", "")), span))
+        if start is None or end is None:
+            labels.append((name, None, None))
+            continue
+        try:
+            labels.append((name, int(start), int(end)))
+        except ValueError:
+            # Converted again one at a time, to name the offset that failed.
+            _int(start, sid, "label start")
+            _int(end, sid, "label end")
+            raise
     return labels
 
 
@@ -178,13 +193,13 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
             name = layer.get("name")
             layers[name] = layer
             if name in BFN_POS_LAYERS:
-                for pos, span in _bfn_labels(layer, sid):
-                    if span is not None:
+                for pos, start, end in _bfn_labels(layer, sid):
+                    if start is not None:
                         tokens.append(WordAnno(
-                            surface=text[span.start:span.end + 1],
+                            surface=text[start:end + 1],
                             pos=pos,
                             ref=len(tokens) + 1,
-                            span=span,
+                            span=TokenSpan(start, end),
                         ))
         if "Target" in layers:
             annotation_sets.append((aset, layers))
@@ -199,10 +214,10 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
         if not frame:
             raise _RecordError(f"sentence {sid!r}: target annotation set lacks a frame name")
 
-        target_spans = [span for _, span in target_labels if span is not None]
-        if not target_spans:
+        target_offsets = [(start, end) for _, start, end in target_labels if start is not None]
+        if not target_offsets:
             raise _RecordError(f"sentence {sid!r}: target labels carry no offsets")
-        target = TokenSpan(min(s.start for s in target_spans), max(s.end for s in target_spans))
+        target = TokenSpan(min(o[0] for o in target_offsets), max(o[1] for o in target_offsets))
 
         lu_name = aset.get("luName")
         lu_id = aset.get("luID")
@@ -218,9 +233,9 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
             if layer is None:
                 return {}
             return {
-                (span.start, span.end): label
-                for label, span in _bfn_labels(layer, sid)
-                if span is not None
+                (start, end): label
+                for label, start, end in _bfn_labels(layer, sid)
+                if start is not None
             }
 
         gf_by_span = by_offsets("GF")
@@ -228,17 +243,18 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
 
         fe_layer = layers.get("FE")
         fe_spans: list[FeSpan] = []
-        for fe_name, span in _bfn_labels(fe_layer, sid) if fe_layer is not None else []:
-            if span is None:
+        for fe_name, start, end in _bfn_labels(fe_layer, sid) if fe_layer is not None else []:
+            if start is None:
                 fe_spans.append(FeSpan(fe_name=fe_name, null_instantiated=True))
                 continue
-            if not (0 <= span.start <= span.end < len(text)):
+            if not (0 <= start <= end < len(text)):
                 raise _RecordError(
-                    f"sentence {sid!r}: FE {fe_name!r} offsets {span.start}..{span.end} "
+                    f"sentence {sid!r}: FE {fe_name!r} offsets {start}..{end} "
                     f"overlap no text (length {len(text)})"
                 )
-            pt = pt_by_span.get((span.start, span.end))
-            gf = gf_by_span.get((span.start, span.end))
+            span = TokenSpan(start, end)
+            pt = pt_by_span.get((start, end))
+            gf = gf_by_span.get((start, end))
             if pt is None:
                 # No phrase type at these offsets: the FE is annotated but not
                 # grammatically realized, which is how omitted FEs surface here.
@@ -377,45 +393,6 @@ def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[Annotated
 # JSON-lines serialization
 # ---------------------------------------------------------------------------
 
-def _span_dict(span: TokenSpan | None) -> dict | None:
-    return None if span is None else {"start": span.start, "end": span.end}
-
-
-def _word_dict(word: WordAnno) -> dict:
-    return {
-        "surface": word.surface,
-        "pos": word.pos,
-        "ref": word.ref,
-        "msd": word.msd,
-        "dephead": word.dephead,
-        "deprel": word.deprel,
-        "span": _span_dict(word.span),
-    }
-
-
-def sentence_to_dict(s: AnnotatedSentence) -> dict:
-    return {
-        "sentence_id": s.sentence_id,
-        "text": s.text,
-        "frame": s.frame,
-        "target": _span_dict(s.target),
-        "lu_ref": s.lu_ref,
-        "fe_spans": [
-            {
-                "fe_name": fe.fe_name,
-                "span": _span_dict(fe.span),
-                "phrase_type": fe.phrase_type,
-                "gram_function": fe.gram_function,
-                "words": None if fe.words is None else [_word_dict(w) for w in fe.words],
-                "null_instantiated": fe.null_instantiated,
-            }
-            for fe in s.fe_spans
-        ],
-        "dialect": s.dialect.value,
-        "tokens": [_word_dict(t) for t in s.tokens],
-    }
-
-
 def _span_from(d: dict | None) -> TokenSpan | None:
     return None if d is None else TokenSpan(d["start"], d["end"])
 
@@ -455,9 +432,46 @@ def sentence_from_dict(d: dict) -> AnnotatedSentence:
     )
 
 
+# The JSON-lines encoders write what ``json.dumps(..., ensure_ascii=False,
+# sort_keys=True)`` writes for the dict form of a record (keys sorted, ", "
+# and ": " separators), without building the dict: the schema is fixed.
+_str = json.encoder.encode_basestring
+
+
+def _span_json(span: TokenSpan | None) -> str:
+    return "null" if span is None else f'{{"end": {span.end}, "start": {span.start}}}'
+
+
+def _word_json(w: WordAnno) -> str:
+    dephead = "null" if w.dephead is None else str(w.dephead)
+    msd = "null" if w.msd is None else _str(w.msd)
+    return (
+        f'{{"dephead": {dephead}, "deprel": {_str(w.deprel)}, "msd": {msd}, '
+        f'"pos": {_str(w.pos)}, "ref": {w.ref}, "span": {_span_json(w.span)}, '
+        f'"surface": {_str(w.surface)}}}'
+    )
+
+
+def _fe_json(fe: FeSpan) -> str:
+    gf = "null" if fe.gram_function is None else _str(fe.gram_function)
+    pt = "null" if fe.phrase_type is None else _str(fe.phrase_type)
+    words = "null" if fe.words is None else f"[{', '.join(map(_word_json, fe.words))}]"
+    return (
+        f'{{"fe_name": {_str(fe.fe_name)}, "gram_function": {gf}, '
+        f'"null_instantiated": {"true" if fe.null_instantiated else "false"}, '
+        f'"phrase_type": {pt}, "span": {_span_json(fe.span)}, "words": {words}}}'
+    )
+
+
 def _sentence_line(s: AnnotatedSentence) -> str:
     """The JSON-lines text of one sentence, without its newline."""
-    return json.dumps(sentence_to_dict(s), ensure_ascii=False, sort_keys=True)
+    return (
+        f'{{"dialect": {_str(s.dialect.value)}, '
+        f'"fe_spans": [{", ".join(map(_fe_json, s.fe_spans))}], '
+        f'"frame": {_str(s.frame)}, "lu_ref": {_str(s.lu_ref)}, '
+        f'"sentence_id": {_str(s.sentence_id)}, "target": {_span_json(s.target)}, '
+        f'"text": {_str(s.text)}, "tokens": [{", ".join(map(_word_json, s.tokens))}]}}'
+    )
 
 
 def write_sentences_jsonl(sentences: Iterable[AnnotatedSentence], path: Path) -> None:

@@ -429,21 +429,23 @@ def _bfn_prep(fe: FeSpan, s: AnnotatedSentence, rules: dict) -> str | None:
     return first_word[0].lower() if first_word else None
 
 
+# Native tags and mapping of each phrase type and grammatical function pair.
+@functools.cache
+def _bfn_tags(pt: str, gf: str) -> tuple[str, Generalized | SkipReason]:
+    return (f"{pt}.{gf}" if gf else pt), generalize_bfn_fe(pt, gf)
+
+
 def _bfn_types(
     fe: FeSpan, s: AnnotatedSentence, rules: dict
 ) -> tuple[str, Generalized | SkipReason]:
     """Native tag combination of a BFN FE and its interlingual mapping."""
     pt = fe.phrase_type or ""
-    gf = fe.gram_function or ""
-    base, prep = _split_pt(pt)
-    if base == "PP" and prep is None:
+    if pt == "PP":
+        # A bare PP takes its preposition from the sentence's tokens.
         prep = _bfn_prep(fe, s, rules)
-        native_pt = f"PP[{prep}]" if prep else pt
-    else:
-        native_pt = pt
-    native = f"{native_pt}.{gf}" if gf else native_pt
-
-    return native, generalize_bfn_fe(pt if prep is None else f"{base}[{prep}]", gf)
+        if prep:
+            pt = f"PP[{prep}]"
+    return _bfn_tags(pt, fe.gram_function or "")
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +536,20 @@ def _swefn_types(fe: FeSpan, s: AnnotatedSentence) -> tuple[str, Generalized | S
 # Sentence pattern extraction
 # ---------------------------------------------------------------------------
 
+# One shared realization per distinct annotation: records are frozen, and
+# thousands of examples repeat a few hundred FE annotations.
+@functools.cache
+def _realization(
+    fe_name: str, native: str, mapped: Generalized | SkipReason, coreness: Coreness
+) -> FeRealization:
+    if isinstance(mapped, SkipReason):
+        return FeRealization(fe_name, native, rgl_type=None, coreness=coreness, skip_reason=mapped)
+    return FeRealization(
+        fe_name, native, mapped.rgl_type, mapped.syn_function, mapped.preposition,
+        coreness=coreness,
+    )
+
+
 def _demote_extra_subjects(
     reals: list[FeRealization], sentence_id: str
 ) -> list[FeRealization]:
@@ -578,15 +594,7 @@ def normalize_sentence(
             native, mapped = _bfn_types(fe, s, rules)
         else:
             native, mapped = _swefn_types(fe, s)
-        if isinstance(mapped, SkipReason):
-            reals.append(FeRealization(
-                fe.fe_name, native, rgl_type=None, coreness=core, skip_reason=mapped,
-            ))
-        else:
-            reals.append(FeRealization(
-                fe.fe_name, native, mapped.rgl_type, mapped.syn_function,
-                mapped.preposition, coreness=core,
-            ))
+        reals.append(_realization(fe.fe_name, native, mapped, core))
     reals = _demote_extra_subjects(reals, s.sentence_id)
 
     return SentencePattern(

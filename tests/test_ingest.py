@@ -1,17 +1,24 @@
+import json
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import load_corpus_generator
 from valgram.ingest import (
+    AnnotatedSentence,
     CorpusParseError,
     Dialect,
+    FeSpan,
     TokenSpan,
+    WordAnno,
+    _sentence_line,
     parse_corpus,
     sentence_from_dict,
-    sentence_to_dict,
 )
 
 
@@ -201,7 +208,92 @@ def test_parsing_is_pure(data_dir, dialect):
 def test_jsonl_round_trip(bfn_mini, swefn_mini):
     for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
         for s in parse_corpus(path, dialect):
-            assert sentence_from_dict(sentence_to_dict(s)) == s
+            assert sentence_from_dict(json.loads(_sentence_line(s))) == s
+
+
+# The dict form of a record: the JSON-lines encoder must write exactly what
+# json.dumps(..., ensure_ascii=False, sort_keys=True) writes for it.
+def _span_dict(span: TokenSpan | None) -> dict | None:
+    return None if span is None else {"start": span.start, "end": span.end}
+
+
+def _word_dict(word: WordAnno) -> dict:
+    return {
+        "surface": word.surface,
+        "pos": word.pos,
+        "ref": word.ref,
+        "msd": word.msd,
+        "dephead": word.dephead,
+        "deprel": word.deprel,
+        "span": _span_dict(word.span),
+    }
+
+
+def sentence_to_dict(s: AnnotatedSentence) -> dict:
+    return {
+        "sentence_id": s.sentence_id,
+        "text": s.text,
+        "frame": s.frame,
+        "target": _span_dict(s.target),
+        "lu_ref": s.lu_ref,
+        "fe_spans": [
+            {
+                "fe_name": fe.fe_name,
+                "span": _span_dict(fe.span),
+                "phrase_type": fe.phrase_type,
+                "gram_function": fe.gram_function,
+                "words": None if fe.words is None else [_word_dict(w) for w in fe.words],
+                "null_instantiated": fe.null_instantiated,
+            }
+            for fe in s.fe_spans
+        ],
+        "dialect": s.dialect.value,
+        "tokens": [_word_dict(t) for t in s.tokens],
+    }
+
+
+# Characters JSON escapes or that need care: quotes, backslashes, control
+# characters, the JavaScript line separators and non-ASCII text.
+_AWKWARD = '"\\\x00\x01\x08\t\n\x0c\r\x1f\x7f\u2028\u2029åäöß€😀'
+_TEXT = st.text(
+    st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from(_AWKWARD)),
+    max_size=8,
+)
+_INT = st.integers(-(2**70), 2**70)
+_SPAN = st.builds(TokenSpan, _INT, _INT)
+_WORD = st.builds(
+    WordAnno, surface=_TEXT, pos=_TEXT, ref=_INT, msd=st.none() | _TEXT,
+    dephead=st.none() | _INT, deprel=_TEXT, span=st.none() | _SPAN,
+)
+_WORDS = st.lists(_WORD, max_size=3).map(tuple)
+_FE = st.builds(
+    FeSpan, fe_name=_TEXT, span=st.none() | _SPAN, phrase_type=st.none() | _TEXT,
+    gram_function=st.none() | _TEXT, words=st.none() | _WORDS,
+    null_instantiated=st.booleans(),
+)
+_SENTENCE = st.builds(
+    AnnotatedSentence, sentence_id=_TEXT, text=_TEXT, frame=_TEXT, target=_SPAN,
+    lu_ref=_TEXT, fe_spans=st.lists(_FE, max_size=3).map(tuple),
+    dialect=st.sampled_from(Dialect), tokens=_WORDS,
+)
+_BARE_WORD = WordAnno("x", "NN", 1)  # msd, dephead and span None
+_EVERY_CASE = AnnotatedSentence(
+    sentence_id='s"1\\', text=_AWKWARD, frame="Désir\u2028", target=TokenSpan(0, 3),
+    lu_ref="vilja.vb.1\u2029", dialect=Dialect.SWEFN_DEP,
+    fe_spans=(
+        FeSpan("Ev\x00ent"),  # span, phrase_type, gram_function and words None
+        FeSpan("Exp", TokenSpan(2, 5), "PP[för]", "Ext", (_BARE_WORD,), True),
+        FeSpan("Empty", words=()),
+    ),
+    tokens=(_BARE_WORD, WordAnno("å\t", "PN", 2, "PN.UTR", 3, "SS", TokenSpan(-1, 2**64))),
+)
+
+
+@given(_SENTENCE)
+@example(_EVERY_CASE)
+@example(replace(_EVERY_CASE, dialect=Dialect.BFN_PHRASE))
+def test_sentence_line_matches_json_dumps_of_the_dict_form(s):
+    assert _sentence_line(s) == json.dumps(sentence_to_dict(s), ensure_ascii=False, sort_keys=True)
 
 
 def test_dialect_determines_annotation_fields(bfn_mini, swefn_mini):
@@ -235,9 +327,6 @@ def test_swefn_refs_unique_within_sentence(swefn_mini):
             if w.dephead is not None:
                 assert w.dephead in set(refs)
 
-
-from hypothesis import given
-from hypothesis import strategies as st
 
 _WORDS = ["traders", "want", "a", "change", "in", "the", "city", "markets"]
 
@@ -437,3 +526,15 @@ def test_malformed_xml_from_a_path_reports_its_byte_offset(tmp_path):
     assert messages[0] == messages[1]
     offset = int(messages[1].split("byte ")[1].split(" ")[0])
     assert data[offset:] == b"</corpus>"
+
+
+@pytest.mark.parametrize("data", [
+    '<corpus>\n<sentence id="s1" frame="F">åäö <bad&></sentence></corpus>'.encode(),
+    b'<corpus>\r<sentence id="s1" frame="F">x\r<bad&></sentence></corpus>',
+], ids=["multibyte-characters", "bare-carriage-returns"])
+def test_malformed_xml_byte_offset_counts_bytes_and_every_line_end(data):
+    # Expat counts columns in characters and ends a line at \r\n, \r or \n.
+    with pytest.raises(CorpusParseError) as excinfo:
+        parse_corpus(data, Dialect.SWEFN_DEP)
+    offset = int(str(excinfo.value).split("byte ")[1].split(" ")[0])
+    assert offset == data.index(b"&")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from valgram import pipeline
+from valgram import normalize, pipeline
 from valgram.frames import Coreness, FrameIndexError, load_frame_index
 from valgram.ingest import Dialect, WordAnno, parse_corpus
 from valgram.normalize import (
@@ -611,3 +611,118 @@ def test_promoted_skips_merge_with_sentence_skips_by_sentence_id(frame_index):
     _, kept, skips = pipeline.normalize_sentences(sentences, frame_index, rules)
     assert [p.sentence_id for p in kept] == ["c-kept"]
     assert [(sk.sentence_id, sk.reason) for sk in skips] == expected
+
+
+# ---------------------------------------------------------------------------
+# Shared realizations
+# ---------------------------------------------------------------------------
+
+def _bfn_pp_sentence(sid: str, frame: str, prep: str) -> str:
+    # "They yearned <prep> a change.": the Event FE is a bare PP, whose
+    # preposition comes from the tokens.
+    a = 13 + len(prep) + 1
+    return f"""<sentence ID="{sid}">
+      <text>They yearned {prep} a change.</text>
+      <annotationSet><layer name="BNC">
+        <label start="0" end="3" name="PNP"/><label start="5" end="11" name="VVD"/>
+        <label start="13" end="{a - 2}" name="PRP"/><label start="{a}" end="{a}" name="AT0"/>
+        <label start="{a + 2}" end="{a + 7}" name="NN1"/>
+      </layer></annotationSet>
+      <annotationSet status="MANUAL" frameName="{frame}" luName="yearn.v" luID="1">
+        <layer name="FE"><label start="0" end="3" name="Experiencer"/>
+          <label start="13" end="{a + 7}" name="Event"/></layer>
+        <layer name="GF"><label start="0" end="3" name="Ext"/>
+          <label start="13" end="{a + 7}" name="Dep"/></layer>
+        <layer name="PT"><label start="0" end="3" name="NP"/>
+          <label start="13" end="{a + 7}" name="PP"/></layer>
+        <layer name="Target"><label start="5" end="11" name="Target"/></layer>
+      </annotationSet>
+    </sentence>"""
+
+
+def test_equal_annotations_share_one_realization(bfn_mini, swefn_mini, frame_index):
+    for path, dialect in ((bfn_mini, Dialect.BFN_PHRASE), (swefn_mini, Dialect.SWEFN_DEP)):
+        sentences = parse_corpus(path, dialect)
+        first = [normalize_sentence(s, frame_index) for s in sentences]
+        again = [normalize_sentence(s, frame_index) for s in sentences]
+        assert first == again
+        for p, q in zip(first, again):
+            if isinstance(p, SentencePattern):
+                assert all(r is t for r, t in zip(p.realizations, q.realizations))
+
+
+def test_demoting_a_subject_leaves_the_shared_realization_a_subject(frame_index):
+    # The second external argument of "two-subj" is demoted; "one-subj"
+    # then annotates that FE the same way and must still get a subject.
+    xml = b"""<corpus><sentence ID="two-subj">
+      <text>Traders and the city want a change.</text>
+      <annotationSet><layer name="BNC"><label start="20" end="23" name="VVB"/></layer></annotationSet>
+      <annotationSet status="MANUAL" frameName="Desiring" luName="want.v" luID="1">
+        <layer name="FE"><label start="0" end="6" name="Experiencer"/>
+          <label start="12" end="19" name="Event"/></layer>
+        <layer name="GF"><label start="0" end="6" name="Ext"/>
+          <label start="12" end="19" name="Ext"/></layer>
+        <layer name="PT"><label start="0" end="6" name="NP"/>
+          <label start="12" end="19" name="NP"/></layer>
+        <layer name="Target"><label start="20" end="23" name="Target"/></layer>
+      </annotationSet>
+    </sentence><sentence ID="one-subj">
+      <text>The city wants a change.</text>
+      <annotationSet><layer name="BNC"><label start="9" end="13" name="VVZ"/></layer></annotationSet>
+      <annotationSet status="MANUAL" frameName="Desiring" luName="want.v" luID="1">
+        <layer name="FE"><label start="0" end="7" name="Event"/></layer>
+        <layer name="GF"><label start="0" end="7" name="Ext"/></layer>
+        <layer name="PT"><label start="0" end="7" name="NP"/></layer>
+        <layer name="Target"><label start="9" end="13" name="Target"/></layer>
+      </annotationSet>
+    </sentence></corpus>"""
+    two, one = (normalize_sentence(s, frame_index) for s in parse_corpus(xml, Dialect.BFN_PHRASE))
+    assert _fes(two) == "Experiencer_NP.Subj Event_Adv"
+    assert _fes(one) == "Event_NP.Subj"
+    assert one.realizations[0].syn_function is SynFunction.SUBJ
+
+
+def test_shared_realizations_keep_prepositions_and_coreness_apart():
+    index = load_frame_index(
+        "Wanting\tcore\tEvent,Experiencer\n"
+        "Craving\tcore\tExperiencer\nCraving\tnoncore\tEvent\n"
+    )
+    xml = "<corpus>" + "".join([
+        _bfn_pp_sentence("a", "Wanting", "for"),
+        _bfn_pp_sentence("b", "Wanting", "after"),
+        _bfn_pp_sentence("c", "Craving", "for"),
+    ]) + "</corpus>"
+    patterns = [normalize_sentence(s, index) for s in parse_corpus(xml, Dialect.BFN_PHRASE)]
+    assert [_fes(p) for p in patterns] == [
+        "Experiencer_NP.Subj Event_Adv[for]",
+        "Experiencer_NP.Subj Event_Adv[after]",
+        "Experiencer_NP.Subj Opt_Event_Adv[for]",
+    ]
+    assert [p.realizations[1].native_type for p in patterns] == [
+        "PP[for].Dep", "PP[after].Dep", "PP[for].Dep",
+    ]
+
+
+def test_realization_caches_hold_one_entry_per_distinct_annotation(
+    bfn_mini, swefn_mini, frame_index
+):
+    # Both caches are bounded by the distinct annotation combinations; the
+    # mini corpora demote no subject, so every realization came from a cache.
+    normalize._bfn_tags.cache_clear()
+    normalize._realization.cache_clear()
+    bfn, _ = normalize_corpus(
+        parse_corpus(bfn_mini, Dialect.BFN_PHRASE), frame_index, skip_unconsidered=False
+    )
+    swefn, _ = normalize_corpus(
+        parse_corpus(swefn_mini, Dialect.SWEFN_DEP), frame_index, skip_unconsidered=False
+    )
+
+    def annotation(r: FeRealization) -> tuple:
+        return (r.native_type, r.rgl_type, r.syn_function, r.preposition, r.skip_reason)
+
+    bfn_reals = [r for p in bfn for r in p.realizations]
+    all_reals = bfn_reals + [r for p in swefn for r in p.realizations]
+    assert normalize._bfn_tags.cache_info().currsize == len({annotation(r) for r in bfn_reals})
+    assert normalize._realization.cache_info().currsize == len(
+        {(r.fe_name, r.coreness, *annotation(r)) for r in all_reals}
+    )
