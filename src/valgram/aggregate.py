@@ -174,6 +174,11 @@ def _valence_entry(
     return key, key_id, sys.intern(ordered_line(p))  # held once per distinct line
 
 
+# One copy of each FE-key set: the valences of the ten settings ids repeat the
+# same few thousand sets, which also key compare's token cache.
+_FE_SETS: dict[tuple[FeKey, ...], tuple[FeKey, ...]] = {}
+
+
 def _sorted_valences(groups: _Groups, drop_singletons: bool) -> list[ValencePattern]:
     valences = [groups[k] for k in sorted(groups)]
     if drop_singletons:
@@ -260,7 +265,7 @@ def _group(
             vp = groups.get(key)
             if vp is None:
                 vp = groups[key] = ValencePattern(
-                    frame=p.frame, voice=p.voice, fes=key[2],
+                    frame=p.frame, voice=p.voice, fes=_FE_SETS.setdefault(key[2], key[2]),
                     count=0, sentence_variants={},
                 )
             vp.count += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -31,11 +32,11 @@ class MatchLevel(str, Enum):
         or the name and type without syntactic function or preposition."""
         if self is _SEMANTIC:
             return frozenset([f"Opt_{fe}" if noncore else fe for fe, _, _, noncore in keys])
-        return frozenset(map(_semantic_syntactic_token, keys))
+        return frozenset([fe_key_token((fe, typ, "", noncore)) for fe, typ, _, noncore in keys])
 
 
-# Reaching a member through its enum class is slow on Python 3.11, and the
-# projection runs once per example and shared set.
+# Reaching a member through its enum class is slow on Python 3.11, and keys
+# are built once per valence and shared set.
 _SEMANTIC = MatchLevel.SEMANTIC
 
 
@@ -48,18 +49,17 @@ class MatchMode(str, Enum):
 PatternKey = tuple[str, str | None, frozenset[str]]
 
 
-# Cached per FE key: the FE inventory bounds the keys, and intersect projects
-# the same keys once per shared set.
+# One token set per distinct FE-key set and level: a sweep's valences repeat
+# a few thousand key sets, and intersect keys each valence once per shared set.
 @functools.cache
-def _semantic_syntactic_token(key: FeKey) -> str:
-    fe, typ, _, noncore = key
-    return fe_key_token((fe, typ, "", noncore))
+def _level_tokens(fes: tuple[FeKey, ...], level: MatchLevel) -> frozenset[str]:
+    return level.tokens(fes)
 
 
 def pattern_key(vp: ValencePattern, level: MatchLevel) -> PatternKey:
     # ``_value_`` skips the ``value`` property's descriptor call.
     voice = None if level is _SEMANTIC else vp.voice._value_
-    return (vp.frame, voice, level.tokens(vp.fes))
+    return (vp.frame, voice, _level_tokens(vp.fes, level))
 
 
 def subsumes_key(a: PatternKey, b: PatternKey) -> bool:
@@ -172,27 +172,45 @@ class SharedPatternSet:
         return {p.frame for p in self.patterns}
 
 
+# A key's variants: [(full FE keys with syntactic functions, count), ...]
+_Variants = list[tuple[tuple[FeKey, ...], int]]
+# Keys can subsume each other only within one (frame, voice) group.
+_Group = tuple[str, str | None]
+# A side's keys by group, then FE set, each with its valence, or the list of
+# its valences once a second one has the key. Most keys have one valence, and
+# a list for each would be the projection's largest allocation.
+_Projection = dict[_Group, dict[frozenset[str], ValencePattern | list[ValencePattern]]]
+
+
 def _project(
     valences: Iterable[ValencePattern], frames: set[str], level: MatchLevel
-) -> dict[PatternKey, dict[tuple[FeKey, ...], int]]:
-    """Each key of the valences in ``frames``: its full FE keys -> summed count."""
-    proj: dict[PatternKey, dict[tuple[FeKey, ...], int]] = {}
+) -> _Projection:
+    """The projection of the valences in ``frames``."""
+    proj: _Projection = {}
     for vp in valences:
         if vp.frame in frames:
-            variants = proj.setdefault(pattern_key(vp, level), {})
-            variants[vp.fes] = variants.get(vp.fes, 0) + vp.count
+            frame, voice, fes = pattern_key(vp, level)
+            group = proj.get((frame, voice))
+            if group is None:
+                group = proj[frame, voice] = {}
+            same = group.get(fes)
+            if same is None:
+                group[fes] = vp
+            elif type(same) is list:
+                same.append(vp)
+            else:
+                group[fes] = [same, vp]
     return proj
 
 
-def _by_frame_voice(
-    keys: Iterable[PatternKey],
-) -> dict[tuple[str, str | None], list[frozenset[str]]]:
-    """The keys' FE sets by (frame, voice), the only keys that can subsume
-    each other."""
-    groups: dict[tuple[str, str | None], list[frozenset[str]]] = {}
-    for frame, voice, fes in keys:
-        groups.setdefault((frame, voice), []).append(fes)
-    return groups
+def _variants(valences: ValencePattern | list[ValencePattern]) -> _Variants:
+    """A key's FE keys, sorted, with the counts of equal keys summed."""
+    if type(valences) is not list:
+        return [(valences.fes, valences.count)]
+    counts: dict[tuple[FeKey, ...], int] = {}
+    for vp in valences:
+        counts[vp.fes] = counts.get(vp.fes, 0) + vp.count
+    return sorted(counts.items())
 
 
 def intersect(
@@ -214,51 +232,64 @@ def intersect(
         side: _project(valences, shared_frames, level)
         for side, valences in (("left", left), ("right", right))
     }
-    left_proj, right_proj = proj["left"], proj["right"]
-    groups = {side: _by_frame_voice(keys) for side, keys in proj.items()}
 
     # Exact mode admits a key the other side has; fuzzy mode one it subsumes.
-    # Each side's loop visits a key once, so it writes its provenance once.
+    # Each side's loop visits a key once, so it writes its provenance once,
+    # and a key is admitted from its own side whenever it is admitted at all.
     exact = mode is MatchMode.EXACT
-    admitted: dict[PatternKey, SharedPattern] = {}
+    admitted: dict[_Group, dict[frozenset[str], SharedPattern]] = {}
+    n_admitted = {}
     for side, other in (("left", "right"), ("right", "left")):
-        for key, variants in proj[side].items():
-            if exact:
-                subsumers = [key[2]] if key in proj[other] else []
-            else:
-                subsumers = list(filter(key[2].issubset, groups[other].get(key[:2], ())))
-            if not subsumers:
+        n = 0
+        for group, keys in proj[side].items():
+            others = proj[other].get(group)
+            if others is None:
                 continue
-            sp = admitted.get(key)
-            if sp is None:
-                sp = admitted[key] = SharedPattern(*key)
-            sp.syn_variants[side] = sorted(variants.items())
-            strict = list(dict.fromkeys(
-                ", ".join(sorted(fes)) for fes in subsumers if fes != key[2]
-            ))
-            if strict:
-                sp.subsumed_by[side] = strict
+            shared = admitted.get(group)
+            for fes, valences in keys.items():
+                if exact:
+                    if fes not in others:
+                        continue
+                    strict = None
+                else:
+                    subsumers = list(filter(fes.issubset, others))
+                    if not subsumers:
+                        continue
+                    # The other side's keys are distinct, so their strings are too.
+                    strict = [", ".join(sorted(s)) for s in subsumers if s != fes]
+                n += 1
+                if shared is None:
+                    shared = admitted[group] = {}
+                sp = shared.get(fes)
+                if sp is None:
+                    sp = shared[fes] = SharedPattern(*group, fes)
+                sp.syn_variants[side] = _variants(valences)
+                if strict:
+                    sp.subsumed_by[side] = strict
+        n_admitted[side] = n
 
-    admitted_groups = _by_frame_voice(admitted)
+    # A member is pruned when another of its group strictly contains it.
     final = [
-        sp for key, sp in admitted.items()
-        if not any(fes > key[2] for fes in admitted_groups[key[:2]])
+        sp for shared in admitted.values() for fes, sp in shared.items()
+        if not any(map(fes.__lt__, shared))
     ]
-    final.sort(key=lambda sp: sp.sort_key())
+    final.sort(key=SharedPattern.sort_key)
 
-    n_admitted_left = sum(1 for k in left_proj if k in admitted)
-    n_admitted_right = sum(1 for k in right_proj if k in admitted)
-
+    totals = {side: sum(map(len, keys.values())) for side, keys in proj.items()}
+    both = sum(  # keys on both sides, counted once in the union
+        len(keys.keys() & proj["right"][group].keys())
+        for group, keys in proj["left"].items() if group in proj["right"]
+    )
     return SharedPatternSet(
         level=level,
         mode=mode,
         patterns=final,
-        left_total=len(left_proj),
-        right_total=len(right_proj),
-        union_total=len(set(left_proj) | set(right_proj)),
-        intersection_total=len(admitted),
-        left_only=len(left_proj) - n_admitted_left,
-        right_only=len(right_proj) - n_admitted_right,
+        left_total=totals["left"],
+        right_total=totals["right"],
+        union_total=totals["left"] + totals["right"] - both,
+        intersection_total=sum(map(len, admitted.values())),
+        left_only=totals["left"] - n_admitted["left"],
+        right_only=totals["right"] - n_admitted["right"],
     )
 
 
@@ -365,21 +396,22 @@ def write_shared_tsv(shared: SharedPatternSet, path: Path) -> None:
             f.write("\n")
 
 
+# The first line of a shared TSV, as write_shared_tsv writes it.
+_SHARED_HEADER_RE = re.compile(r"# level=(sem|semsyn) mode=(exact|fuzzy)")
+
+
 def read_shared_tsv(path: Path) -> SharedPatternSet:
-    level = MatchLevel.SEMANTIC_SYNTACTIC
-    mode = MatchMode.FUZZY
+    """A shared set written by :func:`write_shared_tsv`; its first line must
+    name the level and mode."""
     patterns: list[SharedPattern] = []
     with path.open("r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
+        header = _SHARED_HEADER_RE.fullmatch(f.readline().rstrip("\n"))
+        if header is None:
+            raise ValueError(f"{path}:1: expected a header like '# level=semsyn mode=fuzzy'")
+        level, mode = MatchLevel(header[1]), MatchMode(header[2])
+        for lineno, raw in enumerate(f, start=2):
             line = raw.rstrip("\n")
             if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if part.startswith("level="):
-                        level = MatchLevel(part.split("=", 1)[1])
-                    elif part.startswith("mode="):
-                        mode = MatchMode(part.split("=", 1)[1])
                 continue
             parts = line.split("\t")
             if len(parts) != 5:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .compare import MatchLevel, SharedPatternSet, _by_frame_voice
+from .compare import MatchLevel, SharedPatternSet
 from .frames import Coreness
 from .normalize import SentencePattern
 
@@ -46,7 +46,7 @@ class CoverageReport:
 
 
 # Members reached through their class cost a lookup on each use; these are
-# read once per example per shared set.
+# read for each example reduced and each of its realizations.
 _SEMANTIC = MatchLevel.SEMANTIC
 _NONCORE = Coreness.NONCORE
 
@@ -63,20 +63,45 @@ def reduce_example(p: SentencePattern, level: MatchLevel) -> frozenset[str]:
     ])
 
 
+# The SentencePattern slot that holds each level's coverage key.
+_SLOTS = {
+    MatchLevel.SEMANTIC: "sem_cover_key",
+    MatchLevel.SEMANTIC_SYNTACTIC: "semsyn_cover_key",
+}
+
+
+def _cover_key(p: SentencePattern, level: MatchLevel, slot: str, keys: dict) -> tuple:
+    """The example's ((frame, voice), reduced set) at the level, stored in
+    its slot as the one object in ``keys`` equal to it; the reduced set does
+    not depend on the shared set."""
+    key = (p.frame, None if level is _SEMANTIC else p.voice._value_), reduce_example(p, level)
+    key = keys.setdefault(key, key)
+    object.__setattr__(p, slot, key)
+    return key
+
+
 def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> CoverageReport:
     level = final.level
     frames = final.final_frames()
-    by_group = _by_frame_voice((sp.frame, sp.voice, sp.fes) for sp in final.patterns)
+    # The final FE sets by (frame, voice), the only patterns that can cover an example.
+    by_group: dict[tuple[str, str | None], list[frozenset[str]]] = {}
+    for sp in final.patterns:
+        by_group.setdefault((sp.frame, sp.voice), []).append(sp.fes)
 
-    by_voice = level is MatchLevel.SEMANTIC_SYNTACTIC
+    slot = _SLOTS[level]
+    # An example's key is filled in the first call whose frames hold its
+    # frame, as are the keys of all its frame's examples, so examples with
+    # equal keys share one key object: examples repeat a few thousand keys.
+    keys: dict[tuple, tuple] = {}
     covered = 0
     in_shared = 0
     for p in examples:
         if p.frame not in frames:
             continue
         in_shared += 1
-        candidates = by_group.get((p.frame, p.voice._value_ if by_voice else None))
-        if candidates and any(map(reduce_example(p, level).issubset, candidates)):
+        group, reduced = getattr(p, slot) or _cover_key(p, level, slot, keys)
+        candidates = by_group.get(group)
+        if candidates and any(map(reduced.issubset, candidates)):
             covered += 1
 
     return CoverageReport(

@@ -173,6 +173,31 @@ def test_evaluate_level_mismatch_fails(tmp_path, data_dir, bfn_mini, frames_tsv)
     ) == 1
 
 
+@pytest.mark.parametrize("command", ["evaluate", "generate"])
+def test_shared_tsv_without_its_header_is_an_error_record(tmp_path, capsys, data_dir, command):
+    shared = tmp_path / "shared.tsv"
+    assert run_cli(
+        "compare",
+        "--left", data_dir / "desiring_bfn_valences.tsv",
+        "--right", data_dir / "desiring_swefn_valences.tsv",
+        "--level", "sem", "--mode", "fuzzy", "--out", shared,
+    ) == 0
+    shared.write_text("".join(shared.read_text().splitlines(keepends=True)[1:]))
+    patterns = data_dir / "desiring_bfn_patterns.tsv"
+    args = {
+        "evaluate": ["--final", shared, "--examples", patterns, "--out", tmp_path / "c.csv"],
+        "generate": [
+            "--shared", shared, "--lu-left", patterns,
+            "--lu-right", data_dir / "desiring_swefn_patterns.tsv", "--out-dir", tmp_path / "g",
+        ],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, *args) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert (record["stage"], record["error"]) == (command, "ValueError")
+    assert record["message"].startswith(f"{shared}:1: expected a header")
+
+
 def test_unknown_settings_id_is_usage_error(tmp_path, bfn_mini, swefn_mini, frames_tsv):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(

@@ -1,10 +1,13 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from valgram.aggregate import read_valences_tsv
+from valgram import compare
+from valgram.aggregate import ALL_SETTINGS_IDS, read_valences_tsv
 from valgram.compare import (
     MatchLevel,
     MatchMode,
@@ -17,7 +20,9 @@ from valgram.compare import (
     subsumes_key,
     write_shared_tsv,
 )
-from helpers import oracle_fuzzy_intersection, random_side, vp
+from valgram.ingest import Dialect, parse_corpus
+from valgram.normalize import normalize_corpus
+from helpers import oracle_fuzzy_intersection, random_side, valences_by_settings, vp
 
 
 def final_keys(shared):
@@ -257,26 +262,67 @@ def test_fuzzy_intersection_matches_brute_force(level):
     for _ in range(60):
         left = random_side(rng)
         right = random_side(rng)
-        shared = intersect(left, right, level, MatchMode.FUZZY)
         oracle_admitted, oracle_final = oracle_fuzzy_intersection(left, right, level)
-
-        got_final = set()
-        for sp in shared.patterns:
-            if level is MatchLevel.SEMANTIC:
-                got_final.add((sp.frame, None, frozenset(sp.fes)))
-            else:
-                got_final.add((
-                    sp.frame, sp.voice,
-                    frozenset(tuple(t.rsplit("_", 1)) for t in sp.fes),
-                ))
         oracle_final_cmp = set()
         for frame, voice, fes in oracle_final:
             if level is MatchLevel.SEMANTIC:
                 oracle_final_cmp.add((frame, None, frozenset(fes)))
             else:
                 oracle_final_cmp.add((frame, voice, frozenset(fes)))
-        assert got_final == oracle_final_cmp
-        assert shared.intersection_total == len(oracle_admitted)
+
+        # The second call finds every token set of these valences cached.
+        for _ in range(2):
+            shared = intersect(left, right, level, MatchMode.FUZZY)
+            got_final = set()
+            for sp in shared.patterns:
+                if level is MatchLevel.SEMANTIC:
+                    got_final.add((sp.frame, None, frozenset(sp.fes)))
+                else:
+                    got_final.add((
+                        sp.frame, sp.voice,
+                        frozenset(tuple(t.rsplit("_", 1)) for t in sp.fes),
+                    ))
+            assert got_final == oracle_final_cmp
+            assert shared.intersection_total == len(oracle_admitted)
+
+
+def test_token_cache_does_not_leak_between_levels(data_dir):
+    left = read_valences_tsv(data_dir / "desiring_bfn_valences_voiced.tsv")
+    right = read_valences_tsv(data_dir / "desiring_swefn_valences_voiced.tsv")
+    combos = [(level, mode) for level in MatchLevel for mode in MatchMode]
+    expected = {}
+    for level, mode in combos:
+        compare._level_tokens.cache_clear()
+        expected[level, mode] = intersect(
+            [replace(v) for v in left], [replace(v) for v in right], level, mode
+        )
+    assert expected[MatchLevel.SEMANTIC, MatchMode.FUZZY].patterns != expected[
+        MatchLevel.SEMANTIC_SYNTACTIC, MatchMode.FUZZY
+    ].patterns
+    for order in (combos, combos[::-1]):
+        compare._level_tokens.cache_clear()
+        for level, mode in order:
+            assert intersect(left, right, level, mode) == expected[level, mode]
+
+
+def test_key_caches_hold_one_entry_per_distinct_fe_key_set(bfn_mini, swefn_mini, frame_index):
+    compare._level_tokens.cache_clear()
+    valences = [
+        valences_by_settings(normalize_corpus(
+            parse_corpus(path, dialect), frame_index, skip_unconsidered=False
+        )[0])
+        for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini))
+    ]
+    for left in ALL_SETTINGS_IDS:
+        for right in ALL_SETTINGS_IDS:
+            for level in MatchLevel:
+                for mode in MatchMode:
+                    intersect(valences[0][left], valences[1][right], level, mode)
+    every = [v for side in valences for vs in side.values() for v in vs]
+    fe_sets = {v.fes for v in every}
+    assert compare._level_tokens.cache_info().currsize <= 2 * len(fe_sets)
+    # The ten settings ids share one copy of each FE-key set.
+    assert len({id(v.fes) for v in every}) == len(fe_sets) < len(every)
 
 
 @pytest.mark.parametrize("level", list(MatchLevel))
@@ -336,6 +382,20 @@ def test_shared_tsv_round_trip(tmp_path, data_dir):
         assert got.sides == want.sides
         assert got.syn_variants == want.syn_variants
         assert got.combined_count == want.combined_count
+
+
+@pytest.mark.parametrize("header", [None, "", "# level=syn mode=fuzzy"])
+def test_shared_tsv_without_its_header_is_refused(tmp_path, data_dir, header):
+    left = read_valences_tsv(data_dir / "desiring_bfn_valences.tsv")
+    right = read_valences_tsv(data_dir / "desiring_swefn_valences.tsv")
+    path = tmp_path / "shared.tsv"
+    write_shared_tsv(intersect(left, right, MatchLevel.SEMANTIC, MatchMode.FUZZY), path)
+    assert read_shared_tsv(path).level is MatchLevel.SEMANTIC
+    rows = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    assert rows
+    path.write_text("".join(([] if header is None else [header + "\n"]) + rows), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: expected a header")):
+        read_shared_tsv(path)
 
 
 def test_pattern_report_percentage_arithmetic(data_dir):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,7 +7,7 @@ from valgram.aggregate import Settings, aggregate_corpus, read_valences_tsv
 from valgram.compare import MatchLevel, MatchMode, intersect
 from valgram.coverage import coverage, reduce_example
 from valgram.ingest import Dialect, parse_corpus
-from valgram.normalize import normalize_corpus
+from valgram.normalize import Voice, normalize_corpus
 from helpers import mk, random_side, vp
 
 
@@ -64,6 +65,40 @@ def test_reduce_example_collapses_repeats():
     assert reduce_example(example, MatchLevel.SEMANTIC_SYNTACTIC) == frozenset(
         {"Event_VP", "Experiencer_NP"}
     )
+
+
+def test_replaced_example_is_reduced_again(desiring_final):
+    example = mk("Desiring", "Act", "Experiencer_NP.Subj Event_VP")
+    assert coverage(desiring_final, [example]).covered == 1
+    moved = replace(
+        example, realizations=mk("Desiring", "Act", "Event_NP.Obj Experiencer_NP.Subj").realizations
+    )
+    assert coverage(desiring_final, [moved]).covered == 0
+    assert coverage(desiring_final, [replace(example, voice=Voice.PASS)]).covered == 0
+    assert coverage(desiring_final, [example]).covered == 1
+
+
+def test_cover_keys_do_not_leak_between_levels(bfn_mini, swefn_mini, frame_index):
+    sides = [
+        normalize_corpus(parse_corpus(path, dialect), frame_index)[0]
+        for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini))
+    ]
+    left, right = (aggregate_corpus(p, Settings.from_id("2.B"))[0] for p in sides)
+    examples = sides[0] + sides[1]
+    for mode in MatchMode:
+        finals = {level: intersect(left, right, level, mode) for level in MatchLevel}
+        expected = {
+            level: coverage(final, [replace(p) for p in examples])
+            for level, final in finals.items()
+        }
+        assert all(report.covered for report in expected.values())
+        for order in (list(MatchLevel), list(MatchLevel)[::-1]):
+            reused = [replace(p) for p in examples]
+            for level in order:
+                assert coverage(finals[level], reused) == expected[level]
+            # Examples with equal keys share one key object.
+            for key in ([p.sem_cover_key for p in reused], [p.semsyn_cover_key for p in reused]):
+                assert len(set(map(id, key))) == len(set(key)) < len(key)
 
 
 def test_self_coverage_is_total(bfn_mini, swefn_mini, frame_index):
