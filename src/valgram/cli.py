@@ -16,9 +16,9 @@ from pathlib import Path
 
 from . import __version__
 from .aggregate import ALL_SETTINGS_IDS, Settings, read_valences_tsv
-from .compare import MatchLevel, MatchMode, read_shared_tsv
+from .compare import MatchLevel, MatchMode, _level_tokens, read_shared_tsv
 from .grammar import file_digest
-from .ingest import Dialect, _sentence_line, read_sentences_jsonl
+from .ingest import Dialect, _json_lines, read_sentences_jsonl
 from .normalize import load_voice_rules, read_patterns_tsv
 from .pipeline import (
     PipelineConfig,
@@ -57,8 +57,8 @@ def _optional_path(value: str | None) -> Path | None:
 def cmd_ingest(args: argparse.Namespace) -> int:
     sentences = ingest_corpora(args.paths, Dialect(args.dialect), _optional_path(args.out))
     if not args.out:
-        for s in sentences:
-            sys.stdout.write(_sentence_line(s))
+        for line in _json_lines(sentences):
+            sys.stdout.write(line)
             sys.stdout.write("\n")
     logger.info("ingested %d sentences", len(sentences))
     return 0
@@ -329,8 +329,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     with _collector_paused():
         # The parser and the command's data are dropped when _run_command
-        # returns, before the pause ends.
-        return _run_command(argv)
+        # returns, before the pause ends. The key cache is emptied then too,
+        # so a process that runs many commands keeps no earlier command's keys.
+        try:
+            return _run_command(argv)
+        finally:
+            _level_tokens.cache_clear()
 
 
 def _run_command(argv: list[str] | None) -> int:

@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import logging
+import operator
 import re
 import sys
 import xml.etree.ElementTree as ET
@@ -143,6 +144,17 @@ class _RecordError(ValueError):
     """Sentence-level problem: the record is skipped and logged."""
 
 
+def _shared(table: dict, record_type: type, fields: tuple):
+    """``record_type(*fields)``, the fields in declaration order: built on
+    the first request and looked up in ``table`` after it, so equal records
+    are one object. ``table`` lives for one read, never longer."""
+    key = (record_type, fields)
+    record = table.get(key)
+    if record is None:
+        record = table[key] = record_type(*fields)
+    return record
+
+
 def _int(value: str, sid: str, what: str) -> int:
     try:
         return int(value)
@@ -176,7 +188,7 @@ def _bfn_labels(layer: ET.Element, sid: str) -> list[tuple[str, int | None, int 
     return labels
 
 
-def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
+def _parse_bfn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence]:
     sid = sent.get("ID") or sent.get("id") or ""
     text_el = sent.find("text")
     if text_el is None or text_el.text is None:
@@ -195,15 +207,14 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
             if name in BFN_POS_LAYERS:
                 for pos, start, end in _bfn_labels(layer, sid):
                     if start is not None:
-                        tokens.append(WordAnno(
-                            surface=text[start:end + 1],
-                            pos=pos,
-                            ref=len(tokens) + 1,
-                            span=TokenSpan(start, end),
-                        ))
+                        span = _shared(table, TokenSpan, (start, end))
+                        tokens.append(_shared(table, WordAnno, (
+                            text[start:end + 1], pos, len(tokens) + 1, None, None, "", span,
+                        )))
         if "Target" in layers:
             annotation_sets.append((aset, layers))
     tokens.sort(key=lambda t: t.span.start)  # type: ignore[union-attr]
+    token_tuple = tuple(tokens)
 
     out: list[AnnotatedSentence] = []
     for aset, layers in annotation_sets:
@@ -217,7 +228,9 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
         target_offsets = [(start, end) for _, start, end in target_labels if start is not None]
         if not target_offsets:
             raise _RecordError(f"sentence {sid!r}: target labels carry no offsets")
-        target = TokenSpan(min(o[0] for o in target_offsets), max(o[1] for o in target_offsets))
+        target = _shared(table, TokenSpan, (
+            min(o[0] for o in target_offsets), max(o[1] for o in target_offsets),
+        ))
 
         lu_name = aset.get("luName")
         lu_id = aset.get("luID")
@@ -245,24 +258,22 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
         fe_spans: list[FeSpan] = []
         for fe_name, start, end in _bfn_labels(fe_layer, sid) if fe_layer is not None else []:
             if start is None:
-                fe_spans.append(FeSpan(fe_name=fe_name, null_instantiated=True))
+                fe_spans.append(_shared(table, FeSpan, (fe_name, None, None, None, None, True)))
                 continue
             if not (0 <= start <= end < len(text)):
                 raise _RecordError(
                     f"sentence {sid!r}: FE {fe_name!r} offsets {start}..{end} "
                     f"overlap no text (length {len(text)})"
                 )
-            span = TokenSpan(start, end)
+            span = _shared(table, TokenSpan, (start, end))
             pt = pt_by_span.get((start, end))
-            gf = gf_by_span.get((start, end))
             if pt is None:
                 # No phrase type at these offsets: the FE is annotated but not
                 # grammatically realized, which is how omitted FEs surface here.
-                fe_spans.append(FeSpan(fe_name=fe_name, span=span, null_instantiated=True))
+                fe_spans.append(_shared(table, FeSpan, (fe_name, span, None, None, None, True)))
             else:
-                fe_spans.append(FeSpan(
-                    fe_name=fe_name, span=span, phrase_type=pt, gram_function=gf or "",
-                ))
+                gf = gf_by_span.get((start, end)) or ""
+                fe_spans.append(_shared(table, FeSpan, (fe_name, span, pt, gf, None, False)))
         fe_spans.sort(key=lambda f: (f.span.start, f.span.end) if f.span else (-1, -1))
 
         out.append(AnnotatedSentence(
@@ -273,7 +284,7 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
             lu_ref=lu_ref,
             fe_spans=tuple(fe_spans),
             dialect=Dialect.BFN_PHRASE,
-            tokens=tuple(tokens),
+            tokens=token_tuple,
         ))
     return out
 
@@ -282,7 +293,9 @@ def _parse_bfn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
 # SweFN dialect
 # ---------------------------------------------------------------------------
 
-def _swefn_word(el: ET.Element, sid: str, ref_fallback: int, offset: int) -> WordAnno:
+def _swefn_word(
+    el: ET.Element, sid: str, ref_fallback: int, offset: int, table: dict
+) -> WordAnno:
     surface = (el.text or "").strip()
     ref_attr = el.get("ref")
     ref = ref_fallback if ref_attr is None else _int(ref_attr, sid, "word ref")
@@ -292,18 +305,13 @@ def _swefn_word(el: ET.Element, sid: str, ref_fallback: int, offset: int) -> Wor
     pos = sys.intern(el.get("pos") or (msd.split(".")[0] if msd else ""))
     dephead_attr = el.get("dephead")
     dephead = _int(dephead_attr, sid, "word dephead") if dephead_attr else None
-    return WordAnno(
-        surface=surface,
-        pos=pos,
-        ref=ref,
-        msd=msd and sys.intern(msd),
-        dephead=dephead,
-        deprel=sys.intern(el.get("deprel", "")),
-        span=TokenSpan(offset, offset + len(surface) - 1),
-    )
+    span = _shared(table, TokenSpan, (offset, offset + len(surface) - 1))
+    return _shared(table, WordAnno, (
+        surface, pos, ref, msd and sys.intern(msd), dephead, sys.intern(el.get("deprel", "")), span,
+    ))
 
 
-def _parse_swefn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
+def _parse_swefn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence]:
     sid = sent.get("id") or sent.get("ID") or ""
     frame = sys.intern(sent.get("frame") or "")
     if not frame:
@@ -315,7 +323,7 @@ def _parse_swefn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
 
     def add_word(el: ET.Element) -> WordAnno:
         nonlocal offset
-        word = _swefn_word(el, sid, ref_fallback=len(tokens) + 1, offset=offset)
+        word = _swefn_word(el, sid, ref_fallback=len(tokens) + 1, offset=offset, table=table)
         offset = word.span.end + 2  # type: ignore[union-attr]
         tokens.append(word)
         return word
@@ -333,18 +341,21 @@ def _parse_swefn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
     lu_words = [w for name, words in elements if name == "LU" for w in words]
     if not lu_words:
         raise _RecordError(f"sentence {sid!r} has no LU element")
-    target = TokenSpan(
+    target = _shared(table, TokenSpan, (
         min(w.span.start for w in lu_words),  # type: ignore[union-attr]
         max(w.span.end for w in lu_words),  # type: ignore[union-attr]
-    )
+    ))
     lu_ref = sent.get("lu") or f"{lu_words[0].surface.lower()}.{frame}"
 
     fe_spans = tuple(
-        FeSpan(
-            fe_name=name,
-            span=TokenSpan(words[0].span.start, words[-1].span.end),  # type: ignore[union-attr]
-            words=tuple(words),
-        )
+        _shared(table, FeSpan, (
+            name,
+            _shared(
+                table, TokenSpan,
+                (words[0].span.start, words[-1].span.end),  # type: ignore[union-attr]
+            ),
+            None, None, tuple(words), False,
+        ))
         for name, words in elements
         if name != "LU" and words
     )
@@ -362,7 +373,9 @@ def _parse_swefn_sentence(sent: ET.Element) -> list[AnnotatedSentence]:
 
 
 # The sentence parser of each dialect and the name its skips are logged under.
-_DIALECT_PARSERS: dict[Dialect, tuple[Callable[[ET.Element], list[AnnotatedSentence]], str]] = {
+_DIALECT_PARSERS: dict[
+    Dialect, tuple[Callable[[ET.Element, dict], list[AnnotatedSentence]], str]
+] = {
     Dialect.BFN_PHRASE: (_parse_bfn_sentence, "BFN"),
     Dialect.SWEFN_DEP: (_parse_swefn_sentence, "SweFN"),
 }
@@ -378,12 +391,16 @@ def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[Annotated
     FE offsets outside the text, a missing frame name, target labels without
     offsets or non-integer offsets; in SweFN, no frame or LU, a word with an
     empty surface, or a non-integer ``ref`` or ``dephead``.
+
+    Equal spans, words and FE annotations within the document are one
+    object; two calls share none.
     """
     parse_sentence, dialect_name = _DIALECT_PARSERS[dialect]
     out: list[AnnotatedSentence] = []
+    table: dict = {}
     for sent in _iter_sentences(source):
         try:
-            out.extend(parse_sentence(sent))
+            out.extend(parse_sentence(sent, table))
         except _RecordError as exc:
             logger.warning("skipping %s record: %s", dialect_name, exc)
     return out
@@ -393,43 +410,154 @@ def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[Annotated
 # JSON-lines serialization
 # ---------------------------------------------------------------------------
 
-def _span_from(d: dict | None) -> TokenSpan | None:
-    return None if d is None else TokenSpan(d["start"], d["end"])
+_REQUIRED = object()
+_NULL = type(None)
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", _NULL: "null",
+}
 
 
-def _word_from(d: dict) -> WordAnno:
-    return WordAnno(
-        surface=d["surface"],
-        pos=d["pos"],
-        ref=d["ref"],
-        msd=d.get("msd"),
-        dephead=d.get("dephead"),
-        deprel=d.get("deprel", ""),
-        span=_span_from(d.get("span")),
+class _FieldError(ValueError):
+    """A field of a JSON-lines record is missing or has the wrong JSON type.
+    ``field`` is its path within the record, empty for the record itself."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field or 'record'}: {reason}")
+        self.field = field
+        self.reason = reason
+
+    def within(self, outer: str) -> _FieldError:
+        return _FieldError(f"{outer}.{self.field}" if self.field else outer, self.reason)
+
+
+def _json_type(value: object) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+class _Fields:
+    """The JSON fields of one record type in declaration order, each with the
+    JSON types it may hold and its value when absent (_REQUIRED: it may not
+    be absent)."""
+
+    def __init__(self, *fields: tuple[str, tuple[type, ...], object]):
+        self.fields = fields
+        self._get = operator.itemgetter(*(name for name, _, _ in fields))
+        self._types = frozenset(itertools.product(*(types for _, types, _ in fields)))
+
+    def values(self, d: object) -> tuple:
+        """The field values of a JSON object, each checked for its JSON type."""
+        # The writer gives every field: one C-level lookup and type check.
+        try:
+            values = self._get(d)
+        except (KeyError, TypeError):
+            pass
+        else:
+            if tuple(map(type, values)) in self._types:
+                return values
+        # Otherwise field by field: defaults, or the first bad field named.
+        if type(d) is not dict:
+            raise _FieldError("", f"expected an object, got {_json_type(d)}")
+        checked = []
+        for name, types, default in self.fields:
+            value = d.get(name, default)
+            if type(value) not in types:
+                if value is _REQUIRED:
+                    raise _FieldError(name, "missing")
+                expected = " or ".join(_JSON_TYPES[t] for t in types)
+                raise _FieldError(name, f"expected {expected}, got {_json_type(value)}")
+            checked.append(value)
+        return tuple(checked)
+
+
+_SPAN_FIELDS = _Fields(("start", (int,), _REQUIRED), ("end", (int,), _REQUIRED))
+_WORD_FIELDS = _Fields(
+    ("surface", (str,), _REQUIRED),
+    ("pos", (str,), _REQUIRED),
+    ("ref", (int,), _REQUIRED),
+    ("msd", (str, _NULL), None),
+    ("dephead", (int, _NULL), None),
+    ("deprel", (str,), ""),
+    ("span", (dict, _NULL), None),
+)
+_FE_FIELDS = _Fields(
+    ("fe_name", (str,), _REQUIRED),
+    ("span", (dict, _NULL), None),
+    ("phrase_type", (str, _NULL), None),
+    ("gram_function", (str, _NULL), None),
+    ("words", (list, _NULL), None),
+    ("null_instantiated", (bool,), False),
+)
+_SENTENCE_FIELDS = _Fields(
+    ("sentence_id", (str,), _REQUIRED),
+    ("text", (str,), _REQUIRED),
+    ("frame", (str,), _REQUIRED),
+    ("target", (dict,), _REQUIRED),
+    ("lu_ref", (str,), _REQUIRED),
+    ("fe_spans", (list,), _REQUIRED),
+    ("dialect", (str,), _REQUIRED),
+    ("tokens", (list,), []),
+)
+
+
+def _decoded(field: str, decode: Callable[[object, dict], object], value: object, table: dict):
+    """``decode(value, table)``, None for a null value; a field error in it
+    is placed under ``field``."""
+    if value is None:
+        return None
+    try:
+        return decode(value, table)
+    except _FieldError as exc:
+        raise exc.within(field) from None
+
+
+def _decoded_each(
+    field: str, decode: Callable[[object, dict], object], values: list, table: dict
+) -> tuple:
+    """Each value decoded; a field error is placed under ``field[i]``."""
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out.append(decode(value, table))
+        except _FieldError as exc:
+            raise exc.within(f"{field}[{i}]") from None
+    return tuple(out)
+
+
+def _span_from(d: object, table: dict) -> TokenSpan:
+    return _shared(table, TokenSpan, _SPAN_FIELDS.values(d))
+
+
+def _word_from(d: object, table: dict) -> WordAnno:
+    fields = _WORD_FIELDS.values(d)
+    return _shared(table, WordAnno, (*fields[:-1], _decoded("span", _span_from, fields[-1], table)))
+
+
+def _fe_from(d: object, table: dict) -> FeSpan:
+    name, span, pt, gf, words, null_instantiated = _FE_FIELDS.values(d)
+    return _shared(table, FeSpan, (
+        name, _decoded("span", _span_from, span, table), pt, gf,
+        None if words is None else _decoded_each("words", _word_from, words, table),
+        null_instantiated,
+    ))
+
+
+def _sentence_from(d: object, table: dict) -> AnnotatedSentence:
+    sid, text, frame, target, lu_ref, fe_spans, dialect, tokens = _SENTENCE_FIELDS.values(d)
+    try:
+        dialect = Dialect(dialect)
+    except ValueError:
+        known = ", ".join(repr(member.value) for member in Dialect)
+        raise _FieldError("dialect", f"{dialect!r} is not one of {known}") from None
+    return AnnotatedSentence(
+        sid, text, frame, _decoded("target", _span_from, target, table), lu_ref,
+        _decoded_each("fe_spans", _fe_from, fe_spans, table), dialect,
+        _decoded_each("tokens", _word_from, tokens, table),
     )
 
 
 def sentence_from_dict(d: dict) -> AnnotatedSentence:
-    return AnnotatedSentence(
-        sentence_id=d["sentence_id"],
-        text=d["text"],
-        frame=d["frame"],
-        target=_span_from(d["target"]),  # type: ignore[arg-type]
-        lu_ref=d["lu_ref"],
-        fe_spans=tuple(
-            FeSpan(
-                fe_name=fe["fe_name"],
-                span=_span_from(fe.get("span")),
-                phrase_type=fe.get("phrase_type"),
-                gram_function=fe.get("gram_function"),
-                words=None if fe.get("words") is None else tuple(_word_from(w) for w in fe["words"]),
-                null_instantiated=fe.get("null_instantiated", False),
-            )
-            for fe in d["fe_spans"]
-        ),
-        dialect=Dialect(d["dialect"]),
-        tokens=tuple(_word_from(t) for t in d.get("tokens", [])),
-    )
+    return _sentence_from(d, {})
 
 
 # The JSON-lines encoders write what ``json.dumps(..., ensure_ascii=False,
@@ -452,10 +580,10 @@ def _word_json(w: WordAnno) -> str:
     )
 
 
-def _fe_json(fe: FeSpan) -> str:
+def _fe_json(fe: FeSpan, word_json: Callable[[WordAnno], str]) -> str:
     gf = "null" if fe.gram_function is None else _str(fe.gram_function)
     pt = "null" if fe.phrase_type is None else _str(fe.phrase_type)
-    words = "null" if fe.words is None else f"[{', '.join(map(_word_json, fe.words))}]"
+    words = "null" if fe.words is None else f"[{', '.join(map(word_json, fe.words))}]"
     return (
         f'{{"fe_name": {_str(fe.fe_name)}, "gram_function": {gf}, '
         f'"null_instantiated": {"true" if fe.null_instantiated else "false"}, '
@@ -463,24 +591,60 @@ def _fe_json(fe: FeSpan) -> str:
     )
 
 
-def _sentence_line(s: AnnotatedSentence) -> str:
-    """The JSON-lines text of one sentence, without its newline."""
-    return (
-        f'{{"dialect": {_str(s.dialect.value)}, '
-        f'"fe_spans": [{", ".join(map(_fe_json, s.fe_spans))}], '
-        f'"frame": {_str(s.frame)}, "lu_ref": {_str(s.lu_ref)}, '
-        f'"sentence_id": {_str(s.sentence_id)}, "target": {_span_json(s.target)}, '
-        f'"text": {_str(s.text)}, "tokens": [{", ".join(map(_word_json, s.tokens))}]}}'
-    )
+def _json_lines(sentences: Iterable[AnnotatedSentence]) -> Iterator[str]:
+    """The JSON-lines text of each sentence, without its newline.
+
+    Each word and FE object is encoded once per call. The memo is keyed by
+    ``id()`` and holds the object, so no id is reused while the call runs,
+    even when ``sentences`` is a generator whose records could be freed.
+    """
+    memo: dict[int, tuple[object, str]] = {}
+
+    def once(encode: Callable) -> Callable:
+        def encoded(record) -> str:
+            entry = memo.get(id(record))
+            if entry is None:
+                entry = memo[id(record)] = (record, encode(record))
+            return entry[1]
+        return encoded
+
+    word_json = once(_word_json)
+    fe_json = once(lambda fe: _fe_json(fe, word_json))
+    for s in sentences:
+        yield (
+            f'{{"dialect": {_str(s.dialect.value)}, '
+            f'"fe_spans": [{", ".join(map(fe_json, s.fe_spans))}], '
+            f'"frame": {_str(s.frame)}, "lu_ref": {_str(s.lu_ref)}, '
+            f'"sentence_id": {_str(s.sentence_id)}, "target": {_span_json(s.target)}, '
+            f'"text": {_str(s.text)}, "tokens": [{", ".join(map(word_json, s.tokens))}]}}'
+        )
 
 
 def write_sentences_jsonl(sentences: Iterable[AnnotatedSentence], path: Path) -> None:
     with path.open("w", encoding="utf-8") as f:
-        for s in sentences:
-            f.write(_sentence_line(s))
+        for line in _json_lines(sentences):
+            f.write(line)
             f.write("\n")
 
 
 def read_sentences_jsonl(path: Path) -> list[AnnotatedSentence]:
+    """The records of a sentence JSON-lines file. Equal spans, words and FE
+    annotations within the file are one object.
+
+    A line that is not JSON, or a record with a missing field or a field of
+    the wrong JSON type, is a ``ValueError`` that starts
+    ``<path>:<line>: <field>:``.
+    """
+    out: list[AnnotatedSentence] = []
+    table: dict = {}
     with path.open("r", encoding="utf-8") as f:
-        return [sentence_from_dict(json.loads(line)) for line in f if line.strip()]
+        for line_no, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(_sentence_from(json.loads(line), table))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: record: not JSON: {exc}") from None
+            except _FieldError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return out

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valgram.aggregate import ALL_SETTINGS_IDS
 from valgram.cli import main
+from valgram.compare import MatchLevel, _level_tokens
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -352,3 +357,136 @@ def test_unconsidered_examples_keep_native_types_in_filtered_patterns(
     lines = (out / "swefn.filtered-patterns.tsv").read_text().splitlines()
     (row,) = [line.split("\t") for line in lines if line.endswith("\tswefn-005")]
     assert "_SN." in row[2]
+
+
+# ---------------------------------------------------------------------------
+# Sentence JSONL read errors, and the key cache between commands
+# ---------------------------------------------------------------------------
+
+# The JSON types each sentence-JSONL field may hold, and whether it may be
+# absent. Field names are unique across the record kinds.
+_JSONL_FIELDS = {
+    "sentence_id": ({"a string"}, False), "text": ({"a string"}, False),
+    "frame": ({"a string"}, False), "target": ({"an object"}, False),
+    "lu_ref": ({"a string"}, False), "fe_spans": ({"an array"}, False),
+    "dialect": ({"a string"}, False), "tokens": ({"an array"}, True),
+    "fe_name": ({"a string"}, False), "span": ({"an object", "null"}, True),
+    "phrase_type": ({"a string", "null"}, True), "gram_function": ({"a string", "null"}, True),
+    "words": ({"an array", "null"}, True), "null_instantiated": ({"a boolean"}, True),
+    "surface": ({"a string"}, False), "pos": ({"a string"}, False),
+    "ref": ({"an integer"}, False), "msd": ({"a string", "null"}, True),
+    "dephead": ({"an integer", "null"}, True), "deprel": ({"a string"}, True),
+    "start": ({"an integer"}, False), "end": ({"an integer"}, False),
+}
+_JSON_VALUES = {
+    "an integer": 7, "a number": 1.5, "a boolean": True, "a string": "x", "null": None,
+    "an array": [], "an object": {},
+}
+
+
+def _fields(record: dict, prefix: str = ""):
+    """(path, object, key) of every field of a JSONL record, nested ones too."""
+    for key, value in record.items():
+        path = f"{prefix}.{key}" if prefix else key
+        yield path, record, key
+        items = value if isinstance(value, list) else [value]
+        for i, item in enumerate(items):
+            if isinstance(item, dict):
+                yield from _fields(item, f"{path}[{i}]" if isinstance(value, list) else path)
+
+
+def _normalize_jsonl(path: Path, frames_tsv: Path) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(
+            "normalize", "--jsonl", "--frames", frames_tsv,
+            "--out", path.with_suffix(".patterns.tsv"), path,
+        )
+    return code, err.getvalue()
+
+
+def _single_error_message(stderr: str) -> str:
+    (line,) = stderr.splitlines()
+    record = json.loads(line)
+    assert (record["stage"], record["error"]) == ("normalize", "ValueError")
+    return record["message"]
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("text", None, "text: missing"),
+    ("frame", 7, "frame: expected a string, got an integer"),
+], ids=["missing-text", "integer-frame"])
+def test_sentence_jsonl_field_error_names_file_line_and_field(
+    tmp_path, bfn_mini, frames_tsv, field, value, message
+):
+    path = tmp_path / "bfn.sentences.jsonl"
+    assert run_cli("ingest", "--dialect", "bfn", "--out", path, bfn_mini) == 0
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    if value is None:
+        del record[field]
+    else:
+        record[field] = value
+    lines[2] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    code, stderr = _normalize_jsonl(path, frames_tsv)
+    assert code == 1
+    assert _single_error_message(stderr) == f"{path}:3: {message}"
+
+
+@pytest.fixture(scope="module")
+def mini_jsonl_lines(tmp_path_factory, data_dir):
+    """The sentence-JSONL lines of each mini corpus, as ingest writes them."""
+    lines = {}
+    for dialect in ("bfn", "swefn"):
+        path = tmp_path_factory.mktemp("jsonl") / f"{dialect}.sentences.jsonl"
+        assert run_cli(
+            "ingest", "--dialect", dialect, "--out", path, data_dir / f"{dialect}_mini.xml"
+        ) == 0
+        lines[dialect] = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return lines
+
+
+@pytest.mark.parametrize("dialect", ["bfn", "swefn"])
+@settings(max_examples=50)  # each example runs normalize through the CLI
+@given(data=st.data())
+def test_corrupted_sentence_jsonl_field_is_one_error_record(
+    tmp_path_factory, mini_jsonl_lines, frames_tsv, dialect, data
+):
+    # One field of one record is dropped, when it may not be absent, or
+    # given a value of another JSON type. normalize --jsonl then fails with
+    # one error record naming the file, the line and the field.
+    path = tmp_path_factory.getbasetemp() / f"corrupt.{dialect}.sentences.jsonl"
+    lines = list(mini_jsonl_lines[dialect])
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    record = json.loads(lines[i])
+    field, obj, key = data.draw(st.sampled_from(list(_fields(record))), label="field")
+    allowed, optional = _JSONL_FIELDS[key]
+    wrong = [kind for kind in _JSON_VALUES if kind not in allowed]
+    kind = data.draw(st.sampled_from(wrong + ([] if optional else ["absent"])), label="kind")
+    if kind == "absent":
+        del obj[key]
+    else:
+        obj[key] = _JSON_VALUES[kind]
+    lines[i] = json.dumps(record, ensure_ascii=False) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+    code, stderr = _normalize_jsonl(path, frames_tsv)
+    assert code == 1
+    message = _single_error_message(stderr)
+    assert message.startswith(f"{path}:{i + 1}: {field}: ")
+    assert message.endswith("missing" if kind == "absent" else f"got {kind}")
+
+
+def test_commands_leave_no_cached_keys(tmp_path, data_dir):
+    compare = [
+        "compare", "--left", data_dir / "desiring_bfn_valences.tsv",
+        "--right", data_dir / "desiring_swefn_valences.tsv", "--level", "semsyn", "--mode", "fuzzy",
+    ]
+    assert run_cli(*compare, "--out", tmp_path / "shared.tsv") == 0
+    assert _level_tokens.cache_info().currsize == 0
+    # The shared set is built before its write fails, and an earlier
+    # caller's keys are there too: none is left once the command returns.
+    _level_tokens((), MatchLevel.SEMANTIC)
+    assert run_cli(*compare, "--out", tmp_path / "missing" / "shared.tsv") == 1
+    assert _level_tokens.cache_info().currsize == 0

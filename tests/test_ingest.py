@@ -2,10 +2,10 @@ import json
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import load_corpus_generator
@@ -16,9 +16,11 @@ from valgram.ingest import (
     FeSpan,
     TokenSpan,
     WordAnno,
-    _sentence_line,
+    _json_lines,
     parse_corpus,
+    read_sentences_jsonl,
     sentence_from_dict,
+    write_sentences_jsonl,
 )
 
 
@@ -208,7 +210,7 @@ def test_parsing_is_pure(data_dir, dialect):
 def test_jsonl_round_trip(bfn_mini, swefn_mini):
     for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
         for s in parse_corpus(path, dialect):
-            assert sentence_from_dict(json.loads(_sentence_line(s))) == s
+            assert sentence_from_dict(json.loads(next(_json_lines([s])))) == s
 
 
 # The dict form of a record: the JSON-lines encoder must write exactly what
@@ -252,6 +254,8 @@ def sentence_to_dict(s: AnnotatedSentence) -> dict:
     }
 
 
+_DUMPS = {"ensure_ascii": False, "sort_keys": True}
+
 # Characters JSON escapes or that need care: quotes, backslashes, control
 # characters, the JavaScript line separators and non-ASCII text.
 _AWKWARD = '"\\\x00\x01\x08\t\n\x0c\r\x1f\x7f\u2028\u2029åäöß€😀'
@@ -293,7 +297,111 @@ _EVERY_CASE = AnnotatedSentence(
 @example(_EVERY_CASE)
 @example(replace(_EVERY_CASE, dialect=Dialect.BFN_PHRASE))
 def test_sentence_line_matches_json_dumps_of_the_dict_form(s):
-    assert _sentence_line(s) == json.dumps(sentence_to_dict(s), ensure_ascii=False, sort_keys=True)
+    assert list(_json_lines([s])) == [json.dumps(sentence_to_dict(s), **_DUMPS)]
+
+
+@settings(max_examples=40)  # three drawn records cost what 100 single ones do
+@given(st.lists(_SENTENCE, min_size=2, max_size=3))
+def test_writer_matches_json_dumps_on_a_generator_of_fresh_records(tmp_path_factory, sentences):
+    # Each record is built afresh and dropped once it is written, so the
+    # ids of its words and FEs are free to be reused by the next record's.
+    def fresh():
+        for s in sentences:
+            yield sentence_from_dict(sentence_to_dict(s))
+
+    path = tmp_path_factory.getbasetemp() / "fresh.sentences.jsonl"
+    write_sentences_jsonl(fresh(), path)
+    expected = [json.dumps(sentence_to_dict(s), **_DUMPS) for s in sentences]
+    assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in expected)
+
+
+@given(_SENTENCE)
+@example(_EVERY_CASE)
+def test_writer_matches_json_dumps_with_equal_but_distinct_sub_records(tmp_path_factory, s):
+    twin = sentence_from_dict(sentence_to_dict(s))  # equal words and FEs, other objects
+    mixed = replace(s, fe_spans=s.fe_spans + twin.fe_spans, tokens=twin.tokens + s.tokens)
+    sentences = [s, twin, mixed, s]
+    path = tmp_path_factory.getbasetemp() / "twins.sentences.jsonl"
+    write_sentences_jsonl(sentences, path)
+    expected = [json.dumps(sentence_to_dict(s), **_DUMPS) for s in sentences]
+    assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in expected)
+
+
+def _sub_records(sentences):
+    """Every span, word and FE annotation the sentences hold, repeats included."""
+    for s in sentences:
+        yield s.target
+        words = list(s.tokens)
+        for fe in s.fe_spans:
+            yield fe
+            words.extend(fe.words or ())
+            if fe.span is not None:
+                yield fe.span
+        for w in words:
+            yield w
+            if w.span is not None:
+                yield w.span
+
+
+def _read_twice(tmp_path, dialect, via_jsonl):
+    """Two reads of one generated corpus, by its parser or its JSONL reader."""
+    gen = load_corpus_generator()
+    frames = gen.build_frames(20, random.Random(3))
+    build = gen.build_bfn_corpus if dialect is Dialect.BFN_PHRASE else gen.build_swefn_corpus
+    xml = tmp_path / "corpus.xml"
+    xml.write_text(build(300, frames, seed=4), encoding="utf-8")
+    if not via_jsonl:
+        return parse_corpus(xml, dialect), parse_corpus(xml, dialect)
+    jsonl = tmp_path / "corpus.sentences.jsonl"
+    write_sentences_jsonl(parse_corpus(xml, dialect), jsonl)
+    return read_sentences_jsonl(jsonl), read_sentences_jsonl(jsonl)
+
+
+_READS = pytest.mark.parametrize("dialect,via_jsonl", [
+    (Dialect.BFN_PHRASE, False), (Dialect.SWEFN_DEP, False),
+    (Dialect.BFN_PHRASE, True), (Dialect.SWEFN_DEP, True),
+], ids=["bfn-parse", "swefn-parse", "bfn-jsonl", "swefn-jsonl"])
+
+
+@_READS
+def test_equal_sub_records_are_one_object_within_a_read(tmp_path, dialect, via_jsonl):
+    sentences, _ = _read_twice(tmp_path, dialect, via_jsonl)
+    first: dict = {}
+    held = 0
+    for record in _sub_records(sentences):
+        assert first.setdefault(record, record) is record
+        held += 1
+    kinds = {type(r) for r in first}
+    assert kinds == {TokenSpan, WordAnno, FeSpan}
+    for kind in kinds:  # the corpus repeats each kind, so sharing is exercised
+        assert sum(type(r) is kind for r in first) < sum(
+            type(r) is kind for r in _sub_records(sentences)
+        )
+    assert len(first) < held
+
+
+@_READS
+def test_two_reads_share_no_sub_record(tmp_path, dialect, via_jsonl):
+    first, second = _read_twice(tmp_path, dialect, via_jsonl)
+    assert first == second
+    assert {id(r) for r in _sub_records(first)}.isdisjoint(id(r) for r in _sub_records(second))
+
+
+@_READS
+def test_shared_sub_records_stay_frozen(tmp_path, dialect, via_jsonl):
+    sentences, _ = _read_twice(tmp_path, dialect, via_jsonl)
+    seen: set[int] = set()
+    shared = {}
+    for record in _sub_records(sentences):
+        if id(record) in seen:
+            shared.setdefault(type(record), record)
+        seen.add(id(record))
+    assert set(shared) == {TokenSpan, WordAnno, FeSpan}
+    for record, field in (
+        (shared[TokenSpan], "start"), (shared[WordAnno], "surface"), (shared[FeSpan], "fe_name"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_dialect_determines_annotation_fields(bfn_mini, swefn_mini):
