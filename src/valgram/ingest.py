@@ -524,12 +524,34 @@ def _decoded_each(
     return tuple(out)
 
 
+# Spans and words are most of the records a sentence holds, so their field
+# types are tested inline; _Fields.values then runs only for a record that
+# fails the test or lacks a field, to fill defaults or name the bad field.
+_WORD_KEYS = operator.itemgetter("surface", "pos", "ref", "msd", "dephead", "deprel", "span")
+
+
 def _span_from(d: object, table: dict) -> TokenSpan:
-    return _shared(table, TokenSpan, _SPAN_FIELDS.values(d))
+    try:
+        fields = d["start"], d["end"]  # type: ignore[index]
+    except (KeyError, TypeError):
+        fields = None
+    if fields is None or type(fields[0]) is not int or type(fields[1]) is not int:
+        fields = _SPAN_FIELDS.values(d)
+    return _shared(table, TokenSpan, fields)
 
 
 def _word_from(d: object, table: dict) -> WordAnno:
-    fields = _WORD_FIELDS.values(d)
+    try:
+        surface, pos, ref, msd, dephead, deprel, span = fields = _WORD_KEYS(d)
+        exact = (
+            type(surface) is str and type(pos) is str and type(ref) is int
+            and (msd is None or type(msd) is str) and (dephead is None or type(dephead) is int)
+            and type(deprel) is str and (span is None or type(span) is dict)
+        )
+    except (KeyError, TypeError):
+        exact = False
+    if not exact:
+        fields = _WORD_FIELDS.values(d)
     return _shared(table, WordAnno, (*fields[:-1], _decoded("span", _span_from, fields[-1], table)))
 
 
