@@ -267,13 +267,13 @@ def _parse_bfn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence
                 )
             span = _shared(table, TokenSpan, (start, end))
             pt = pt_by_span.get((start, end))
+            gf = gf_by_span.get((start, end))
             if pt is None:
                 # No phrase type at these offsets: the FE is annotated but not
                 # grammatically realized, which is how omitted FEs surface here.
                 fe_spans.append(_shared(table, FeSpan, (fe_name, span, None, None, None, True)))
             else:
-                gf = gf_by_span.get((start, end)) or ""
-                fe_spans.append(_shared(table, FeSpan, (fe_name, span, pt, gf, None, False)))
+                fe_spans.append(_shared(table, FeSpan, (fe_name, span, pt, gf or "", None, False)))
         fe_spans.sort(key=lambda f: (f.span.start, f.span.end) if f.span else (-1, -1))
 
         out.append(AnnotatedSentence(
@@ -435,43 +435,27 @@ def _json_type(value: object) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
-class _Fields:
-    """The JSON fields of one record type in declaration order, each with the
-    JSON types it may hold and its value when absent (_REQUIRED: it may not
-    be absent)."""
-
-    def __init__(self, *fields: tuple[str, tuple[type, ...], object]):
-        self.fields = fields
-        self._get = operator.itemgetter(*(name for name, _, _ in fields))
-        self._types = frozenset(itertools.product(*(types for _, types, _ in fields)))
-
-    def values(self, d: object) -> tuple:
-        """The field values of a JSON object, each checked for its JSON type."""
-        # The writer gives every field: one C-level lookup and type check.
-        try:
-            values = self._get(d)
-        except (KeyError, TypeError):
-            pass
-        else:
-            if tuple(map(type, values)) in self._types:
-                return values
-        # Otherwise field by field: defaults, or the first bad field named.
-        if type(d) is not dict:
-            raise _FieldError("", f"expected an object, got {_json_type(d)}")
-        checked = []
-        for name, types, default in self.fields:
-            value = d.get(name, default)
-            if type(value) not in types:
-                if value is _REQUIRED:
-                    raise _FieldError(name, "missing")
-                expected = " or ".join(_JSON_TYPES[t] for t in types)
-                raise _FieldError(name, f"expected {expected}, got {_json_type(value)}")
-            checked.append(value)
-        return tuple(checked)
+def _values(d: object, fields: tuple) -> tuple:
+    """The values of a JSON object's fields, in the order of ``fields``: each
+    is checked for its JSON type, and an absent one takes its default."""
+    if type(d) is not dict:
+        raise _FieldError("", f"expected an object, got {_json_type(d)}")
+    values = []
+    for name, types, default in fields:
+        value = d.get(name, default)
+        if type(value) not in types:
+            if value is _REQUIRED:
+                raise _FieldError(name, "missing")
+            expected = " or ".join(_JSON_TYPES[t] for t in types)
+            raise _FieldError(name, f"expected {expected}, got {_json_type(value)}")
+        values.append(value)
+    return tuple(values)
 
 
-_SPAN_FIELDS = _Fields(("start", (int,), _REQUIRED), ("end", (int,), _REQUIRED))
-_WORD_FIELDS = _Fields(
+# The fields of each record type in declaration order, each with the JSON
+# types it may hold and its value when absent (_REQUIRED: it may not be).
+_SPAN_FIELDS = (("start", (int,), _REQUIRED), ("end", (int,), _REQUIRED))
+_WORD_FIELDS = (
     ("surface", (str,), _REQUIRED),
     ("pos", (str,), _REQUIRED),
     ("ref", (int,), _REQUIRED),
@@ -480,7 +464,7 @@ _WORD_FIELDS = _Fields(
     ("deprel", (str,), ""),
     ("span", (dict, _NULL), None),
 )
-_FE_FIELDS = _Fields(
+_FE_FIELDS = (
     ("fe_name", (str,), _REQUIRED),
     ("span", (dict, _NULL), None),
     ("phrase_type", (str, _NULL), None),
@@ -488,7 +472,7 @@ _FE_FIELDS = _Fields(
     ("words", (list, _NULL), None),
     ("null_instantiated", (bool,), False),
 )
-_SENTENCE_FIELDS = _Fields(
+_SENTENCE_FIELDS = (
     ("sentence_id", (str,), _REQUIRED),
     ("text", (str,), _REQUIRED),
     ("frame", (str,), _REQUIRED),
@@ -525,8 +509,8 @@ def _decoded_each(
 
 
 # Spans and words are most of the records a sentence holds, so their field
-# types are tested inline; _Fields.values then runs only for a record that
-# fails the test or lacks a field, to fill defaults or name the bad field.
+# types are tested inline; _values then runs only for a record that fails
+# the test or lacks a field, to fill defaults or name the bad field.
 _WORD_KEYS = operator.itemgetter("surface", "pos", "ref", "msd", "dephead", "deprel", "span")
 
 
@@ -536,7 +520,7 @@ def _span_from(d: object, table: dict) -> TokenSpan:
     except (KeyError, TypeError):
         fields = None
     if fields is None or type(fields[0]) is not int or type(fields[1]) is not int:
-        fields = _SPAN_FIELDS.values(d)
+        fields = _values(d, _SPAN_FIELDS)
     return _shared(table, TokenSpan, fields)
 
 
@@ -551,12 +535,12 @@ def _word_from(d: object, table: dict) -> WordAnno:
     except (KeyError, TypeError):
         exact = False
     if not exact:
-        fields = _WORD_FIELDS.values(d)
+        fields = _values(d, _WORD_FIELDS)
     return _shared(table, WordAnno, (*fields[:-1], _decoded("span", _span_from, fields[-1], table)))
 
 
 def _fe_from(d: object, table: dict) -> FeSpan:
-    name, span, pt, gf, words, null_instantiated = _FE_FIELDS.values(d)
+    name, span, pt, gf, words, null_instantiated = _values(d, _FE_FIELDS)
     return _shared(table, FeSpan, (
         name, _decoded("span", _span_from, span, table), pt, gf,
         None if words is None else _decoded_each("words", _word_from, words, table),
@@ -565,7 +549,7 @@ def _fe_from(d: object, table: dict) -> FeSpan:
 
 
 def _sentence_from(d: object, table: dict) -> AnnotatedSentence:
-    sid, text, frame, target, lu_ref, fe_spans, dialect, tokens = _SENTENCE_FIELDS.values(d)
+    sid, text, frame, target, lu_ref, fe_spans, dialect, tokens = _values(d, _SENTENCE_FIELDS)
     try:
         dialect = Dialect(dialect)
     except ValueError:
