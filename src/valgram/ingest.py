@@ -13,7 +13,6 @@ import io
 import itertools
 import json
 import logging
-import operator
 import re
 import sys
 import xml.etree.ElementTree as ET
@@ -155,6 +154,29 @@ def _shared(table: dict, record_type: type, fields: tuple):
     return record
 
 
+# The builders of the shared records: call sites name the fields they set,
+# and the others take the dataclass defaults.
+def _span(table: dict, start: int, end: int) -> TokenSpan:
+    return _shared(table, TokenSpan, (start, end))
+
+
+def _word(
+    table: dict, surface: str, pos: str, ref: int, msd: str | None = None,
+    dephead: int | None = None, deprel: str = "", span: TokenSpan | None = None,
+) -> WordAnno:
+    return _shared(table, WordAnno, (surface, pos, ref, msd, dephead, deprel, span))
+
+
+def _fe(
+    table: dict, fe_name: str, span: TokenSpan | None = None, phrase_type: str | None = None,
+    gram_function: str | None = None, words: tuple[WordAnno, ...] | None = None,
+    null_instantiated: bool = False,
+) -> FeSpan:
+    return _shared(
+        table, FeSpan, (fe_name, span, phrase_type, gram_function, words, null_instantiated)
+    )
+
+
 def _int(value: str, sid: str, what: str) -> int:
     try:
         return int(value)
@@ -207,10 +229,10 @@ def _parse_bfn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence
             if name in BFN_POS_LAYERS:
                 for pos, start, end in _bfn_labels(layer, sid):
                     if start is not None:
-                        span = _shared(table, TokenSpan, (start, end))
-                        tokens.append(_shared(table, WordAnno, (
-                            text[start:end + 1], pos, len(tokens) + 1, None, None, "", span,
-                        )))
+                        tokens.append(_word(
+                            table, text[start:end + 1], pos, len(tokens) + 1,
+                            span=_span(table, start, end),
+                        ))
         if "Target" in layers:
             annotation_sets.append((aset, layers))
     tokens.sort(key=lambda t: t.span.start)  # type: ignore[union-attr]
@@ -228,9 +250,9 @@ def _parse_bfn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence
         target_offsets = [(start, end) for _, start, end in target_labels if start is not None]
         if not target_offsets:
             raise _RecordError(f"sentence {sid!r}: target labels carry no offsets")
-        target = _shared(table, TokenSpan, (
-            min(o[0] for o in target_offsets), max(o[1] for o in target_offsets),
-        ))
+        target = _span(
+            table, min(o[0] for o in target_offsets), max(o[1] for o in target_offsets)
+        )
 
         lu_name = aset.get("luName")
         lu_id = aset.get("luID")
@@ -258,22 +280,22 @@ def _parse_bfn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence
         fe_spans: list[FeSpan] = []
         for fe_name, start, end in _bfn_labels(fe_layer, sid) if fe_layer is not None else []:
             if start is None:
-                fe_spans.append(_shared(table, FeSpan, (fe_name, None, None, None, None, True)))
+                fe_spans.append(_fe(table, fe_name, null_instantiated=True))
                 continue
             if not (0 <= start <= end < len(text)):
                 raise _RecordError(
                     f"sentence {sid!r}: FE {fe_name!r} offsets {start}..{end} "
                     f"overlap no text (length {len(text)})"
                 )
-            span = _shared(table, TokenSpan, (start, end))
+            span = _span(table, start, end)
             pt = pt_by_span.get((start, end))
             gf = gf_by_span.get((start, end))
             if pt is None:
                 # No phrase type at these offsets: the FE is annotated but not
                 # grammatically realized, which is how omitted FEs surface here.
-                fe_spans.append(_shared(table, FeSpan, (fe_name, span, None, None, None, True)))
+                fe_spans.append(_fe(table, fe_name, span, null_instantiated=True))
             else:
-                fe_spans.append(_shared(table, FeSpan, (fe_name, span, pt, gf or "", None, False)))
+                fe_spans.append(_fe(table, fe_name, span, pt, gf or ""))
         fe_spans.sort(key=lambda f: (f.span.start, f.span.end) if f.span else (-1, -1))
 
         out.append(AnnotatedSentence(
@@ -305,10 +327,10 @@ def _swefn_word(
     pos = sys.intern(el.get("pos") or (msd.split(".")[0] if msd else ""))
     dephead_attr = el.get("dephead")
     dephead = _int(dephead_attr, sid, "word dephead") if dephead_attr else None
-    span = _shared(table, TokenSpan, (offset, offset + len(surface) - 1))
-    return _shared(table, WordAnno, (
-        surface, pos, ref, msd and sys.intern(msd), dephead, sys.intern(el.get("deprel", "")), span,
-    ))
+    return _word(
+        table, surface, pos, ref, msd and sys.intern(msd), dephead,
+        sys.intern(el.get("deprel", "")), _span(table, offset, offset + len(surface) - 1),
+    )
 
 
 def _parse_swefn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence]:
@@ -341,21 +363,19 @@ def _parse_swefn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSenten
     lu_words = [w for name, words in elements if name == "LU" for w in words]
     if not lu_words:
         raise _RecordError(f"sentence {sid!r} has no LU element")
-    target = _shared(table, TokenSpan, (
+    target = _span(
+        table,
         min(w.span.start for w in lu_words),  # type: ignore[union-attr]
         max(w.span.end for w in lu_words),  # type: ignore[union-attr]
-    ))
+    )
     lu_ref = sent.get("lu") or f"{lu_words[0].surface.lower()}.{frame}"
 
     fe_spans = tuple(
-        _shared(table, FeSpan, (
-            name,
-            _shared(
-                table, TokenSpan,
-                (words[0].span.start, words[-1].span.end),  # type: ignore[union-attr]
-            ),
-            None, None, tuple(words), False,
-        ))
+        _fe(
+            table, name,
+            _span(table, words[0].span.start, words[-1].span.end),  # type: ignore[union-attr]
+            words=tuple(words),
+        )
         for name, words in elements
         if name != "LU" and words
     )
@@ -508,44 +528,22 @@ def _decoded_each(
     return tuple(out)
 
 
-# Spans and words are most of the records a sentence holds, so their field
-# types are tested inline; _values then runs only for a record that fails
-# the test or lacks a field, to fill defaults or name the bad field.
-_WORD_KEYS = operator.itemgetter("surface", "pos", "ref", "msd", "dephead", "deprel", "span")
-
-
 def _span_from(d: object, table: dict) -> TokenSpan:
-    try:
-        fields = d["start"], d["end"]  # type: ignore[index]
-    except (KeyError, TypeError):
-        fields = None
-    if fields is None or type(fields[0]) is not int or type(fields[1]) is not int:
-        fields = _values(d, _SPAN_FIELDS)
-    return _shared(table, TokenSpan, fields)
+    return _span(table, *_values(d, _SPAN_FIELDS))
 
 
 def _word_from(d: object, table: dict) -> WordAnno:
-    try:
-        surface, pos, ref, msd, dephead, deprel, span = fields = _WORD_KEYS(d)
-        exact = (
-            type(surface) is str and type(pos) is str and type(ref) is int
-            and (msd is None or type(msd) is str) and (dephead is None or type(dephead) is int)
-            and type(deprel) is str and (span is None or type(span) is dict)
-        )
-    except (KeyError, TypeError):
-        exact = False
-    if not exact:
-        fields = _values(d, _WORD_FIELDS)
-    return _shared(table, WordAnno, (*fields[:-1], _decoded("span", _span_from, fields[-1], table)))
+    *fields, span = _values(d, _WORD_FIELDS)
+    return _word(table, *fields, _decoded("span", _span_from, span, table))
 
 
 def _fe_from(d: object, table: dict) -> FeSpan:
     name, span, pt, gf, words, null_instantiated = _values(d, _FE_FIELDS)
-    return _shared(table, FeSpan, (
-        name, _decoded("span", _span_from, span, table), pt, gf,
+    return _fe(
+        table, name, _decoded("span", _span_from, span, table), pt, gf,
         None if words is None else _decoded_each("words", _word_from, words, table),
         null_instantiated,
-    ))
+    )
 
 
 def _sentence_from(d: object, table: dict) -> AnnotatedSentence:
@@ -603,6 +601,9 @@ def _json_lines(sentences: Iterable[AnnotatedSentence]) -> Iterator[str]:
     Each word and FE object is encoded once per call. The memo is keyed by
     ``id()`` and holds the object, so no id is reused while the call runs,
     even when ``sentences`` is a generator whose records could be freed.
+    So the memo keeps every distinct word and FE object written, with its
+    text, until the call ends: memory grows with the distinct sub-records
+    written, which for a generator of unshared records is the whole input.
     """
     memo: dict[int, tuple[object, str]] = {}
 

@@ -2,13 +2,14 @@ import json
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import load_corpus_generator
+from valgram import ingest
 from valgram.ingest import (
     AnnotatedSentence,
     CorpusParseError,
@@ -402,6 +403,20 @@ def test_shared_sub_records_stay_frozen(tmp_path, dialect, via_jsonl):
     ):
         with pytest.raises(FrozenInstanceError):
             setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize("record_type,build,required,table", [
+    (TokenSpan, ingest._span, (0, 1), ingest._SPAN_FIELDS),
+    (WordAnno, ingest._word, ("dog", "NN", 1), ingest._WORD_FIELDS),
+    (FeSpan, ingest._fe, ("Agent",), ingest._FE_FIELDS),
+], ids=["span", "word", "fe"])
+def test_builders_and_reader_fields_follow_the_record_type(record_type, build, required, table):
+    # The builder's defaults are the dataclass's, and the reader's field
+    # table lists the dataclass's fields in order with the same defaults.
+    assert build({}, *required) == record_type(*required)
+    declared = [(f.name, ingest._REQUIRED if f.default is MISSING else f.default)
+                for f in fields(record_type)]
+    assert [(name, default) for name, _, default in table] == declared
 
 
 def test_dialect_determines_annotation_fields(bfn_mini, swefn_mini):
