@@ -143,28 +143,29 @@ class _RecordError(ValueError):
     """Sentence-level problem: the record is skipped and logged."""
 
 
-def _shared(table: dict, record_type: type, fields: tuple):
-    """``record_type(*fields)``, the fields in declaration order: built on
-    the first request and looked up in ``table`` after it, so equal records
-    are one object. ``table`` lives for one read, never longer."""
-    key = (record_type, fields)
+# The builders of the shared records. Call sites name the fields they set,
+# and the others take the dataclass defaults. Each record is built on the
+# first request and looked up in ``table`` after it, so equal records are
+# one object; ``table`` lives for one read, never longer. A nested span or
+# word is keyed by its id, not hashed again: the record stored under the
+# key holds it, so the id is not reused while the table lives.
+def _span(table: dict, start: int, end: int) -> TokenSpan:
+    key = (TokenSpan, start, end)
     record = table.get(key)
     if record is None:
-        record = table[key] = record_type(*fields)
+        record = table[key] = TokenSpan(start, end)
     return record
-
-
-# The builders of the shared records: call sites name the fields they set,
-# and the others take the dataclass defaults.
-def _span(table: dict, start: int, end: int) -> TokenSpan:
-    return _shared(table, TokenSpan, (start, end))
 
 
 def _word(
     table: dict, surface: str, pos: str, ref: int, msd: str | None = None,
     dephead: int | None = None, deprel: str = "", span: TokenSpan | None = None,
 ) -> WordAnno:
-    return _shared(table, WordAnno, (surface, pos, ref, msd, dephead, deprel, span))
+    key = (WordAnno, surface, pos, ref, msd, dephead, deprel, id(span))
+    record = table.get(key)
+    if record is None:
+        record = table[key] = WordAnno(surface, pos, ref, msd, dephead, deprel, span)
+    return record
 
 
 def _fe(
@@ -172,9 +173,16 @@ def _fe(
     gram_function: str | None = None, words: tuple[WordAnno, ...] | None = None,
     null_instantiated: bool = False,
 ) -> FeSpan:
-    return _shared(
-        table, FeSpan, (fe_name, span, phrase_type, gram_function, words, null_instantiated)
+    key = (
+        FeSpan, fe_name, id(span), phrase_type, gram_function,
+        words if words is None else tuple(map(id, words)), null_instantiated,
     )
+    record = table.get(key)
+    if record is None:
+        record = table[key] = FeSpan(
+            fe_name, span, phrase_type, gram_function, words, null_instantiated
+        )
+    return record
 
 
 def _int(value: str, sid: str, what: str) -> int:
