@@ -10,6 +10,7 @@ are removed, and whether once-used valence patterns are dropped.
 from __future__ import annotations
 
 import csv
+import functools
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
@@ -447,13 +448,16 @@ def write_valences_tsv(valences: Sequence[ValencePattern], path: Path) -> None:
 
 
 def read_valences_tsv(path: Path) -> list[ValencePattern]:
+    """The patterns of a valence patterns TSV. Each distinct voice and FE
+    token is decoded once per call, so equal tokens within the file are one
+    key; two calls share none."""
+    key = functools.cache(parse_fe_key)
+
+    def fes(tokens_field: str) -> tuple[FeKey, ...]:
+        return tuple(sorted(key(token) for token in tokens_field.split(",") if token))
+
+    columns = {"frame": None, "voice": functools.cache(Voice), "fes": fes, "count": int}
     return [
-        ValencePattern(
-            frame=frame,
-            voice=Voice(voice),
-            fes=tuple(sorted(parse_fe_key(token) for token in tokens_field.split(",") if token)),
-            count=int(count),
-            sentence_variants={},
-        )
-        for frame, voice, tokens_field, count in read_tsv_rows(path, 4)
+        ValencePattern(frame=frame, voice=voice, fes=keys, count=count, sentence_variants={})
+        for frame, voice, keys, count in read_tsv_rows(path, columns)
     ]

@@ -17,10 +17,11 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .aggregate import ValencePattern
-from .normalize import FeKey, fe_key_token, parse_fe_key
+from .ingest import _JSON_TYPES, _json_type
+from .normalize import FeKey, fe_key_token, parse_fe_key, read_tsv_rows
 
 
 class MatchLevel(str, Enum):
@@ -400,38 +401,70 @@ def write_shared_tsv(shared: SharedPatternSet, path: Path) -> None:
 _SHARED_HEADER_RE = re.compile(r"# level=(sem|semsyn) mode=(exact|fuzzy)")
 
 
+def _expect(value: object, kind: type, where: str) -> Any:
+    """``value`` if its JSON type is ``kind``; else a ValueError that names
+    ``where`` in the provenance column it is."""
+    if type(value) is not kind:
+        prefix = f"{where}: " if where else ""
+        raise ValueError(f"{prefix}expected {_JSON_TYPES[kind]}, got {_json_type(value)}")
+    return value
+
+
+def _strings(value: object, where: str) -> list[str]:
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise ValueError(f"{where}: expected an array of strings")
+    return value
+
+
+def _shared_meta(
+    meta_field: str, key: Callable[[str], FeKey]
+) -> tuple[dict[str, list[str]], dict[str, list[tuple[tuple[FeKey, ...], int]]]]:
+    """The subsuming patterns and the syntactic variants in the JSON
+    provenance column of a shared-set row, each checked for its JSON type.
+    Sides and counts derive from the variants, so the ``sides`` key is not
+    read back."""
+    meta = _expect(json.loads(meta_field), dict, "")
+    subsumed_by = _expect(meta.get("subsumed_by", {}), dict, "subsumed_by")
+    for side, fes in subsumed_by.items():
+        _strings(fes, f"subsumed_by.{side}")
+    syn = {}
+    for side, variants in _expect(meta.get("syn", {}), dict, "syn").items():
+        decoded = syn[side] = []
+        for i, variant in enumerate(_expect(variants, list, f"syn.{side}")):
+            where = f"syn.{side}[{i}]"
+            if type(variant) is not list or len(variant) != 2:
+                raise ValueError(f"{where}: expected a [tokens, count] pair")
+            fes = tuple(sorted(map(key, _strings(variant[0], f"{where}[0]"))))
+            decoded.append((fes, _expect(variant[1], int, f"{where}[1]")))
+    return subsumed_by, syn
+
+
 def read_shared_tsv(path: Path) -> SharedPatternSet:
     """A shared set written by :func:`write_shared_tsv`; its first line must
-    name the level and mode."""
-    patterns: list[SharedPattern] = []
+    name the level and mode. Each distinct variant token is decoded once per
+    call, so equal tokens within the file are one key; two calls share none."""
     with path.open("r", encoding="utf-8") as f:
         header = _SHARED_HEADER_RE.fullmatch(f.readline().rstrip("\n"))
-        if header is None:
-            raise ValueError(f"{path}:1: expected a header like '# level=semsyn mode=fuzzy'")
-        level, mode = MatchLevel(header[1]), MatchMode(header[2])
-        for lineno, raw in enumerate(f, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            frame, voice, fes_field, _count, meta_field = parts
-            meta = json.loads(meta_field)
-            # Sides and counts derive from the variants, so the "sides" key
-            # and the count column are not read back.
-            patterns.append(SharedPattern(
-                frame=frame,
-                voice=None if voice == "-" else voice,
-                fes=frozenset(t for t in fes_field.split(",") if t),
-                subsumed_by=meta.get("subsumed_by", {}),
-                syn_variants={
-                    side: [
-                        (tuple(sorted(map(parse_fe_key, tokens))), int(n)) for tokens, n in variants
-                    ]
-                    for side, variants in meta.get("syn", {}).items()
-                },
-            ))
+    if header is None:
+        raise ValueError(f"{path}:1: expected a header like '# level=semsyn mode=fuzzy'")
+    level, mode = MatchLevel(header[1]), MatchMode(header[2])
+    key = functools.cache(parse_fe_key)
+    columns = {
+        "frame": None, "voice": None, "fes": None, "count": None,
+        "meta": lambda meta_field: _shared_meta(meta_field, key),
+    }
+    # The count column derives from the variants, so it is not read back.
+    patterns = [
+        SharedPattern(
+            frame=frame,
+            voice=None if voice == "-" else voice,
+            fes=frozenset(t for t in fes_field.split(",") if t),
+            subsumed_by=subsumed_by,
+            syn_variants=syn_variants,
+        )
+        for frame, voice, fes_field, _count, (subsumed_by, syn_variants)
+        in read_tsv_rows(path, columns)
+    ]
     return SharedPatternSet(
         level=level,
         mode=mode,

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .frames import Coreness, FrameIndex
 from .ingest import AnnotatedSentence, Dialect, FeSpan, WordAnno
@@ -101,15 +101,18 @@ def _decode_fe_token(token: str, reading: str) -> tuple[FeKey, str | None]:
     syntactic function and no preposition.
     """
     m = _FE_TOKEN_RE.match(token)
+    reason = ""
     if m is not None:
         opt, fe, ty, syn, prep = m.group("opt", "fe", "ty", "syn", "prep")
         if reading == "key":
             if prep is not None:
                 ty, syn, prep = token[m.start("ty"):], None, None
             return (fe, ty, syn or "", bool(opt)), prep
-        if ty in _RGL_TYPES and (reading == "pattern" or not syn and prep is None):
+        if ty not in _RGL_TYPES:
+            reason = f": type {ty!r} is corpus-native, and a {reading} needs interlingual types"
+        elif reading == "pattern" or not syn and prep is None:
             return (fe, ty, syn or "", bool(opt)), prep
-    raise ValueError(f"cannot parse FE token {token!r} as a {reading}")
+    raise ValueError(f"cannot parse FE token {token!r} as a {reading}{reason}")
 
 
 def parse_fe_key(token: str) -> FeKey:
@@ -671,9 +674,16 @@ def write_patterns_tsv(
             f.write(f"{p.frame}\t{p.voice.value}\t{fes}\t{p.lu_ref}\t{p.sentence_id}\n")
 
 
-def read_tsv_rows(path: Path, n_fields: int) -> Iterator[list[str]]:
-    """Fields of each line of a TSV artifact; blank and ``#`` lines are
-    skipped, and a line with another field count is a ValueError."""
+def read_tsv_rows(
+    path: Path, columns: dict[str, Callable[[str], object] | None]
+) -> Iterator[list]:
+    """Fields of each line of a TSV artifact, one per column of ``columns``,
+    each decoded by its column's decoder (None keeps the text). Blank and
+    ``#`` lines are skipped. A line with another field count is a ValueError
+    that starts ``<path>:<line>:``, and a decoder's ValueError is re-raised as
+    ``<path>:<line>: <column>: <reason>``."""
+    n_fields = len(columns)
+    decoders = [(i, name, decode) for i, (name, decode) in enumerate(columns.items()) if decode]
     with path.open("r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
@@ -682,19 +692,34 @@ def read_tsv_rows(path: Path, n_fields: int) -> Iterator[list[str]]:
             parts = line.split("\t")
             if len(parts) != n_fields:
                 raise ValueError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            for i, name, decode in decoders:
+                try:
+                    parts[i] = decode(parts[i])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {name}: {exc}") from None
             yield parts
 
 
 def read_patterns_tsv(path: Path) -> list[SentencePattern]:
+    """The patterns of a sentence patterns TSV. Each distinct voice, FE token
+    and FE field is decoded once per call, so equal tokens within the file are
+    one frozen realization, and equal fields one tuple; two calls share
+    none."""
+    realization = functools.cache(parse_fe_token)
+
+    @functools.cache
+    def realizations(fes_field: str) -> tuple[FeRealization, ...]:
+        return tuple(map(realization, fes_field.split()))
+
+    columns = {
+        "frame": None, "voice": functools.cache(Voice), "fes": realizations,
+        "lu_ref": None, "sentence_id": None,
+    }
     return [
         SentencePattern(
-            frame=frame,
-            voice=Voice(voice),
-            realizations=tuple(parse_fe_token(tok) for tok in fes_field.split() if tok),
-            lu_ref=lu_ref,
-            sentence_id=sentence_id,
+            frame=frame, voice=voice, realizations=reals, lu_ref=lu_ref, sentence_id=sentence_id,
         )
-        for frame, voice, fes_field, lu_ref, sentence_id in read_tsv_rows(path, 5)
+        for frame, voice, reals, lu_ref, sentence_id in read_tsv_rows(path, columns)
     ]
 
 

@@ -405,10 +405,10 @@ def _normalize_jsonl(path: Path, frames_tsv: Path) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def _single_error_message(stderr: str) -> str:
+def _single_error_message(stderr: str, stage: str = "normalize") -> str:
     (line,) = stderr.splitlines()
     record = json.loads(line)
-    assert (record["stage"], record["error"]) == ("normalize", "ValueError")
+    assert (record["stage"], record["error"]) == (stage, "ValueError")
     return record["message"]
 
 
@@ -490,3 +490,160 @@ def test_commands_leave_no_cached_keys(tmp_path, data_dir):
     _level_tokens((), MatchLevel.SEMANTIC)
     assert run_cli(*compare, "--out", tmp_path / "missing" / "shared.tsv") == 1
     assert _level_tokens.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# TSV reads through the consuming subcommands
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def mini_run(tmp_path_factory, bfn_mini, swefn_mini, frames_tsv):
+    """The ``run`` tree of the mini corpora at a settings id, made once per id."""
+    trees = {}
+
+    def tree(sid: str) -> Path:
+        if sid not in trees:
+            out = tmp_path_factory.mktemp(f"run-{sid}")
+            assert run_cli(
+                "run", "--left", bfn_mini, "--left-dialect", "bfn",
+                "--right", swefn_mini, "--right-dialect", "swefn",
+                "--frames", frames_tsv, "--settings", sid, "--out-dir", out,
+            ) == 0
+            trees[sid] = out
+        return trees[sid]
+
+    return tree
+
+
+def _evaluate(shared: Path, examples: Path, side: str, out: Path) -> list:
+    return ["evaluate", "--final", shared, "--examples", examples, "--side", side, "--out", out]
+
+
+def _generate(shared: Path, left: Path, right: Path, out_dir: Path) -> list:
+    return ["generate", "--shared", shared, "--lu-left", left, "--lu-right", right,
+            "--out-dir", out_dir]
+
+
+def _consumer_argv(command: str, inputs: dict[str, Path], out: Path) -> list:
+    """``command`` on the artifacts of a run tree, by their names in it."""
+    if command == "evaluate":
+        return _evaluate(inputs["shared/semsyn-fuzzy.tsv"], inputs["bfn.patterns.tsv"], "bfn", out)
+    if command == "generate":
+        return _generate(
+            inputs["shared/semsyn-fuzzy.tsv"], inputs["bfn.filtered-patterns.tsv"],
+            inputs["swefn.filtered-patterns.tsv"], out,
+        )
+    return ["compare", "--left", inputs["bfn.valences.tsv"], "--right", inputs["swefn.valences.tsv"],
+            "--level", "semsyn", "--mode", "fuzzy", "--out", out]
+
+
+def _command_error(argv: list) -> str:
+    """The message of the one error record that ``argv`` exits 1 with."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli(*argv) == 1
+    return _single_error_message(err.getvalue(), argv[0])
+
+
+# (consuming command, artifact, line (-1: the last), column, new field, the
+# message after "<path>:<line>: "). Each bad value follows good rows, so a
+# decode cached from an earlier row cannot hide it.
+_TSV_CORRUPTIONS = {
+    "voice": ("evaluate", "bfn.patterns.tsv", -1, 1, "Actv",
+              "voice: 'Actv' is not a valid Voice"),
+    "pattern-token": ("evaluate", "bfn.patterns.tsv", -1, 2, "Experiencer_NP.Subj Bogus",
+                      "fes: cannot parse FE token 'Bogus' as a pattern"),
+    "filtered-token": ("generate", "swefn.filtered-patterns.tsv", -1, 2, "Bogus",
+                       "fes: cannot parse FE token 'Bogus' as a pattern"),
+    "valence-token": ("compare", "swefn.valences.tsv", -1, 2, "Experiencer_NP.Subj,Bogus",
+                      "fes: cannot parse FE token 'Bogus' as a key"),
+    "count": ("compare", "bfn.valences.tsv", -1, 3, "x",
+              "count: invalid literal for int() with base 10: 'x'"),
+    "meta-json": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 4, "{oops",
+                  "meta: Expecting property name enclosed in double quotes"),
+    "meta-array": ("generate", "shared/semsyn-fuzzy.tsv", -1, 4, "[1]",
+                   "meta: expected an object, got an array"),
+    "meta-count": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 4,
+                   '{"syn": {"left": [[["Event_VP"], "3"]]}}',
+                   "meta: syn.left[0][1]: expected an integer, got a string"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TSV_CORRUPTIONS))
+def test_tsv_field_error_names_file_line_and_field(tmp_path, mini_run, case):
+    command, name, line, column, value, message = _TSV_CORRUPTIONS[case]
+    run = mini_run("2.B")
+    lines = (run / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    line = line % len(lines) + 1
+    assert line > 2  # an earlier data row holds a good value of the field
+    fields = lines[line - 1].rstrip("\n").split("\t")
+    fields[column] = value
+    lines[line - 1] = "\t".join(fields) + "\n"
+    bad = tmp_path / name.replace("/", "-")
+    bad.write_text("".join(lines), encoding="utf-8")
+    inputs = {n: run / n for n in (
+        "shared/semsyn-fuzzy.tsv", "bfn.patterns.tsv", "bfn.filtered-patterns.tsv",
+        "swefn.filtered-patterns.tsv", "bfn.valences.tsv", "swefn.valences.tsv",
+    )}
+    inputs[name] = bad
+    assert _command_error(_consumer_argv(command, inputs, tmp_path / "out")).startswith(
+        f"{bad}:{line}: {message}"
+    )
+
+
+def test_generate_on_native_filtered_patterns_names_the_limit(tmp_path, mini_run):
+    # Under 0.0 the filtered patterns keep corpus-native types, and LU arity
+    # needs interlingual ones.
+    run = mini_run("0.0")
+    left = run / "bfn.filtered-patterns.tsv"
+    assert left.read_text(encoding="utf-8").startswith(
+        "Desiring\tAct\tEvent_NP.Obj Experiencer_NP.Ext\t"
+    )
+    argv = _generate(
+        run / "shared" / "semsyn-fuzzy.tsv", left, run / "swefn.filtered-patterns.tsv",
+        tmp_path / "grammar",
+    )
+    assert _command_error(argv) == (
+        f"{left}:1: fes: cannot parse FE token 'Experiencer_NP.Ext' as a pattern: "
+        "type 'NP.Ext' is corpus-native, and a pattern needs interlingual types"
+    )
+
+
+@pytest.mark.parametrize("sid", ALL_SETTINGS_IDS)
+def test_evaluate_reproduces_run_coverage(tmp_path, mini_run, sid):
+    run = mini_run(sid)
+    header, *rows = _csv_rows(run / "coverage.csv")
+    for side in ("bfn", "swefn"):
+        for level in ("sem", "semsyn"):
+            for mode in ("exact", "fuzzy"):
+                out = tmp_path / f"{side}-{level}-{mode}.csv"
+                assert run_cli(*_evaluate(
+                    run / "shared" / f"{level}-{mode}.tsv", run / f"{side}.patterns.tsv",
+                    side, out,
+                )) == 0
+                assert _csv_rows(out) == [header] + [
+                    row for row in rows if row[:3] == [side, level, mode]
+                ]
+
+
+def _grammar_body(path: Path) -> list[str]:
+    """A grammar module's lines without the settings and input header lines,
+    which name the run's settings pair and its inputs."""
+    return [
+        line for line in path.read_text(encoding="utf-8").splitlines()
+        if not line.startswith(("-- settings:", "-- input:"))
+    ]
+
+
+@pytest.mark.parametrize("sid", [sid for sid in ALL_SETTINGS_IDS if sid != "0.0"])
+def test_generate_reproduces_run_grammar(tmp_path, mini_run, sid):
+    run = mini_run(sid)
+    out = tmp_path / "grammar"
+    assert run_cli(*_generate(
+        run / "shared" / "semsyn-fuzzy.tsv", run / "bfn.filtered-patterns.tsv",
+        run / "swefn.filtered-patterns.tsv", out,
+    )) == 0
+    names = sorted(p.name for p in (run / "grammar").iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert _grammar_body(out / name) == _grammar_body(run / "grammar" / name)

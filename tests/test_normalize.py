@@ -1,10 +1,12 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valgram import normalize, pipeline
+from valgram.aggregate import read_valences_tsv
+from valgram.compare import MatchLevel, MatchMode, intersect, read_shared_tsv, write_shared_tsv
 from valgram.frames import Coreness, FrameIndexError, load_frame_index
 from valgram.ingest import Dialect, WordAnno, parse_corpus
 from valgram.normalize import (
@@ -726,3 +728,90 @@ def test_realization_caches_hold_one_entry_per_distinct_annotation(
     assert normalize._realization.cache_info().currsize == len(
         {(r.fe_name, r.coreness, *annotation(r)) for r in all_reals}
     )
+
+
+# ---------------------------------------------------------------------------
+# TSV reads
+# ---------------------------------------------------------------------------
+
+def _decoded_tokens(kind: str, data_dir, tmp_path) -> list:
+    """The decoded FE tokens of one read of a TSV artifact of ``kind``, in
+    file order: realizations of a patterns TSV, keys of the others."""
+    if kind == "patterns":
+        read = read_patterns_tsv(data_dir / "desiring_bfn_patterns.tsv")
+        return [r for p in read for r in p.realizations]
+    if kind == "valences":
+        read = read_valences_tsv(data_dir / "desiring_bfn_valences.tsv")
+        return [key for v in read for key in v.fes]
+    path = tmp_path / "shared.tsv"
+    if not path.exists():
+        left = read_valences_tsv(data_dir / "desiring_bfn_valences_voiced.tsv")
+        right = read_valences_tsv(data_dir / "desiring_swefn_valences_voiced.tsv")
+        write_shared_tsv(
+            intersect(left, right, MatchLevel.SEMANTIC_SYNTACTIC, MatchMode.FUZZY), path
+        )
+    return [
+        key
+        for sp in read_shared_tsv(path).patterns
+        for variants in sp.syn_variants.values()
+        for fes, _ in variants
+        for key in fes
+    ]
+
+
+_TSV_KINDS = pytest.mark.parametrize("kind", ["patterns", "valences", "shared"])
+
+
+@_TSV_KINDS
+def test_equal_tokens_are_one_object_within_a_read(kind, data_dir, tmp_path):
+    decoded = _decoded_tokens(kind, data_dir, tmp_path)
+    first: dict = {}
+    for obj in decoded:
+        assert first.setdefault(obj, obj) is obj
+    assert len(first) < len(decoded)  # the file repeats tokens, so sharing is exercised
+
+
+@_TSV_KINDS
+def test_two_tsv_reads_share_no_decoded_token(kind, data_dir, tmp_path):
+    first = _decoded_tokens(kind, data_dir, tmp_path)
+    second = _decoded_tokens(kind, data_dir, tmp_path)
+    assert first == second
+    assert {id(obj) for obj in first}.isdisjoint(id(obj) for obj in second)
+
+
+def test_shared_realizations_of_a_read_stay_frozen(data_dir, tmp_path):
+    decoded = _decoded_tokens("patterns", data_dir, tmp_path)
+    shared = next(r for i, r in enumerate(decoded) if any(r is s for s in decoded[:i]))
+    with pytest.raises(FrozenInstanceError):
+        shared.fe_name = "Other"
+    assert all(r.fe_name != "Other" for r in decoded)
+
+
+_pattern_token_st = st.builds(
+    lambda fe, rgl, syn, prep, noncore: FeRealization(
+        fe, "", rgl, SynFunction(syn) if syn else SynFunction.NONE, prep,
+        coreness=Coreness.NONCORE if noncore else Coreness.CORE,
+    ).rgl_token(),
+    codec_fe_st, st.sampled_from(list(RglType)), syn_st,
+    st.one_of(st.none(), st.sampled_from(["for", "by", "på"])), st.booleans(),
+)
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_patterns_tsv_read_equals_a_per_token_decode(tmp_path_factory, data):
+    # A few tokens repeated over the rows, so most decodes are cache hits.
+    pool = data.draw(st.lists(_pattern_token_st, min_size=1, max_size=6), label="tokens")
+    rows = data.draw(st.lists(st.tuples(
+        st.sampled_from(["Desiring", "Motion"]), st.sampled_from(["Act", "Pass"]),
+        st.lists(st.sampled_from(pool), max_size=4),
+    ), min_size=1, max_size=12), label="rows")
+    path = tmp_path_factory.getbasetemp() / "property.patterns.tsv"
+    path.write_text("".join(
+        f"{frame}\t{voice}\t{' '.join(tokens)}\tlu.v\ts{i}\n"
+        for i, (frame, voice, tokens) in enumerate(rows)
+    ), encoding="utf-8")
+    assert read_patterns_tsv(path) == [
+        SentencePattern(frame, Voice(voice), tuple(parse_fe_token(t) for t in tokens), "lu.v", f"s{i}")
+        for i, (frame, voice, tokens) in enumerate(rows)
+    ]
