@@ -46,31 +46,12 @@ class MatchMode(str, Enum):
     FUZZY = "fuzzy"
 
 
-# (frame, voice or None, FE tokens at the level's granularity)
-PatternKey = tuple[str, str | None, frozenset[str]]
-
-
 # One token set per distinct FE-key set and level: a sweep's valences repeat
-# a few thousand key sets, and intersect keys each valence once per shared set.
+# a few thousand key sets, and intersect projects each valence once per
+# shared set.
 @functools.cache
 def _level_tokens(fes: tuple[FeKey, ...], level: MatchLevel) -> frozenset[str]:
     return level.tokens(fes)
-
-
-def pattern_key(vp: ValencePattern, level: MatchLevel) -> PatternKey:
-    # ``_value_`` skips the ``value`` property's descriptor call.
-    voice = None if level is _SEMANTIC else vp.voice._value_
-    return (vp.frame, voice, _level_tokens(vp.fes, level))
-
-
-def subsumes_key(a: PatternKey, b: PatternKey) -> bool:
-    return a[0] == b[0] and a[1] == b[1] and b[2] <= a[2]
-
-
-def subsumes(a: ValencePattern, b: ValencePattern, level: MatchLevel) -> bool:
-    """True iff the patterns share a frame (and voice, when syntactic types
-    are compared) and b's FE set is a subset of a's at the level's key."""
-    return subsumes_key(pattern_key(a, level), pattern_key(b, level))
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +156,12 @@ class SharedPatternSet:
 
 # A key's variants: [(full FE keys with syntactic functions, count), ...]
 _Variants = list[tuple[tuple[FeKey, ...], int]]
-# Keys can subsume each other only within one (frame, voice) group.
+# Keys can subsume each other only within one (frame, voice) group; the voice
+# is None at the semantic level.
 _Group = tuple[str, str | None]
-# A side's keys by group, then FE set, each with its valence, or the list of
-# its valences once a second one has the key. Most keys have one valence, and
-# a list for each would be the projection's largest allocation.
+# A side's keys by group, then FE set at the level, each with its valence, or
+# the list of its valences once a second one has the key. Most keys have one
+# valence, and a list for each would be the projection's largest allocation.
 _Projection = dict[_Group, dict[frozenset[str], ValencePattern | list[ValencePattern]]]
 
 
@@ -188,12 +170,16 @@ def _project(
 ) -> _Projection:
     """The projection of the valences in ``frames``."""
     proj: _Projection = {}
+    semantic = level is _SEMANTIC
     for vp in valences:
-        if vp.frame in frames:
-            frame, voice, fes = pattern_key(vp, level)
-            group = proj.get((frame, voice))
+        frame = vp.frame
+        if frame in frames:
+            # ``_value_`` skips the ``value`` property's descriptor call.
+            key = (frame, None) if semantic else (frame, vp.voice._value_)
+            group = proj.get(key)
             if group is None:
-                group = proj[frame, voice] = {}
+                group = proj[key] = {}
+            fes = _level_tokens(vp.fes, level)
             same = group.get(fes)
             if same is None:
                 group[fes] = vp
@@ -229,68 +215,61 @@ def intersect(
     """
     left, right = list(left), list(right)
     shared_frames = {v.frame for v in left} & {v.frame for v in right}
-    proj = {
-        side: _project(valences, shared_frames, level)
-        for side, valences in (("left", left), ("right", right))
-    }
+    left_proj = _project(left, shared_frames, level)
+    right_proj = _project(right, shared_frames, level)
 
-    # Exact mode admits a key the other side has; fuzzy mode one it subsumes.
-    # Each side's loop visits a key once, so it writes its provenance once,
-    # and a key is admitted from its own side whenever it is admitted at all.
+    # Keys can meet only within a group both sides have. Exact mode admits
+    # a key the other side has; fuzzy mode one that some other-side key
+    # subsumes, so a key both sides have is admitted from both. A member is
+    # pruned when another of its group strictly contains it, and only the
+    # members left get their provenance: each admitting side's variants, and
+    # in fuzzy mode the other side's keys that strictly contain it, in that
+    # side's order, as sorted, joined strings.
     exact = mode is MatchMode.EXACT
-    admitted: dict[_Group, dict[frozenset[str], SharedPattern]] = {}
-    n_admitted = {}
-    for side, other in (("left", "right"), ("right", "left")):
-        n = 0
-        for group, keys in proj[side].items():
-            others = proj[other].get(group)
-            if others is None:
+    final = []
+    n_left = n_right = n_admitted = 0
+    for group, lefts in left_proj.items():
+        rights = right_proj.get(group)
+        if rights is None:
+            continue
+        if exact:
+            left_hits = right_hits = lefts.keys() & rights.keys()
+        else:
+            left_hits = {fes for fes in lefts if any(map(fes.issubset, rights))}
+            right_hits = {fes for fes in rights if any(map(fes.issubset, lefts))}
+        members = left_hits | right_hits
+        n_left += len(left_hits)
+        n_right += len(right_hits)
+        n_admitted += len(members)
+        sides = (("left", left_hits, lefts, rights), ("right", right_hits, rights, lefts))
+        for fes in members:
+            if any(map(fes.__lt__, members)):
                 continue
-            shared = admitted.get(group)
-            for fes, valences in keys.items():
-                if exact:
-                    if fes not in others:
-                        continue
-                    strict = None
-                else:
-                    subsumers = list(filter(fes.issubset, others))
-                    if not subsumers:
-                        continue
-                    # The other side's keys are distinct, so their strings are too.
-                    strict = [", ".join(sorted(s)) for s in subsumers if s != fes]
-                n += 1
-                if shared is None:
-                    shared = admitted[group] = {}
-                sp = shared.get(fes)
-                if sp is None:
-                    sp = shared[fes] = SharedPattern(*group, fes)
-                sp.syn_variants[side] = _variants(valences)
-                if strict:
-                    sp.subsumed_by[side] = strict
-        n_admitted[side] = n
-
-    # A member is pruned when another of its group strictly contains it.
-    final = [
-        sp for shared in admitted.values() for fes, sp in shared.items()
-        if not any(map(fes.__lt__, shared))
-    ]
+            sp = SharedPattern(group[0], group[1], fes)
+            for side, hits, keys, others in sides:
+                if fes in hits:
+                    sp.syn_variants[side] = _variants(keys[fes])
+                    if not exact:
+                        strict = [", ".join(sorted(s)) for s in others if fes < s]
+                        if strict:
+                            sp.subsumed_by[side] = strict
+            final.append(sp)
     final.sort(key=SharedPattern.sort_key)
 
-    totals = {side: sum(map(len, keys.values())) for side, keys in proj.items()}
-    both = sum(  # keys on both sides, counted once in the union
-        len(keys.keys() & proj["right"][group].keys())
-        for group, keys in proj["left"].items() if group in proj["right"]
-    )
+    left_total = sum(map(len, left_proj.values()))
+    right_total = sum(map(len, right_proj.values()))
+    # The keys both sides have are the ones admitted from both.
+    both = n_left + n_right - n_admitted
     return SharedPatternSet(
         level=level,
         mode=mode,
         patterns=final,
-        left_total=totals["left"],
-        right_total=totals["right"],
-        union_total=totals["left"] + totals["right"] - both,
-        intersection_total=sum(map(len, admitted.values())),
-        left_only=totals["left"] - n_admitted["left"],
-        right_only=totals["right"] - n_admitted["right"],
+        left_total=left_total,
+        right_total=right_total,
+        union_total=left_total + right_total - both,
+        intersection_total=n_admitted,
+        left_only=left_total - n_left,
+        right_only=right_total - n_right,
     )
 
 
@@ -439,6 +418,15 @@ def _shared_meta(
     return subsumed_by, syn
 
 
+def _check_count(row: list) -> None:
+    """The count column of a decoded shared-set row must be the sum of its
+    variants' counts, as write_shared_tsv writes it."""
+    count, (_, syn_variants) = row[3], row[4]
+    total = sum(n for variants in syn_variants.values() for _, n in variants)
+    if count != total:
+        raise ValueError(f"count: {count} is not the sum of the variants' counts, {total}")
+
+
 def read_shared_tsv(path: Path) -> SharedPatternSet:
     """A shared set written by :func:`write_shared_tsv`; its first line must
     name the level and mode. Each distinct variant token is decoded once per
@@ -450,10 +438,9 @@ def read_shared_tsv(path: Path) -> SharedPatternSet:
     level, mode = MatchLevel(header[1]), MatchMode(header[2])
     key = functools.cache(parse_fe_key)
     columns = {
-        "frame": None, "voice": None, "fes": None, "count": None,
+        "frame": None, "voice": None, "fes": None, "count": int,
         "meta": lambda meta_field: _shared_meta(meta_field, key),
     }
-    # The count column derives from the variants, so it is not read back.
     patterns = [
         SharedPattern(
             frame=frame,
@@ -463,7 +450,7 @@ def read_shared_tsv(path: Path) -> SharedPatternSet:
             syn_variants=syn_variants,
         )
         for frame, voice, fes_field, _count, (subsumed_by, syn_variants)
-        in read_tsv_rows(path, columns)
+        in read_tsv_rows(path, columns, _check_count)
     ]
     return SharedPatternSet(
         level=level,

@@ -9,7 +9,9 @@ accepts empty phrases for unexpressed FEs.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -88,21 +90,23 @@ def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> Co
     for sp in final.patterns:
         by_group.setdefault((sp.frame, sp.voice), []).append(sp.fes)
 
+    # Examples repeat their keys, so each distinct key is tested once,
+    # weighted by its count. The first call at a level fills the keys of all
+    # its examples, so equal keys share one key object.
     slot = _SLOTS[level]
-    # An example's key is filled in the first call whose frames hold its
-    # frame, as are the keys of all its frame's examples, so examples with
-    # equal keys share one key object: examples repeat a few thousand keys.
-    keys: dict[tuple, tuple] = {}
+    counts = Counter(map(attrgetter(slot), examples))
+    if None in counts:
+        keys: dict[tuple, tuple] = {}
+        counts = Counter(getattr(p, slot) or _cover_key(p, level, slot, keys) for p in examples)
     covered = 0
     in_shared = 0
-    for p in examples:
-        if p.frame not in frames:
+    for (group, reduced), n in counts.items():
+        if group[0] not in frames:
             continue
-        in_shared += 1
-        group, reduced = getattr(p, slot) or _cover_key(p, level, slot, keys)
+        in_shared += n
         candidates = by_group.get(group)
         if candidates and any(map(reduced.issubset, candidates)):
-            covered += 1
+            covered += n
 
     return CoverageReport(
         level=level.value,

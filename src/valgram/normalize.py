@@ -675,13 +675,16 @@ def write_patterns_tsv(
 
 
 def read_tsv_rows(
-    path: Path, columns: dict[str, Callable[[str], object] | None]
+    path: Path,
+    columns: dict[str, Callable[[str], object] | None],
+    check: Callable[[list], None] | None = None,
 ) -> Iterator[list]:
     """Fields of each line of a TSV artifact, one per column of ``columns``,
     each decoded by its column's decoder (None keeps the text). Blank and
     ``#`` lines are skipped. A line with another field count is a ValueError
     that starts ``<path>:<line>:``, and a decoder's ValueError is re-raised as
-    ``<path>:<line>: <column>: <reason>``."""
+    ``<path>:<line>: <column>: <reason>``. ``check``, when given, sees each
+    decoded line, and its ValueError is re-raised as ``<path>:<line>: <reason>``."""
     n_fields = len(columns)
     decoders = [(i, name, decode) for i, (name, decode) in enumerate(columns.items()) if decode]
     with path.open("r", encoding="utf-8") as f:
@@ -697,6 +700,11 @@ def read_tsv_rows(
                     parts[i] = decode(parts[i])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {name}: {exc}") from None
+            if check is not None:
+                try:
+                    check(parts)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
             yield parts
 
 

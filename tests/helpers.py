@@ -1,11 +1,13 @@
-"""Shared builders and the brute-force intersection oracle used across tests."""
+"""Shared builders and the brute-force intersection and coverage oracles
+used across tests."""
 
 import importlib.util
 import itertools
 from pathlib import Path
 
 from valgram.aggregate import ALL_SETTINGS_IDS, Settings, ValencePattern, aggregate_corpus
-from valgram.compare import MatchLevel
+from valgram.compare import MatchLevel, MatchMode
+from valgram.frames import Coreness
 from valgram.normalize import SentencePattern, Voice, parse_fe_key, parse_fe_token
 
 _counter = itertools.count()
@@ -120,3 +122,114 @@ def oracle_fuzzy_intersection(left, right, level):
 
     final = {k for k in admitted if not any(key_subsumed(k, other) for other in admitted)}
     return admitted, final
+
+
+# Valence FE tokens for the provenance oracle: FEs that repeat with another
+# type, noncore FEs, and NP types that take a syntactic function.
+_ORACLE_TOKENS = [
+    "Event_VP", "Event_NP", "Experiencer_NP", "Theme_NP", "Opt_Degree_Adv", "Opt_Time_NP",
+]
+
+
+def random_valences(rng, frames=("Desiring", "Motion"), max_patterns=16, max_fes=3):
+    """One side of random valence patterns whose keys repeat at both levels:
+    NP tokens draw a syntactic function, and voices collapse at the semantic
+    level."""
+    side = []
+    for _ in range(rng.randint(0, max_patterns)):
+        tokens = [
+            tok + rng.choice(["", ".Subj", ".Obj"]) if tok.endswith("_NP") else tok
+            for tok in rng.sample(_ORACLE_TOKENS, rng.randint(1, max_fes))
+        ]
+        side.append(vp(rng.choice(frames), rng.choice(["Act", "Pass"]), tokens, rng.randint(1, 9)))
+    return side
+
+
+def _oracle_tokens(fes, level):
+    # Independent restatement of a key's FE set: [Opt_]FE, or [Opt_]FE_type.
+    if level is MatchLevel.SEMANTIC:
+        return frozenset(("Opt_" if noncore else "") + fe for fe, _, _, noncore in fes)
+    return frozenset(f"{'Opt_' if noncore else ''}{fe}_{ty}" for fe, ty, _, noncore in fes)
+
+
+def oracle_intersection(left, right, level, mode):
+    """Brute-force shared set with every field intersect fills: the final
+    members by (frame, voice, FE set), each with its sides, its variants
+    (summed counts per full FE-key set, sorted) and its strict other-side
+    subsumers (in the order the other side first has them), and the totals."""
+    semantic = level is MatchLevel.SEMANTIC
+    exact = mode is MatchMode.EXACT
+    shared_frames = {p.frame for p in left} & {p.frame for p in right}
+    sides = {
+        "left": [p for p in left if p.frame in shared_frames],
+        "right": [p for p in right if p.frame in shared_frames],
+    }
+
+    def key(p):
+        return (p.frame, None if semantic else p.voice.value, _oracle_tokens(p.fes, level))
+
+    def strictly_within(k, by):
+        return k[:2] == by[:2] and k[2] < by[2]
+
+    keys = {side: list(dict.fromkeys(map(key, ps))) for side, ps in sides.items()}
+    admitted_from = {}
+    for side, other in (("left", "right"), ("right", "left")):
+        admitted_from[side] = [
+            k for k in keys[side]
+            if k in keys[other] or (not exact and any(strictly_within(k, o) for o in keys[other]))
+        ]
+    admitted = set(admitted_from["left"]) | set(admitted_from["right"])
+    members = {}
+    for k in admitted:
+        if any(strictly_within(k, o) for o in admitted):
+            continue
+        syn_variants, subsumed_by = {}, {}
+        for side, other in (("left", "right"), ("right", "left")):
+            if k not in admitted_from[side]:
+                continue
+            counts = {}
+            for p in sides[side]:
+                if key(p) == k:
+                    counts[p.fes] = counts.get(p.fes, 0) + p.count
+            syn_variants[side] = sorted(counts.items())
+            strict = [", ".join(sorted(o[2])) for o in keys[other] if strictly_within(k, o)]
+            if strict and not exact:
+                subsumed_by[side] = strict
+        members[k] = {
+            "sides": tuple(sorted(syn_variants)),
+            "syn_variants": syn_variants,
+            "subsumed_by": subsumed_by,
+        }
+    return {
+        "members": members,
+        "left_total": len(keys["left"]),
+        "right_total": len(keys["right"]),
+        "union_total": len(set(keys["left"]) | set(keys["right"])),
+        "intersection_total": len(admitted),
+        "left_only": len(keys["left"]) - len(admitted_from["left"]),
+        "right_only": len(keys["right"]) - len(admitted_from["right"]),
+    }
+
+
+def oracle_coverage(final, examples):
+    """(covered, in shared frames, total), counted one example at a time
+    from its realizations; no cover-key slot is read."""
+    semantic = final.level is MatchLevel.SEMANTIC
+    frames = {sp.frame for sp in final.patterns}
+    covered = in_shared = 0
+    for p in examples:
+        if p.frame not in frames:
+            continue
+        in_shared += 1
+        core = [r for r in p.realizations if r.coreness is not Coreness.NONCORE]
+        if semantic:
+            voice, reduced = None, {r.fe_name for r in core}
+        else:
+            voice = p.voice.value
+            reduced = {f"{r.fe_name}_{r.rgl_type.value}" for r in core if r.rgl_type is not None}
+        if any(
+            sp.frame == p.frame and sp.voice == voice and reduced <= sp.fes
+            for sp in final.patterns
+        ):
+            covered += 1
+    return covered, in_shared, len(examples)

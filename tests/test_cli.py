@@ -591,6 +591,30 @@ def test_tsv_field_error_names_file_line_and_field(tmp_path, mini_run, case):
     )
 
 
+@pytest.mark.parametrize("count", ["x", "999"])
+@pytest.mark.parametrize("command", ["evaluate", "generate"])
+def test_shared_tsv_count_must_be_the_variants_sum(tmp_path, mini_run, command, count):
+    run = mini_run("2.B")
+    lines = (run / "shared/semsyn-fuzzy.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[1].rstrip("\n").split("\t")
+    total, fields[3] = fields[3], count
+    assert total != count
+    lines[1] = "\t".join(fields) + "\n"
+    bad = tmp_path / "semsyn-fuzzy.tsv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    inputs = {n: run / n for n in (
+        "bfn.patterns.tsv", "bfn.filtered-patterns.tsv", "swefn.filtered-patterns.tsv",
+    )}
+    inputs["shared/semsyn-fuzzy.tsv"] = bad
+    reason = (
+        f"invalid literal for int() with base 10: {count!r}" if count == "x"
+        else f"{count} is not the sum of the variants' counts, {total}"
+    )
+    assert _command_error(_consumer_argv(command, inputs, tmp_path / "out")) == (
+        f"{bad}:2: count: {reason}"
+    )
+
+
 def test_generate_on_native_filtered_patterns_names_the_limit(tmp_path, mini_run):
     # Under 0.0 the filtered patterns keep corpus-native types, and LU arity
     # needs interlingual ones.

@@ -13,16 +13,20 @@ from valgram.compare import (
     MatchMode,
     frame_set_report,
     intersect,
-    pattern_key,
     pattern_set_report,
     read_shared_tsv,
-    subsumes,
-    subsumes_key,
     write_shared_tsv,
 )
 from valgram.ingest import Dialect, parse_corpus
 from valgram.normalize import normalize_corpus
-from helpers import oracle_fuzzy_intersection, random_side, valences_by_settings, vp
+from helpers import (
+    oracle_fuzzy_intersection,
+    oracle_intersection,
+    random_side,
+    random_valences,
+    valences_by_settings,
+    vp,
+)
 
 
 def final_keys(shared):
@@ -32,6 +36,17 @@ def final_keys(shared):
 # ---------------------------------------------------------------------------
 # Subsumption
 # ---------------------------------------------------------------------------
+
+def subsumes(a, b, level):
+    """True iff fuzzy intersect on one-pattern sides admits b through a."""
+    shared = intersect([b], [a], level, MatchMode.FUZZY)
+    return shared.left_total - shared.left_only == 1
+
+
+def same_key(a, b, level):
+    """True iff exact intersect on one-pattern sides admits the pair."""
+    return intersect([a], [b], level, MatchMode.EXACT).intersection_total == 1
+
 
 def test_subsumes_subset():
     a = vp("Desiring", "Act", ["Event_VP", "Experiencer_NP.Subj"])
@@ -63,10 +78,8 @@ def test_subsumes_voice_matters_only_at_syntactic_level():
 def test_semantic_level_ignores_types_and_syn_functions():
     a = vp("Desiring", "Act", ["Event_VP", "Experiencer_NP.Subj"])
     b = vp("Desiring", "Pass", ["Event_NP.Subj", "Experiencer_NP.Obj"])
-    assert pattern_key(a, MatchLevel.SEMANTIC) == pattern_key(b, MatchLevel.SEMANTIC)
-    assert pattern_key(a, MatchLevel.SEMANTIC_SYNTACTIC) != pattern_key(
-        b, MatchLevel.SEMANTIC_SYNTACTIC
-    )
+    assert same_key(a, b, MatchLevel.SEMANTIC)
+    assert not same_key(a, b, MatchLevel.SEMANTIC_SYNTACTIC)
 
 
 def test_noncore_fes_keep_their_opt_prefix_at_both_levels():
@@ -76,8 +89,8 @@ def test_noncore_fes_keep_their_opt_prefix_at_both_levels():
         {"Opt_Degree_Adv", "Experiencer_NP"}
     )
     for level in MatchLevel:
-        assert pattern_key(vp("Desiring", "Act", ["Opt_Degree_Adv"]), level) != pattern_key(
-            vp("Desiring", "Act", ["Degree_Adv"]), level
+        assert not same_key(
+            vp("Desiring", "Act", ["Opt_Degree_Adv"]), vp("Desiring", "Act", ["Degree_Adv"]), level
         )
 
 
@@ -286,6 +299,31 @@ def test_fuzzy_intersection_matches_brute_force(level):
             assert shared.intersection_total == len(oracle_admitted)
 
 
+@pytest.mark.parametrize("mode", list(MatchMode))
+@pytest.mark.parametrize("level", list(MatchLevel))
+def test_intersection_fields_match_brute_force(level, mode):
+    # Every field of the result, the provenance of each final member included.
+    rng = random.Random(20261019)
+    for _ in range(150):
+        left, right = random_valences(rng), random_valences(rng)
+        want = oracle_intersection(left, right, level, mode)
+        shared = intersect(left, right, level, mode)
+        assert (shared.level, shared.mode) == (level, mode)
+        assert [sp.sort_key() for sp in shared.patterns] == sorted(
+            (frame, voice or "", tuple(sorted(fes))) for frame, voice, fes in want["members"]
+        )
+        for sp in shared.patterns:
+            member = want["members"][sp.frame, sp.voice, sp.fes]
+            assert sp.sides == member["sides"]
+            assert sp.syn_variants == member["syn_variants"]
+            assert sp.subsumed_by == member["subsumed_by"]
+        for total in (
+            "left_total", "right_total", "union_total", "intersection_total",
+            "left_only", "right_only",
+        ):
+            assert getattr(shared, total) == want[total], total
+
+
 def test_token_cache_does_not_leak_between_levels(data_dir):
     left = read_valences_tsv(data_dir / "desiring_bfn_valences_voiced.tsv")
     right = read_valences_tsv(data_dir / "desiring_swefn_valences_voiced.tsv")
@@ -348,7 +386,7 @@ def test_final_set_has_no_subsumed_pair():
                 for a in keys:
                     for b in keys:
                         if a != b:
-                            assert not subsumes_key(a, b)
+                            assert not (a[:2] == b[:2] and b[2] <= a[2])
 
 
 def test_semantic_final_frames_superset_of_syntactic():

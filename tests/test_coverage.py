@@ -8,7 +8,7 @@ from valgram.compare import MatchLevel, MatchMode, intersect
 from valgram.coverage import coverage, reduce_example
 from valgram.ingest import Dialect, parse_corpus
 from valgram.normalize import Voice, normalize_corpus
-from helpers import mk, random_side, vp
+from helpers import mk, oracle_coverage, random_side, random_valences, vp
 
 
 @pytest.fixture()
@@ -99,6 +99,38 @@ def test_cover_keys_do_not_leak_between_levels(bfn_mini, swefn_mini, frame_index
             # Examples with equal keys share one key object.
             for key in ([p.sem_cover_key for p in reused], [p.semsyn_cover_key for p in reused]):
                 assert len(set(map(id, key))) == len(set(key)) < len(key)
+
+
+_EXAMPLE_TOKENS = [
+    "Event_VP", "Event_NP.Obj", "Event_Adv[for]", "Experiencer_NP.Subj", "Experiencer_NP.Obj",
+    "Theme_NP.Obj", "Opt_Degree_Adv", "Opt_Time_NP.Obj",
+]
+
+
+def test_coverage_matches_a_count_of_each_example():
+    # One example list serves both levels and several shared sets, in both
+    # orders. Keys repeat, within one example object and across equal ones,
+    # and Giving examples lie outside every final set's frames.
+    rng = random.Random(20261020)
+    for _ in range(40):
+        distinct = []
+        for _ in range(rng.randint(1, 8)):
+            frame, voice = rng.choice(["Desiring", "Motion", "Giving"]), rng.choice(["Act", "Pass"])
+            tokens = rng.sample(_EXAMPLE_TOKENS, rng.randint(1, 3))
+            distinct += [mk(frame, voice, " ".join(tokens)), mk(frame, voice, " ".join(tokens[::-1]))]
+        finals = [
+            intersect(random_valences(rng), random_valences(rng), level, mode)
+            for level in MatchLevel for mode in MatchMode for _ in range(2)
+        ]
+        for order in (finals, finals[::-1]):
+            fresh = [replace(p) for p in distinct]
+            reused = fresh + [rng.choice(fresh) for _ in range(2 * len(fresh))]
+            for final in order:
+                report = coverage(final, reused)
+                assert (report.covered, report.in_shared_frames, report.total) == oracle_coverage(
+                    final, reused
+                )
+                assert (report.level, report.mode) == (final.level.value, final.mode.value)
 
 
 def test_self_coverage_is_total(bfn_mini, swefn_mini, frame_index):
