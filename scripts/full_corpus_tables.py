@@ -8,6 +8,9 @@ configurable (see --voice-rules), so pattern counts on real data depend on
 those rules; the skip files written next to the tables say exactly what was
 excluded and why.
 
+It takes the arguments of ``valgram run`` (see ``valgram run --help``) and
+passes them through to it.
+
 Example:
 
     python scripts/full_corpus_tables.py \
@@ -18,14 +21,13 @@ Example:
 
 from __future__ import annotations
 
-import argparse
 import csv
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from valgram.cli import main as valgram_main  # noqa: E402
+from valgram.cli import build_parser, main as valgram_main  # noqa: E402
 
 
 def _print_csv(path: Path, title: str) -> None:
@@ -36,32 +38,9 @@ def _print_csv(path: Path, title: str) -> None:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--left", nargs="+", required=True)
-    ap.add_argument("--left-dialect", required=True, choices=["bfn", "swefn"])
-    ap.add_argument("--left-name", default="bfn")
-    ap.add_argument("--right", nargs="+", required=True)
-    ap.add_argument("--right-dialect", required=True, choices=["bfn", "swefn"])
-    ap.add_argument("--right-name", default="swefn")
-    ap.add_argument("--frames", nargs="+", required=True)
-    ap.add_argument("--settings", default="2.B", help="settings id or LEFT:RIGHT pair")
-    ap.add_argument("--voice-rules")
-    ap.add_argument("--out-dir", required=True)
-    args = ap.parse_args()
-
-    run_args = [
-        "run",
-        "--left", *args.left, "--left-dialect", args.left_dialect,
-        "--left-name", args.left_name,
-        "--right", *args.right, "--right-dialect", args.right_dialect,
-        "--right-name", args.right_name,
-        "--frames", *args.frames,
-        "--settings", args.settings,
-        "--out-dir", args.out_dir,
-    ]
-    if args.voice_rules:
-        run_args += ["--voice-rules", args.voice_rules]
+    # The arguments are those of ``valgram run``, passed through unchanged.
+    run_args = ["run", *sys.argv[1:]]
+    args = build_parser().parse_args(run_args)
     status = valgram_main(run_args)
     if status != 0:
         return status
@@ -74,7 +53,8 @@ def main() -> int:
     _print_csv(out / "coverage.csv", "example coverage by the final shared sets")
     skip_counts = []
     for name in (args.left_name, args.right_name):
-        n = sum(1 for _ in (out / f"{name}.skips.tsv").open())
+        with (out / f"{name}.skips.tsv").open() as f:
+            n = sum(1 for _ in f)
         skip_counts.append(f"{name}: {n} skipped examples ({name}.skips.tsv)")
     print("\nSkips are heuristic-dependent; review before comparing counts:")
     for line in skip_counts:

@@ -26,6 +26,7 @@ from .normalize import (
     Skip,
     SkipReason,
     Voice,
+    _decode_count,
     fe_key_token,
     parse_fe_key,
     read_tsv_rows,
@@ -456,7 +457,7 @@ def read_valences_tsv(path: Path) -> list[ValencePattern]:
     def fes(tokens_field: str) -> tuple[FeKey, ...]:
         return tuple(sorted(key(token) for token in tokens_field.split(",") if token))
 
-    columns = {"frame": None, "voice": functools.cache(Voice), "fes": fes, "count": int}
+    columns = {"frame": None, "voice": functools.cache(Voice), "fes": fes, "count": _decode_count}
     return [
         ValencePattern(frame=frame, voice=voice, fes=keys, count=count, sentence_variants={})
         for frame, voice, keys, count in read_tsv_rows(path, columns)

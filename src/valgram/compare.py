@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .aggregate import ValencePattern
 from .ingest import _JSON_TYPES, _json_type
-from .normalize import FeKey, fe_key_token, parse_fe_key, read_tsv_rows
+from .normalize import FeKey, _decode_count, fe_key_token, parse_fe_key, read_tsv_rows
 
 
 class MatchLevel(str, Enum):
@@ -46,9 +46,10 @@ class MatchMode(str, Enum):
     FUZZY = "fuzzy"
 
 
-# One token set per distinct FE-key set and level: a sweep's valences repeat
-# a few thousand key sets, and intersect projects each valence once per
-# shared set.
+# One token set per distinct FE-key tuple and level: a sweep's valences repeat
+# a few thousand key sets, intersect projects each valence once per shared
+# set, and coverage keys each example through it, so examples with the same
+# core FEs share one set.
 @functools.cache
 def _level_tokens(fes: tuple[FeKey, ...], level: MatchLevel) -> frozenset[str]:
     return level.tokens(fes)
@@ -438,7 +439,7 @@ def read_shared_tsv(path: Path) -> SharedPatternSet:
     level, mode = MatchLevel(header[1]), MatchMode(header[2])
     key = functools.cache(parse_fe_key)
     columns = {
-        "frame": None, "voice": None, "fes": None, "count": int,
+        "frame": None, "voice": None, "fes": None, "count": _decode_count,
         "meta": lambda meta_field: _shared_meta(meta_field, key),
     }
     patterns = [

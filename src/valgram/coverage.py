@@ -15,7 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .compare import MatchLevel, SharedPatternSet
+from .compare import MatchLevel, SharedPatternSet, _level_tokens
 from .frames import Coreness
 from .normalize import SentencePattern
 
@@ -48,22 +48,9 @@ class CoverageReport:
 
 
 # Members reached through their class cost a lookup on each use; these are
-# read for each example reduced and each of its realizations.
+# read for each example keyed and each of its realizations.
 _SEMANTIC = MatchLevel.SEMANTIC
 _NONCORE = Coreness.NONCORE
-
-
-def reduce_example(p: SentencePattern, level: MatchLevel) -> frozenset[str]:
-    """Reduced pattern of one example: non-core FEs dropped, word order and
-    prepositions ignored, repeats collapsed by the set representation."""
-    # MatchLevel.tokens, read off each realization: a core FE's semantic token is its name.
-    if level is _SEMANTIC:
-        return frozenset([r.fe_name for r in p.realizations if r.coreness is not _NONCORE])
-    return frozenset([
-        r.rgl_fe_type for r in p.realizations
-        if r.coreness is not _NONCORE and r.rgl_type is not None
-    ])
-
 
 # The SentencePattern slot that holds each level's coverage key.
 _SLOTS = {
@@ -75,8 +62,23 @@ _SLOTS = {
 def _cover_key(p: SentencePattern, level: MatchLevel, slot: str, keys: dict) -> tuple:
     """The example's ((frame, voice), reduced set) at the level, stored in
     its slot as the one object in ``keys`` equal to it; the reduced set does
-    not depend on the shared set."""
-    key = (p.frame, None if level is _SEMANTIC else p.voice._value_), reduce_example(p, level)
+    not depend on the shared set.
+
+    The reduced set is the level's tokens of the example's core FEs, so word
+    order, prepositions and repeats drop out. At the semantic level a token
+    reads only the FE name and the non-core flag, so an FE without an
+    interlingual type counts there; at the syntactic level it does not.
+    """
+    if level is _SEMANTIC:
+        group = (p.frame, None)
+        fes = [r.native_key for r in p.realizations if r.coreness is not _NONCORE]
+    else:
+        group = (p.frame, p.voice._value_)
+        fes = [
+            r.rgl_key for r in p.realizations
+            if r.coreness is not _NONCORE and r.rgl_type is not None
+        ]
+    key = group, _level_tokens(tuple(fes), level)
     key = keys.setdefault(key, key)
     object.__setattr__(p, slot, key)
     return key

@@ -41,9 +41,6 @@ class FrameIndex:
     def __contains__(self, frame: str) -> bool:
         return frame in self.defs
 
-    def frames(self) -> list[str]:
-        return sorted(self.defs)
-
     def coreness(self, frame: str, fe: str) -> Coreness:
         """Classify an FE; unknown frame or FE is an error, never a guess."""
         fdef = self.defs.get(frame)
@@ -105,14 +102,3 @@ def load_frame_index(source: bytes | str | Path) -> FrameIndex:
         defs[frame] = FrameDef(frame=frame, core_fes=core_fes, noncore_fes=noncore_fes)
     return FrameIndex(defs=defs)
 
-
-def emit_frame_index(index: FrameIndex) -> str:
-    """Canonical TSV emission: frames sorted, FEs sorted, core row first."""
-    lines: list[str] = []
-    for frame in index.frames():
-        fdef = index.defs[frame]
-        if fdef.core_fes:
-            lines.append(f"{frame}\tcore\t{','.join(sorted(fdef.core_fes))}")
-        if fdef.noncore_fes:
-            lines.append(f"{frame}\tnoncore\t{','.join(sorted(fdef.noncore_fes))}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -173,16 +173,8 @@ def derive_lu_module(patterns: Sequence[SentencePattern], framenet: str) -> list
         lemma = _lemma_from_lu_ref(p.lu_ref)
         if not lemma:
             continue
-        fes = [
-            (
-                r.fe_name,
-                r.rgl_type.value if r.rgl_type else "",
-                r.syn_function.value if r.syn_function is not SynFunction.NONE else "",
-                False,
-            )
-            for r in p.realizations
-        ]
-        arity = choose_verb_arity(fes)
+        # An FE without an interlingual type has no function, so it adds no complement.
+        arity = choose_verb_arity(r.rgl_key for r in p.realizations if r.rgl_type is not None)
         key = (lemma, p.frame)
         if key not in best or ARITY_ORDER[arity] > ARITY_ORDER[best[key]]:
             best[key] = arity

@@ -148,14 +148,6 @@ _SYN_NONE = SynFunction.NONE
 _NONCORE = Coreness.NONCORE
 
 
-# One shared copy of each FE key, its strings and its token: thousands of
-# realizations repeat a few hundred FE, type and function combinations.
-@functools.cache
-def _shared_key(fe: str, typ: str, syn: str, noncore: bool) -> tuple[FeKey, str]:
-    key = (fe, typ, syn, noncore)
-    return key, fe_key_token(key)
-
-
 @dataclass(frozen=True, slots=True)
 class FeRealization:
     """One expressed FE of a sentence pattern.
@@ -179,28 +171,23 @@ class FeRealization:
     _native_token: str = field(init=False, repr=False, compare=False)
     _rgl_key: FeKey | None = field(init=False, repr=False, compare=False)
     _rgl_token: str | None = field(init=False, repr=False, compare=False)
-    rgl_fe_type: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        fe, native = self.fe_name, self.native_type
         syn = self.syn_function.value if self.syn_function is not _SYN_NONE else ""
         noncore = self.coreness is _NONCORE
-        native_key = _shared_key(self.fe_name, self.native_type, syn, noncore)[0]
-        fe, native = native_key[0], native_key[1]
-        object.__setattr__(self, "native_type", native)
-        object.__setattr__(self, "native_key", native_key)
+        object.__setattr__(self, "native_key", (fe, native, syn, noncore))
         # The native token leaves out the syntactic function: the native type
         # already names the grammatical function.
-        object.__setattr__(self, "_native_token", _shared_key(fe, native, "", noncore)[1])
-        rgl_key = rgl_token = fe_type = None
+        object.__setattr__(self, "_native_token", fe_key_token((fe, native, "", noncore)))
+        rgl_key = rgl_token = None
         if self.rgl_type is not None:
-            typ = self.rgl_type.value
-            rgl_key, rgl_token = _shared_key(fe, typ, syn, noncore)
-            fe_type = _shared_key(fe, typ, "", noncore)[1]
+            rgl_key = (fe, self.rgl_type.value, syn, noncore)
+            rgl_token = fe_key_token(rgl_key)
             if self.preposition:
                 rgl_token = f"{rgl_token}[{self.preposition}]"
         object.__setattr__(self, "_rgl_key", rgl_key)
         object.__setattr__(self, "_rgl_token", rgl_token)
-        object.__setattr__(self, "rgl_fe_type", fe_type)
 
     @property
     def rgl_key(self) -> FeKey:
@@ -706,6 +693,15 @@ def read_tsv_rows(
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
             yield parts
+
+
+def _decode_count(text: str) -> int:
+    """A count column as the writers write it: ASCII digits only. ``int``
+    alone would also read ``1_0``, ``+3``, ``-3`` and padded forms."""
+    count = int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return count
 
 
 def read_patterns_tsv(path: Path) -> list[SentencePattern]:

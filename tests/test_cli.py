@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -292,6 +293,24 @@ def test_run_with_per_side_settings_pair(tmp_path, bfn_mini, swefn_mini, frames_
     assert all(int(row.split("\t")[3]) > 1 for row in left_rows if row)
 
 
+def test_full_corpus_tables_takes_run_arguments(tmp_path, bfn_mini, swefn_mini, frames_tsv):
+    # Under -X dev, a file that the script leaves open prints a ResourceWarning.
+    out = tmp_path / "tables"
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", str(REPO / "scripts" / "full_corpus_tables.py"),
+         "--left", str(bfn_mini), "--left-dialect", "bfn",
+         "--right", str(swefn_mini), "--right-dialect", "swefn",
+         "--frames-left", str(frames_tsv), "--frames-right", str(frames_tsv),
+         "--settings", "3.B:2.B", "--out-dir", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    assert "example coverage" in proc.stdout
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["left"]["settings"], config["right"]["settings"]) == ("3.B", "2.B")
+
+
 @pytest.mark.parametrize("side", ["bfn", "swefn"])
 def test_normalize_xml_matches_run(tmp_path, side, bfn_mini, swefn_mini, frames_tsv):
     run_out = tmp_path / "run"
@@ -559,6 +578,11 @@ _TSV_CORRUPTIONS = {
                       "fes: cannot parse FE token 'Bogus' as a key"),
     "count": ("compare", "bfn.valences.tsv", -1, 3, "x",
               "count: invalid literal for int() with base 10: 'x'"),
+    # int() alone reads these two as 10 and -3.
+    "count-underscore": ("compare", "bfn.valences.tsv", -1, 3, "1_0",
+                         "count: expected ASCII digits, got '1_0'"),
+    "count-sign": ("compare", "bfn.valences.tsv", -1, 3, "-3",
+                   "count: expected ASCII digits, got '-3'"),
     "meta-json": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 4, "{oops",
                   "meta: Expecting property name enclosed in double quotes"),
     "meta-array": ("generate", "shared/semsyn-fuzzy.tsv", -1, 4, "[1]",
@@ -615,6 +639,19 @@ def test_shared_tsv_count_must_be_the_variants_sum(tmp_path, mini_run, command, 
     )
 
 
+def test_shared_tsv_count_with_a_sign_is_refused(tmp_path, mini_run):
+    # int() reads "+<sum>" as the sum itself.
+    run = mini_run("2.B")
+    lines = (run / "shared/semsyn-fuzzy.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[1].rstrip("\n").split("\t")
+    fields[3] = f"+{fields[3]}"
+    lines[1] = "\t".join(fields) + "\n"
+    bad = tmp_path / "semsyn-fuzzy.tsv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    argv = _evaluate(bad, run / "bfn.patterns.tsv", "bfn", tmp_path / "out")
+    assert _command_error(argv) == f"{bad}:2: count: expected ASCII digits, got {fields[3]!r}"
+
+
 def test_generate_on_native_filtered_patterns_names_the_limit(tmp_path, mini_run):
     # Under 0.0 the filtered patterns keep corpus-native types, and LU arity
     # needs interlingual ones.
@@ -631,6 +668,24 @@ def test_generate_on_native_filtered_patterns_names_the_limit(tmp_path, mini_run
         f"{left}:1: fes: cannot parse FE token 'Experiencer_NP.Ext' as a pattern: "
         "type 'NP.Ext' is corpus-native, and a pattern needs interlingual types"
     )
+
+
+def _tree_digests(root: Path) -> dict[str, str]:
+    """The sha256 of each file of a ``run`` tree but ``manifest.json``,
+    which names the input paths, by its path in the tree."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
+@pytest.mark.parametrize("sid", [*ALL_SETTINGS_IDS, "3.B:2.B"])
+def test_mini_run_tree_matches_its_pinned_digests(mini_run, data_dir, sid):
+    # Every artifact byte of the mini runs is pinned. A change to any of them
+    # must be deliberate, with the file written anew from _tree_digests.
+    pinned = json.loads((data_dir / "golden" / "run_trees.json").read_text(encoding="utf-8"))
+    assert _tree_digests(mini_run(sid)) == pinned[sid]
 
 
 @pytest.mark.parametrize("sid", ALL_SETTINGS_IDS)

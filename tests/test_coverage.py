@@ -4,10 +4,11 @@ from dataclasses import replace
 import pytest
 
 from valgram.aggregate import Settings, aggregate_corpus, read_valences_tsv
-from valgram.compare import MatchLevel, MatchMode, intersect
-from valgram.coverage import coverage, reduce_example
+from valgram.compare import MatchLevel, MatchMode, SharedPattern, SharedPatternSet, intersect
+from valgram.coverage import coverage
+from valgram.frames import Coreness
 from valgram.ingest import Dialect, parse_corpus
-from valgram.normalize import Voice, normalize_corpus
+from valgram.normalize import FeRealization, SkipReason, Voice, normalize_corpus
 from helpers import mk, oracle_coverage, random_side, random_valences, vp
 
 
@@ -50,21 +51,51 @@ def test_voice_must_match_at_syntactic_level(desiring_final):
     assert report.covered == 0  # final fixture set is active-voice only
 
 
-def test_reduce_example_drops_noncore_order_preps():
+def _covered_by(example, level, fes):
+    """Whether the one-pattern final set with FE set ``fes`` covers the example."""
+    voice = None if level is MatchLevel.SEMANTIC else example.voice.value
+    final = SharedPatternSet(
+        level=level, mode=MatchMode.EXACT,
+        patterns=[SharedPattern(example.frame, voice, frozenset(fes))],
+        left_total=1, right_total=1, union_total=1, intersection_total=1,
+        left_only=0, right_only=0,
+    )
+    report = coverage(final, [replace(example)])
+    assert report.in_shared_frames == 1
+    return report.covered == 1
+
+
+def assert_reduced(example, level, expected):
+    """The example's reduced set at the level is ``expected``: that set
+    covers it, and the set minus any one token does not."""
+    assert _covered_by(example, level, expected)
+    for token in expected:
+        assert not _covered_by(example, level, expected - {token})
+
+
+def test_reduced_example_drops_noncore_order_preps():
     example = mk("Desiring", "Act", "Opt_Degree_Adv Event_Adv[for] Experiencer_NP.Subj")
-    assert reduce_example(example, MatchLevel.SEMANTIC_SYNTACTIC) == frozenset(
-        {"Event_Adv", "Experiencer_NP"}
-    )
-    assert reduce_example(example, MatchLevel.SEMANTIC) == frozenset(
-        {"Event", "Experiencer"}
-    )
+    assert_reduced(example, MatchLevel.SEMANTIC_SYNTACTIC, {"Event_Adv", "Experiencer_NP"})
+    assert_reduced(example, MatchLevel.SEMANTIC, {"Event", "Experiencer"})
 
 
-def test_reduce_example_collapses_repeats():
+def test_reduced_example_collapses_repeats():
     example = mk("Desiring", "Act", "Event_VP Event_VP Experiencer_NP.Subj")
-    assert reduce_example(example, MatchLevel.SEMANTIC_SYNTACTIC) == frozenset(
-        {"Event_VP", "Experiencer_NP"}
+    assert_reduced(example, MatchLevel.SEMANTIC_SYNTACTIC, {"Event_VP", "Experiencer_NP"})
+    assert_reduced(example, MatchLevel.SEMANTIC, {"Event", "Experiencer"})
+
+
+def test_untyped_core_fe_counts_at_the_semantic_level_only():
+    # Settings that keep unconsidered examples (0.0) pass FEs without an
+    # interlingual type on to coverage.
+    untyped = FeRealization(
+        "Event", "VPfin.Dep", None, skip_reason=SkipReason.UNCONSIDERED_PHRASE_TYPE
     )
+    noncore = replace(untyped, fe_name="Degree", coreness=Coreness.NONCORE)
+    typed = mk("Desiring", "Act", "Experiencer_NP.Subj")
+    example = replace(typed, realizations=(untyped, noncore) + typed.realizations)
+    assert_reduced(example, MatchLevel.SEMANTIC, {"Event", "Experiencer"})
+    assert_reduced(example, MatchLevel.SEMANTIC_SYNTACTIC, {"Experiencer_NP"})
 
 
 def test_replaced_example_is_reduced_again(desiring_final):

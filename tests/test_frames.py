@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from valgram.frames import (
     Coreness,
+    FrameDef,
     FrameIndexError,
-    emit_frame_index,
     load_frame_index,
 )
 
@@ -24,7 +24,7 @@ def test_load_desiring_rows(frame_index):
 
 def test_empty_file_gives_empty_index():
     index = load_frame_index(b"")
-    assert index.frames() == []
+    assert index.defs == {}
 
 
 def test_duplicate_core_rows_union():
@@ -100,7 +100,12 @@ def test_load_emit_identity_on_canonical_files(frame_defs):
         if noncore:
             lines.append(f"{frame}\tnoncore\t{','.join(sorted(noncore))}")
     canonical = "\n".join(lines) + ("\n" if lines else "")
-    assert emit_frame_index(load_frame_index(canonical)) == canonical
+    drawn = {
+        frame: FrameDef(frame, frozenset(core), frozenset(noncore - core))
+        for frame, (core, noncore) in frame_defs.items()
+        if core or noncore - core
+    }
+    assert load_frame_index(canonical).defs == drawn
 
 
 def test_coreness_is_context_free(frame_index):

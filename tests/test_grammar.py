@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from valgram.aggregate import read_valences_tsv
+from valgram.aggregate import Settings, aggregate_corpus, read_valences_tsv
 from valgram.compare import MatchLevel, MatchMode, intersect
 from valgram.grammar import (
     AbstractGrammar,
@@ -19,7 +19,8 @@ from valgram.grammar import (
     render_fe_module,
     render_frame_module,
 )
-from valgram.normalize import RglType, read_patterns_tsv
+from valgram.ingest import Dialect, parse_corpus
+from valgram.normalize import RglType, SynFunction, normalize_corpus, read_patterns_tsv
 from helpers import vp
 
 
@@ -147,6 +148,35 @@ def test_lu_arity_is_maximum_over_attested_patterns():
         "bfn",
     )
     assert [(fn.name, fn.verb_arity) for fn in functions] == [("want_V2_Desiring", "V2")]
+
+
+def test_lu_arities_of_patterns_with_untyped_fes_match_a_count(
+    bfn_mini, swefn_mini, frame_index
+):
+    # Under 0.0 the filtered patterns keep FEs without an interlingual type
+    # (one on the SweFN side); such an FE has no syntactic function and adds
+    # no complement.
+    untyped = 0
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        patterns, _ = normalize_corpus(
+            parse_corpus(path, dialect), frame_index, skip_unconsidered=False
+        )
+        _, filtered, _ = aggregate_corpus(patterns, Settings.from_id("0.0"))
+        untyped += sum(r.rgl_type is None for p in filtered for r in p.realizations)
+        expected = {}
+        for p in filtered:
+            complements = sum(
+                r.syn_function is SynFunction.OBJ or r.rgl_type is RglType.VP
+                for r in p.realizations
+            )
+            key = (p.lu_ref.split(".")[0], p.frame)
+            expected[key] = max(expected.get(key, 0), complements)
+        got = {
+            (fn.source_lemma, fn.frame): fn.verb_arity
+            for fn in derive_lu_module(filtered, dialect.value)
+        }
+        assert got == {key: ("V", "V2", "V3")[min(n, 2)] for key, n in expected.items()}
+    assert untyped
 
 
 def test_same_lemma_in_two_frames_gives_two_functions():
