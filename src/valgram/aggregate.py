@@ -199,34 +199,54 @@ def _group(
     full: _Grouping,
     drop_singletons: bool = False,
 ) -> tuple[_Groups, dict[_Grouping, list[_GroupSize]], list[SentencePattern], list[Skip]]:
-    """Group the patterns under each grouping in one pass over them.
+    """Group the patterns under each grouping, filtering, keying and
+    counting each distinct example once, weighted by its examples.
 
-    An example's valence key and line at one granularity are computed once
-    for all groupings that keep the example whole, which is every grouping
-    unless the example repeats an FE or has a non-core one. ``full``, which
-    must be among the groupings, gets valence patterns, returned by valence
-    key; every other grouping only counts its groups' sizes. Also returns
-    ``full``'s kept patterns, restricted to reused valences when
-    ``drop_singletons``, and its drops, examples with an unconsidered FE
-    first.
+    A distinct example is a (frame, voice, realizations tuple), the tuple by
+    identity: equal patterns share one tuple (see ``normalize_corpus``), and
+    equal tuples that are different objects only cost a second distinct
+    example. An example's valence key and line at one granularity are
+    computed once for all groupings that keep the example whole, which is
+    every grouping unless the example repeats an FE or has a non-core one.
+    ``full``, which must be among the groupings, gets valence patterns,
+    returned by valence key; every other grouping only counts its groups'
+    sizes. Also returns ``full``'s kept patterns, restricted to reused
+    valences when ``drop_singletons``, and its drops, examples with an
+    unconsidered FE first, each in input order.
     """
+    # Each distinct example's [first example, examples, outcome under
+    # ``full``, the outcome's list or valence], by key and by example. The
+    # first example holds the realizations tuple, so no id is reused while
+    # the call runs.
+    patterns = list(patterns)
+    distinct: dict[tuple[str, Voice, int], list] = {}
+    of_example: list[list] = []
+    for p in patterns:
+        key = (p.frame, p.voice, id(p.realizations))
+        d = distinct.get(key)
+        if d is None:
+            d = distinct[key] = [p, 0, None, None]
+        d[1] += 1
+        of_example.append(d)
+
     groups: _Groups = {}
     # A counted grouping's [examples, first line, set of lines once a
     # second one appears] by key number; most groups have one line.
-    # Numbering the keys hashes each nested key tuple once per example and
-    # granularity, not once per grouping.
+    # Numbering the keys hashes each nested key tuple once per distinct
+    # example and granularity, not once per grouping.
     tallies: dict[_Grouping, dict[int, list]] = {g: {} for g in groupings if g != full}
     key_ids: dict[_ValenceKey, int] | None = {} if tallies else None
     plan = [(*g, tallies.get(g)) for g in groupings]
     any_skip = any(g[1] for g in groupings)
     any_filter = any(g[2] or g[3] for g in groupings)
-    kept: list[SentencePattern] = []
-    counted_in: list[ValencePattern] = []
     unconsidered: list[Skip] = []
     dropped: list[Skip] = []
     skip = None
     repeats = noncore = False
-    for p in patterns:
+    # Distinct examples come in the order of their first examples, so groups,
+    # tallies and sentence variants fill in the order the examples would.
+    for d in distinct.values():
+        p, n = d[0], d[1]
         reals = p.realizations
         if any_skip:
             skip = p.unconsidered_skip()
@@ -238,14 +258,14 @@ def _group(
         for generalize, skip_unconsidered, dedupe, drop_noncore, tally in plan:
             if skip is not None and skip_unconsidered:
                 if tally is None:
-                    unconsidered.append(skip)
+                    d[2:] = skip, unconsidered
                 continue
             q = p
             if (dedupe and repeats) or (drop_noncore and noncore):
                 q = _filtered(p, generalize, dedupe, drop_noncore)
                 if isinstance(q, Skip):
                     if tally is None:
-                        dropped.append(q)
+                        d[2:] = q, dropped
                     continue
             if q is p:
                 entry = whole[generalize] or _valence_entry(p, generalize, key_ids)
@@ -256,9 +276,9 @@ def _group(
             if tally is not None:
                 counted = tally.get(key_id)
                 if counted is None:
-                    tally[key_id] = [1, line, None]
+                    tally[key_id] = [n, line, None]
                     continue
-                counted[0] += 1
+                counted[0] += n
                 if line != counted[1]:
                     if counted[2] is None:
                         counted[2] = {counted[1]}
@@ -270,14 +290,31 @@ def _group(
                     frame=p.frame, voice=p.voice, fes=_FE_SETS.setdefault(key[2], key[2]),
                     count=0, sentence_variants={},
                 )
-            vp.count += 1
+            vp.count += n
             variants = vp.sentence_variants
-            variants[line] = variants.get(line, 0) + 1
-            kept.append(q)
-            if drop_singletons:
-                counted_in.append(vp)
-    if drop_singletons:
-        kept = [q for q, vp in zip(kept, counted_in) if vp.count > 1]
+            variants[line] = variants.get(line, 0) + n
+            d[2:] = q, vp
+
+    # Each example's own skip or kept pattern, from its distinct example's
+    # outcome: a skip goes to the list of its kind, and a filtered pattern
+    # carries the example's sentence id and LU.
+    kept: list[SentencePattern] = []
+    for p, (first, _, outcome, held) in zip(patterns, of_example):
+        if type(outcome) is Skip:
+            held.append(
+                outcome if p is first else Skip(p.sentence_id, outcome.reason, outcome.detail)
+            )
+        elif drop_singletons and held.count < 2:
+            continue
+        elif outcome is first:
+            kept.append(p)
+        elif p is first:
+            kept.append(outcome)
+        else:
+            kept.append(SentencePattern(
+                frame=p.frame, voice=p.voice, realizations=outcome.realizations,
+                lu_ref=p.lu_ref, sentence_id=p.sentence_id,
+            ))
     frame_of = [frame for frame, _, _ in key_ids or ()]  # by key number
     plan.clear()  # so that each tally is freed once its sizes are listed
     sizes = {}

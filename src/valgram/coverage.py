@@ -13,11 +13,12 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .compare import MatchLevel, SharedPatternSet, _level_tokens
 from .frames import Coreness
-from .normalize import SentencePattern
+from .ingest import _once_per_object
+from .normalize import FeRealization, SentencePattern
 
 
 @dataclass(frozen=True)
@@ -59,26 +60,27 @@ _SLOTS = {
 }
 
 
-def _cover_key(p: SentencePattern, level: MatchLevel, slot: str, keys: dict) -> tuple:
-    """The example's ((frame, voice), reduced set) at the level, stored in
-    its slot as the one object in ``keys`` equal to it; the reduced set does
-    not depend on the shared set.
-
-    The reduced set is the level's tokens of the example's core FEs, so word
-    order, prepositions and repeats drop out. At the semantic level a token
-    reads only the FE name and the non-core flag, so an FE without an
-    interlingual type counts there; at the syntactic level it does not.
-    """
+def _reduced(reals: tuple[FeRealization, ...], level: MatchLevel) -> frozenset[str]:
+    """The level's tokens of an example's core FEs, so word order,
+    prepositions and repeats drop out. At the semantic level a token reads
+    only the FE name and the non-core flag, so an FE without an interlingual
+    type counts there; at the syntactic level it does not."""
     if level is _SEMANTIC:
-        group = (p.frame, None)
-        fes = [r.native_key for r in p.realizations if r.coreness is not _NONCORE]
+        fes = [r.native_key for r in reals if r.coreness is not _NONCORE]
     else:
-        group = (p.frame, p.voice._value_)
-        fes = [
-            r.rgl_key for r in p.realizations
-            if r.coreness is not _NONCORE and r.rgl_type is not None
-        ]
-    key = group, _level_tokens(tuple(fes), level)
+        fes = [r.rgl_key for r in reals if r.coreness is not _NONCORE and r.rgl_type is not None]
+    return _level_tokens(tuple(fes), level)
+
+
+def _cover_key(
+    p: SentencePattern, level: MatchLevel, slot: str, keys: dict,
+    reduce: Callable[[tuple[FeRealization, ...]], frozenset[str]],
+) -> tuple:
+    """The example's ((frame, voice), reduced set) at the level, stored in
+    its slot as the one object in ``keys`` equal to it; the reduced set,
+    ``reduce`` of its realizations, does not depend on the shared set."""
+    group = (p.frame, None) if level is _SEMANTIC else (p.frame, p.voice._value_)
+    key = group, reduce(p.realizations)
     key = keys.setdefault(key, key)
     object.__setattr__(p, slot, key)
     return key
@@ -94,12 +96,16 @@ def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> Co
 
     # Examples repeat their keys, so each distinct key is tested once,
     # weighted by its count. The first call at a level fills the keys of all
-    # its examples, so equal keys share one key object.
+    # its examples, so equal keys share one key object, and examples that
+    # share a realizations tuple reduce it once.
     slot = _SLOTS[level]
     counts = Counter(map(attrgetter(slot), examples))
     if None in counts:
         keys: dict[tuple, tuple] = {}
-        counts = Counter(getattr(p, slot) or _cover_key(p, level, slot, keys) for p in examples)
+        reduce = _once_per_object(lambda reals: _reduced(reals, level))
+        counts = Counter(
+            getattr(p, slot) or _cover_key(p, level, slot, keys, reduce) for p in examples
+        )
     covered = 0
     in_shared = 0
     for (group, reduced), n in counts.items():

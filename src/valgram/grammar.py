@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from . import __version__
 from .compare import MatchLevel, SharedPattern, SharedPatternSet
 from .frames import Coreness
+from .ingest import _once_per_object
 from .normalize import FeKey, RglType, SentencePattern, SynFunction, parse_fe_category
 
 
@@ -167,14 +168,18 @@ def _transliterate(lemma: str) -> str:
 
 def derive_lu_module(patterns: Sequence[SentencePattern], framenet: str) -> list[LuFunction]:
     """One function per (lemma, frame), with the maximum arity over that
-    lexical unit's attested patterns; sense identifiers are dropped."""
+    lexical unit's attested patterns; sense identifiers are dropped. The
+    arity of each realizations tuple is computed once per call."""
     best: dict[tuple[str, str], str] = {}
+    # An FE without an interlingual type has no function, so it adds no complement.
+    arity_of = _once_per_object(
+        lambda reals: choose_verb_arity(r.rgl_key for r in reals if r.rgl_type is not None)
+    )
     for p in patterns:
         lemma = _lemma_from_lu_ref(p.lu_ref)
         if not lemma:
             continue
-        # An FE without an interlingual type has no function, so it adds no complement.
-        arity = choose_verb_arity(r.rgl_key for r in p.realizations if r.rgl_type is not None)
+        arity = arity_of(p.realizations)
         key = (lemma, p.frame)
         if key not in best or ARITY_ORDER[arity] > ARITY_ORDER[best[key]]:
             best[key] = arity

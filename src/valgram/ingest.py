@@ -19,9 +19,12 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 # Layers whose labels are treated as the token/POS layer of a BFN sentence.
 BFN_POS_LAYERS = {"BNC", "PENN"}
@@ -603,28 +606,33 @@ def _fe_json(fe: FeSpan, word_json: Callable[[WordAnno], str]) -> str:
     )
 
 
+def _once_per_object(compute: Callable[[_T], _R]) -> Callable[[_T], _R]:
+    """``compute``, run once per distinct argument object. The memo is keyed
+    by ``id()`` and holds the argument, so no id is reused while the memo
+    lives, even when the caller's objects could be freed. So it keeps every
+    distinct argument it has seen, with its result, until it is dropped:
+    memory grows with the distinct objects passed, not with the calls."""
+    memo: dict[int, tuple[_T, _R]] = {}
+
+    def once(obj: _T) -> _R:
+        entry = memo.get(id(obj))
+        if entry is None:
+            entry = memo[id(obj)] = (obj, compute(obj))
+        return entry[1]
+
+    return once
+
+
 def _json_lines(sentences: Iterable[AnnotatedSentence]) -> Iterator[str]:
     """The JSON-lines text of each sentence, without its newline.
 
-    Each word and FE object is encoded once per call. The memo is keyed by
-    ``id()`` and holds the object, so no id is reused while the call runs,
-    even when ``sentences`` is a generator whose records could be freed.
-    So the memo keeps every distinct word and FE object written, with its
-    text, until the call ends: memory grows with the distinct sub-records
+    Each word and FE object is encoded once per call, through
+    :func:`_once_per_object`, even when ``sentences`` is a generator whose
+    records could be freed: memory grows with the distinct sub-records
     written, which for a generator of unshared records is the whole input.
     """
-    memo: dict[int, tuple[object, str]] = {}
-
-    def once(encode: Callable) -> Callable:
-        def encoded(record) -> str:
-            entry = memo.get(id(record))
-            if entry is None:
-                entry = memo[id(record)] = (record, encode(record))
-            return entry[1]
-        return encoded
-
-    word_json = once(_word_json)
-    fe_json = once(lambda fe: _fe_json(fe, word_json))
+    word_json = _once_per_object(_word_json)
+    fe_json = _once_per_object(lambda fe: _fe_json(fe, word_json))
     for s in sentences:
         yield (
             f'{{"dialect": {_str(s.dialect.value)}, '

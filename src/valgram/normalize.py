@@ -11,13 +11,13 @@ from __future__ import annotations
 import functools
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .frames import Coreness, FrameIndex
-from .ingest import AnnotatedSentence, Dialect, FeSpan, WordAnno
+from .ingest import AnnotatedSentence, Dialect, FeSpan, WordAnno, _once_per_object
 
 logger = logging.getLogger(__name__)
 
@@ -145,6 +145,7 @@ def fe_name_fits_tokens(name: str) -> bool:
 # Members reached through their class cost a lookup on each use; these are
 # read once per realization built.
 _SYN_NONE = SynFunction.NONE
+_SUBJ = SynFunction.SUBJ
 _NONCORE = Coreness.NONCORE
 
 
@@ -546,25 +547,21 @@ def _realization(
     )
 
 
-def _demote_extra_subjects(
-    reals: list[FeRealization], sentence_id: str
-) -> list[FeRealization]:
+def _demote_extra_subjects(reals: list[FeRealization], sentence_id: str) -> None:
     # Annotation noise can yield several external arguments; the leftmost is
-    # kept as subject, the rest become modifiers.
+    # kept as subject, the rest become modifiers, shared like any other
+    # realization.
     seen = False
-    out: list[FeRealization] = []
-    for r in reals:
-        if r.syn_function is SynFunction.SUBJ:
+    for i, r in enumerate(reals):
+        if r.syn_function is _SUBJ:
             if seen:
                 logger.warning(
                     "sentence %s: extra subject %r demoted to Adv", sentence_id, r.fe_name
                 )
-                r = replace(
-                    r, rgl_type=RglType.ADV, syn_function=SynFunction.NONE, preposition=None
+                reals[i] = _realization(
+                    r.fe_name, r.native_type, Generalized(RglType.ADV), r.coreness
                 )
             seen = True
-        out.append(r)
-    return out
 
 
 def normalize_sentence(
@@ -573,7 +570,18 @@ def normalize_sentence(
     """Build the sentence pattern, keeping FEs that fall outside the
     interlingual inventory as untyped realizations (their native tags remain
     available for baseline statistics)."""
-    rules = rules or DEFAULT_VOICE_RULES
+    return _normalize_sentence(s, index, rules or DEFAULT_VOICE_RULES, {})
+
+
+# A realizations tuple by the ids of its realizations.
+_Tuples = dict[tuple[int, ...], tuple[FeRealization, ...]]
+
+
+def _normalize_sentence(
+    s: AnnotatedSentence, index: FrameIndex, rules: dict, tuples: _Tuples
+) -> SentencePattern | Skip:
+    """:func:`normalize_sentence`, taking its realizations tuple from
+    ``tuples`` when an equal sequence is already there."""
     if s.frame not in index:
         return Skip(s.sentence_id, SkipReason.UNKNOWN_FRAME, s.frame)
     try:
@@ -591,12 +599,16 @@ def normalize_sentence(
         else:
             native, mapped = _swefn_types(fe, s)
         reals.append(_realization(fe.fe_name, native, mapped, core))
-    reals = _demote_extra_subjects(reals, s.sentence_id)
+    _demote_extra_subjects(reals, s.sentence_id)
+    ids = tuple(map(id, reals))
+    shared = tuples.get(ids)
+    if shared is None:
+        shared = tuples[ids] = tuple(reals)
 
     return SentencePattern(
         frame=s.frame,
         voice=voice,
-        realizations=tuple(reals),
+        realizations=shared,
         lu_ref=s.lu_ref,
         sentence_id=s.sentence_id,
     )
@@ -634,11 +646,20 @@ def normalize_corpus(
     *,
     skip_unconsidered: bool = True,
 ) -> tuple[list[SentencePattern], list[Skip]]:
-    """Normalize a corpus, splitting results into patterns and skips."""
+    """Normalize a corpus, splitting results into patterns and skips.
+
+    Patterns with equal realizations share one tuple, so later stages can
+    key an example's realizations by the tuple's identity. Realizations are
+    one object per distinct annotation (see ``_realization``), so the ids of
+    a sequence's realizations key its tuple; the table holds each tuple, so
+    no id is reused while the call runs.
+    """
+    rules = rules or DEFAULT_VOICE_RULES
+    tuples: _Tuples = {}
     patterns: list[SentencePattern] = []
     skips: list[Skip] = []
     for s in sentences:
-        result = normalize_sentence(s, index, rules)
+        result = _normalize_sentence(s, index, rules, tuples)
         if isinstance(result, Skip):
             skips.append(result)
         else:
@@ -655,10 +676,15 @@ def normalize_corpus(
 def write_patterns_tsv(
     patterns: Iterable[SentencePattern], path: Path, *, native: bool = False
 ) -> None:
+    """One line per pattern; the FE field of each realizations tuple is
+    joined once per call."""
+    token = FeRealization.native_token if native else FeRealization.rgl_token
+    fes_field = _once_per_object(lambda reals: " ".join(map(token, reals)))
     with path.open("w", encoding="utf-8") as f:
         for p in patterns:
-            fes = p.native_fes if native else p.rgl_fes
-            f.write(f"{p.frame}\t{p.voice.value}\t{fes}\t{p.lu_ref}\t{p.sentence_id}\n")
+            fes = fes_field(p.realizations)
+            # ``_value_`` skips the ``value`` property's descriptor call.
+            f.write(f"{p.frame}\t{p.voice._value_}\t{fes}\t{p.lu_ref}\t{p.sentence_id}\n")
 
 
 def read_tsv_rows(

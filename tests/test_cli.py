@@ -615,6 +615,59 @@ def test_tsv_field_error_names_file_line_and_field(tmp_path, mini_run, case):
     )
 
 
+# Tokens that no reading of a sentence-pattern FE field takes: no type, or a
+# type outside the interlingual inventory. A native token such as
+# ``Event_NP.Obj`` also reads as an interlingual one, so none is drawn.
+_BAD_FE_TOKENS = st.one_of(
+    st.sampled_from(["Event", "Opt_Degree", "Experiencer_"]),
+    st.builds(
+        "{}_{}".format,
+        st.sampled_from(["Event", "Experiencer", "Opt_Degree"]),
+        st.sampled_from(["Sfin", "PP", "AVP", "NP.Dep", "VPto", "Adv[for", "np"]),
+    ),
+)
+_FIELD_TEXT = st.text(st.characters(exclude_characters="\t\n\r"), max_size=6)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "evaluate"])
+@settings(max_examples=50)  # each example runs a command on the mini patterns
+@given(data=st.data())
+def test_corrupted_patterns_tsv_line_is_one_error_record(
+    tmp_path_factory, mini_run, command, data
+):
+    # One line of the mini patterns TSV gets another field count, a voice
+    # that is not one, or an FE token that does not read. The command then
+    # fails with one error record naming the file and the line, and the
+    # field when a field is at fault.
+    run = mini_run("2.B")
+    lines = (run / "bfn.patterns.tsv").read_text(encoding="utf-8").split("\n")[:-1]
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    fields = lines[i].split("\t")
+    kind = data.draw(st.sampled_from(["fields", "voice", "token"]), label="kind")
+    if kind == "fields":
+        n = data.draw(st.integers(1, 8).filter(lambda n: n != len(fields)), label="fields")
+        fields = (fields + data.draw(st.lists(_FIELD_TEXT, min_size=3, max_size=3)))[:n]
+        message = f"expected 5 fields, got {n}"
+    elif kind == "voice":
+        fields[1] = data.draw(_FIELD_TEXT.filter(lambda v: v not in ("Act", "Pass")), label="voice")
+        message = f"voice: {fields[1]!r} is not a valid Voice"
+    else:
+        tokens = fields[2].split()
+        token = data.draw(_BAD_FE_TOKENS, label="token")
+        tokens.insert(data.draw(st.integers(0, len(tokens)), label="at"), token)
+        fields[2] = " ".join(tokens)
+        message = f"fes: cannot parse FE token {token!r} as a pattern"
+    lines[i] = "\t".join(fields)
+    bad = tmp_path_factory.getbasetemp() / f"corrupt-{command}.patterns.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path_factory.getbasetemp() / f"corrupt-{command}.out"
+    if command == "aggregate":
+        argv = ["aggregate", "--in", bad, "--settings", "2.B", "--out", out]
+    else:
+        argv = _evaluate(run / "shared" / "semsyn-fuzzy.tsv", bad, "bfn", out)
+    assert _command_error(argv).startswith(f"{bad}:{i + 1}: {message}")
+
+
 @pytest.mark.parametrize("count", ["x", "999"])
 @pytest.mark.parametrize("command", ["evaluate", "generate"])
 def test_shared_tsv_count_must_be_the_variants_sum(tmp_path, mini_run, command, count):

@@ -5,6 +5,7 @@ group what is left. The oracle never calls the aggregation code."""
 import csv
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,10 @@ from valgram.aggregate import (
     aggregate_corpus,
     aggregate_lattice,
 )
+from valgram.compare import MatchLevel, MatchMode, intersect
+from valgram.coverage import coverage
 from valgram.frames import Coreness
+from valgram.grammar import derive_lu_module
 from valgram.ingest import Dialect, parse_corpus
 from valgram.normalize import (
     FeRealization,
@@ -29,7 +33,9 @@ from valgram.normalize import (
     SynFunction,
     Voice,
     normalize_corpus,
+    write_patterns_tsv,
 )
+from helpers import oracle_coverage
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +327,96 @@ def test_every_kind_covers_each_drop_and_each_variant():
     assert len(oracle(patterns, Settings.from_id("3.B"))[0]) < len(
         oracle(patterns, Settings.from_id("2.B"))[0]
     )
+
+
+# ---------------------------------------------------------------------------
+# Shared and copied realizations tuples
+# ---------------------------------------------------------------------------
+
+@st.composite
+def shared_tuple_lists(draw):
+    """Drawn pattern lists in which equal realizations tuples are different
+    objects, some of equal but different realizations, and one tuple object
+    is shared by examples of other frames, voices, sentence ids and LUs."""
+    patterns = draw(pattern_lists())
+    if not patterns:
+        return patterns
+    copies = {
+        "same": lambda reals: reals,
+        "tuple": lambda reals: tuple([*reals]),
+        "realizations": lambda reals: tuple(replace(r) for r in reals),
+    }
+    out = [
+        replace(p, realizations=copies[draw(st.sampled_from(list(copies)))](p.realizations))
+        for p in patterns
+    ]
+    others = draw(st.lists(st.tuples(
+        st.sampled_from(out), st.sampled_from(["Alpha", "Beta"]),
+        st.sampled_from([Voice.ACT, Voice.PASS]), st.sampled_from(["a.v.1", "b.v.2", "d.v.4"]),
+    ), max_size=10))
+    out += [
+        SentencePattern(frame, voice, p.realizations, lu_ref, f"s{i:03d}")
+        for i, (p, frame, voice, lu_ref) in enumerate(others)
+    ]
+    return draw(st.permutations(out))
+
+
+def _patterns_tsv(patterns, native):
+    return "".join(
+        f"{p.frame}\t{p.voice.value}\t{' '.join(_token(r, not native) for r in p.realizations)}"
+        f"\t{p.lu_ref}\t{p.sentence_id}\n"
+        for p in patterns
+    )
+
+
+_ARITIES = ["V", "V2", "V3"]
+
+
+def _lu_functions(patterns):
+    """(name, arity, frame) of each LU, from a count of each example's
+    complements: typed FEs that are objects or VPs."""
+    best = {}
+    for p in patterns:
+        complements = sum(
+            1 for r in p.realizations if r.rgl_type is not None
+            and (r.rgl_type is RglType.VP or r.syn_function is SynFunction.OBJ)
+        )
+        arity = _ARITIES[min(complements, 2)]
+        key = (p.lu_ref.split(".")[0], p.frame)
+        best[key] = max(best.get(key, arity), arity, key=_ARITIES.index)
+    return sorted((f"{lemma}_{arity}_{frame}", arity, frame) for (lemma, frame), arity in best.items())
+
+
+@given(shared_tuple_lists())
+def test_shared_and_copied_tuples_give_the_per_example_results(patterns):
+    # Sharing a tuple is only a speed-up: every result is the one computed
+    # from each example on its own.
+    check_against_oracle(patterns)
+    typed = [p for p in patterns if all(r.rgl_type is not None for r in p.realizations)]
+    # (patterns, the same patterns built per example, native types)
+    cases = [(patterns, patterns, True), (typed, typed, False)]
+    for sid in ALL_SETTINGS_IDS:
+        settings = Settings.from_id(sid)
+        cases.append((
+            aggregate_corpus(patterns, settings)[1], oracle(patterns, settings)[1],
+            not settings.skip_unconsidered,
+        ))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "patterns.tsv"
+        for got, expected, native in cases:
+            write_patterns_tsv(got, path, native=native)
+            assert path.read_text(encoding="utf-8") == _patterns_tsv(expected, native)
+            assert [
+                (f.name, f.verb_arity, f.frame) for f in derive_lu_module(got, "x")
+            ] == _lu_functions(expected)
+
+    left = aggregate_corpus(patterns, Settings.from_id("2.B"))[0]
+    right = aggregate_corpus(patterns[::2], Settings.from_id("2.A"))[0]
+    finals = [intersect(left, right, level, mode) for level in MatchLevel for mode in MatchMode]
+    for order in (finals, finals[::-1]):
+        examples = [replace(p) for p in patterns]
+        for final in order:
+            report = coverage(final, examples)
+            assert (report.covered, report.in_shared_frames, report.total) == oracle_coverage(
+                final, examples
+            )

@@ -684,6 +684,39 @@ def test_demoting_a_subject_leaves_the_shared_realization_a_subject(frame_index)
     assert one.realizations[0].syn_function is SynFunction.SUBJ
 
 
+def _two_subject_sentence(sentence_id: str) -> str:
+    return f"""<sentence ID="{sentence_id}">
+      <text>Traders and the city want a change.</text>
+      <annotationSet><layer name="BNC"><label start="20" end="23" name="VVB"/></layer></annotationSet>
+      <annotationSet status="MANUAL" frameName="Desiring" luName="want.v" luID="1">
+        <layer name="FE"><label start="0" end="6" name="Experiencer"/>
+          <label start="12" end="19" name="Event"/></layer>
+        <layer name="GF"><label start="0" end="6" name="Ext"/>
+          <label start="12" end="19" name="Ext"/></layer>
+        <layer name="PT"><label start="0" end="6" name="NP"/>
+          <label start="12" end="19" name="NP"/></layer>
+        <layer name="Target"><label start="20" end="23" name="Target"/></layer>
+      </annotationSet>
+    </sentence>"""
+
+
+def test_equal_demotions_share_one_realization_and_one_tuple(frame_index, caplog):
+    # Both sentences demote the same extra external argument. The demoted
+    # realization is one object, as any other annotation's is, so the two
+    # patterns hold one realizations tuple; each sentence logs its demotion.
+    xml = f"<corpus>{_two_subject_sentence('a')}{_two_subject_sentence('b')}</corpus>"
+    with caplog.at_level("WARNING"):
+        (a, b), _ = normalize_corpus(
+            parse_corpus(xml.encode(), Dialect.BFN_PHRASE), frame_index, skip_unconsidered=False
+        )
+    assert _fes(a) == _fes(b) == "Experiencer_NP.Subj Event_Adv"
+    assert a.realizations[1] is b.realizations[1]
+    assert a.realizations is b.realizations
+    assert [r.getMessage() for r in caplog.records] == [
+        f"sentence {sid}: extra subject 'Event' demoted to Adv" for sid in ("a", "b")
+    ]
+
+
 def test_shared_realizations_keep_prepositions_and_coreness_apart():
     index = load_frame_index(
         "Wanting\tcore\tEvent,Experiencer\n"
@@ -709,7 +742,8 @@ def test_realization_caches_hold_one_entry_per_distinct_annotation(
     bfn_mini, swefn_mini, frame_index
 ):
     # Both caches are bounded by the distinct annotation combinations; the
-    # mini corpora demote no subject, so every realization came from a cache.
+    # mini corpora demote no subject, so every cached realization is in a
+    # pattern.
     normalize._bfn_tags.cache_clear()
     normalize._realization.cache_clear()
     bfn, _ = normalize_corpus(
