@@ -17,6 +17,7 @@ from pathlib import Path
 from . import __version__
 from .aggregate import ALL_SETTINGS_IDS, Settings, read_valences_tsv
 from .compare import MatchLevel, MatchMode, _level_tokens, read_shared_tsv
+from .frames import load_frame_index
 from .grammar import file_digest
 from .ingest import Dialect, _json_lines, read_sentences_jsonl
 from .normalize import load_voice_rules, read_patterns_tsv
@@ -30,7 +31,6 @@ from .pipeline import (
     evaluate_coverage,
     generate_grammar,
     ingest_corpora,
-    load_frame_indexes,
     normalize_sentences,
     run_pipeline,
 )
@@ -65,7 +65,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_frames(args: argparse.Namespace) -> int:
-    index = load_frame_indexes([args.validate])
+    index = load_frame_index(Path(args.validate))
     n_core = sum(len(d.core_fes) for d in index.defs.values())
     n_noncore = sum(len(d.noncore_fes) for d in index.defs.values())
     print(f"{len(index.defs)} frames, {n_core} core FEs, {n_noncore} non-core FEs")
@@ -82,7 +82,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     native = args.types == "native"
     _, patterns, skips = normalize_sentences(
         sentences,
-        load_frame_indexes(args.frames),
+        load_frame_index(*map(Path, args.frames)),
         load_voice_rules(_optional_path(args.voice_rules)),
         skip_unconsidered=not native or args.skip_unconsidered,
         native=native,
@@ -111,7 +111,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     elif args.frames:
         patterns, _, _ = normalize_sentences(
             read_sentences_jsonl(in_path),
-            load_frame_indexes(args.frames),
+            load_frame_index(*map(Path, args.frames)),
             load_voice_rules(_optional_path(args.voice_rules)),
             skip_unconsidered=False,
         )

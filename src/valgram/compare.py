@@ -20,8 +20,11 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from .aggregate import ValencePattern
+from .frames import fe_name_fits_tokens
 from .ingest import _JSON_TYPES, _json_type
-from .normalize import FeKey, _decode_count, fe_key_token, parse_fe_key, read_tsv_rows
+from .normalize import (
+    FeKey, _decode_count, fe_key_token, parse_fe_category, parse_fe_key, read_tsv_rows,
+)
 
 
 class MatchLevel(str, Enum):
@@ -428,29 +431,54 @@ def _check_count(row: list) -> None:
         raise ValueError(f"count: {count} is not the sum of the variants' counts, {total}")
 
 
+def _sem_token(token: str) -> str:
+    """An FE token of a semantic shared set: ``[Opt_]<FE>``."""
+    name = token.removeprefix("Opt_")
+    if not (name and fe_name_fits_tokens(name)):
+        raise ValueError(f"cannot parse FE token {token!r} as an FE name")
+    return token
+
+
 def read_shared_tsv(path: Path) -> SharedPatternSet:
     """A shared set written by :func:`write_shared_tsv`; its first line must
-    name the level and mode. Each distinct variant token is decoded once per
-    call, so equal tokens within the file are one key; two calls share none."""
+    name the level and mode. The level decides each row's voice (``-``, or
+    ``Act`` and ``Pass``) and FE tokens (``[Opt_]<FE>``, or grammar
+    categories). Each distinct token is decoded once per call, so equal
+    variant tokens within the file are one key; two calls share none."""
     with path.open("r", encoding="utf-8") as f:
         header = _SHARED_HEADER_RE.fullmatch(f.readline().rstrip("\n"))
     if header is None:
         raise ValueError(f"{path}:1: expected a header like '# level=semsyn mode=fuzzy'")
     level, mode = MatchLevel(header[1]), MatchMode(header[2])
     key = functools.cache(parse_fe_key)
+    check_token = functools.cache(_sem_token if level is _SEMANTIC else parse_fe_category)
+    voices = {"-": None} if level is _SEMANTIC else {"Act": "Act", "Pass": "Pass"}
+
+    def decode_voice(text: str) -> str | None:
+        if text not in voices:
+            expected = " or ".join(map(repr, voices))
+            raise ValueError(f"expected {expected} at level {level.value}, got {text!r}")
+        return voices[text]
+
+    def decode_fes(fes_field: str) -> frozenset[str]:
+        tokens = [t for t in fes_field.split(",") if t]
+        for t in tokens:
+            check_token(t)
+        return frozenset(tokens)
+
     columns = {
-        "frame": None, "voice": None, "fes": None, "count": _decode_count,
+        "frame": None, "voice": decode_voice, "fes": decode_fes, "count": _decode_count,
         "meta": lambda meta_field: _shared_meta(meta_field, key),
     }
     patterns = [
         SharedPattern(
             frame=frame,
-            voice=None if voice == "-" else voice,
-            fes=frozenset(t for t in fes_field.split(",") if t),
+            voice=voice,
+            fes=fes,
             subsumed_by=subsumed_by,
             syn_variants=syn_variants,
         )
-        for frame, voice, fes_field, _count, (subsumed_by, syn_variants)
+        for frame, voice, fes, _count, (subsumed_by, syn_variants)
         in read_tsv_rows(path, columns, _check_count)
     ]
     return SharedPatternSet(

@@ -52,43 +52,45 @@ class FrameIndex:
             return Coreness.NONCORE
         raise FrameIndexError(f"unknown FE {fe!r} for frame {frame!r}")
 
-    def merged(self, override: "FrameIndex") -> "FrameIndex":
-        """Overlay another index; its definitions win frame by frame."""
-        defs = dict(self.defs)
-        defs.update(override.defs)
-        return FrameIndex(defs=defs)
+
+def fe_name_fits_tokens(name: str) -> bool:
+    """Whether FE tokens can carry an FE name: it holds no ".", "[", "]" or
+    whitespace, and has no "Opt_" prefix, which would read as non-core."""
+    return not name.startswith("Opt_") and not any(c in ".[]" or c.isspace() for c in name)
 
 
-def load_frame_index(source: bytes | str | Path) -> FrameIndex:
+def load_frame_index(source: bytes | str | Path, *overrides: bytes | str | Path) -> FrameIndex:
     """Load the TSV format (``bytes`` or ``str`` hold the text, a ``Path``
-    names the file), merging repeated rows per frame. An FE name that FE
-    tokens cannot carry is an error."""
-    from .normalize import fe_name_fits_tokens  # normalize imports this module
-
+    names the file), merging repeated rows per frame; each later source
+    replaces the earlier definitions frame by frame. An FE name that FE
+    tokens cannot carry is an error. Errors in a file start ``<path>:<line>:``,
+    or ``<path>:`` for a frame's core/non-core clash; errors in text start
+    ``line <n>:``."""
     if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        source = source.decode("utf-8")
+        text, at, where = source.read_text(encoding="utf-8"), f"{source}:", f"{source}: "
+    else:
+        text = source.decode("utf-8") if isinstance(source, bytes) else source
+        at, where = "line ", ""
     core: dict[str, set[str]] = {}
     noncore: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise FrameIndexError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
+            raise FrameIndexError(f"{at}{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         frame, kind, fes_field = parts
         fes = {fe.strip() for fe in fes_field.split(",") if fe.strip()}
         bad = sorted(fe for fe in fes if not fe_name_fits_tokens(fe))
         if bad:
-            raise FrameIndexError(f"line {lineno}: FE tokens cannot carry the FE names {bad}")
+            raise FrameIndexError(f"{at}{lineno}: FE tokens cannot carry the FE names {bad}")
         if kind == "core":
             core.setdefault(frame, set()).update(fes)
         elif kind == "noncore":
             noncore.setdefault(frame, set()).update(fes)
         else:
-            raise FrameIndexError(f"line {lineno}: unknown coreness kind {kind!r}")
+            raise FrameIndexError(f"{at}{lineno}: unknown coreness kind {kind!r}")
 
     defs: dict[str, FrameDef] = {}
     for frame in sorted(set(core) | set(noncore)):
@@ -97,8 +99,9 @@ def load_frame_index(source: bytes | str | Path) -> FrameIndex:
         clash = core_fes & noncore_fes
         if clash:
             raise FrameIndexError(
-                f"frame {frame!r} lists {sorted(clash)} as both core and non-core"
+                f"{where}frame {frame!r} lists {sorted(clash)} as both core and non-core"
             )
         defs[frame] = FrameDef(frame=frame, core_fes=core_fes, noncore_fes=noncore_fes)
+    if overrides:
+        defs.update(load_frame_index(*overrides).defs)
     return FrameIndex(defs=defs)
-

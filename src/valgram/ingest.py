@@ -571,10 +571,6 @@ def _sentence_from(d: object, table: dict) -> AnnotatedSentence:
     )
 
 
-def sentence_from_dict(d: dict) -> AnnotatedSentence:
-    return _sentence_from(d, {})
-
-
 # The JSON-lines encoders write what ``json.dumps(..., ensure_ascii=False,
 # sort_keys=True)`` writes for the dict form of a record (keys sorted, ", "
 # and ": " separators), without building the dict: the schema is fixed.

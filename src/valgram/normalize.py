@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .frames import Coreness, FrameIndex
+from .frames import Coreness, FrameIndex, fe_name_fits_tokens
 from .ingest import AnnotatedSentence, Dialect, FeSpan, WordAnno, _once_per_object
 
 logger = logging.getLogger(__name__)
@@ -58,9 +58,9 @@ class Skip:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Generalized:
-    """Result of mapping one FE annotation onto the interlingual inventory."""
+class Generalized(NamedTuple):
+    """Result of mapping one FE annotation onto the interlingual inventory.
+    A tuple, so that keying ``_realization``'s cache on it hashes in C."""
 
     rgl_type: RglType
     syn_function: SynFunction = SynFunction.NONE
@@ -134,12 +134,6 @@ def parse_fe_category(token: str) -> FeKey:
     """Key of a grammar category name such as ``Opt_Degree_Adv``: an
     interlingual type, no syntactic function and no preposition."""
     return _decode_fe_token(token, "category")[0]
-
-
-def fe_name_fits_tokens(name: str) -> bool:
-    """Whether FE tokens can carry an FE name: it holds no ".", "[", "]" or
-    whitespace, and has no "Opt_" prefix, which would read as non-core."""
-    return not name.startswith("Opt_") and not any(c in ".[]" or c.isspace() for c in name)
 
 
 # Members reached through their class cost a lookup on each use; these are
@@ -564,15 +558,6 @@ def _demote_extra_subjects(reals: list[FeRealization], sentence_id: str) -> None
             seen = True
 
 
-def normalize_sentence(
-    s: AnnotatedSentence, index: FrameIndex, rules: dict | None = None
-) -> SentencePattern | Skip:
-    """Build the sentence pattern, keeping FEs that fall outside the
-    interlingual inventory as untyped realizations (their native tags remain
-    available for baseline statistics)."""
-    return _normalize_sentence(s, index, rules or DEFAULT_VOICE_RULES, {})
-
-
 # A realizations tuple by the ids of its realizations.
 _Tuples = dict[tuple[int, ...], tuple[FeRealization, ...]]
 
@@ -580,8 +565,10 @@ _Tuples = dict[tuple[int, ...], tuple[FeRealization, ...]]
 def _normalize_sentence(
     s: AnnotatedSentence, index: FrameIndex, rules: dict, tuples: _Tuples
 ) -> SentencePattern | Skip:
-    """:func:`normalize_sentence`, taking its realizations tuple from
-    ``tuples`` when an equal sequence is already there."""
+    """The sentence pattern, keeping FEs that fall outside the interlingual
+    inventory as untyped realizations (their native tags remain available for
+    baseline statistics). Its realizations tuple comes from ``tuples`` when an
+    equal sequence is already there."""
     if s.frame not in index:
         return Skip(s.sentence_id, SkipReason.UNKNOWN_FRAME, s.frame)
     try:
@@ -615,28 +602,20 @@ def _normalize_sentence(
 
 
 def promote_unconsidered_skips(
-    patterns: Iterable[SentencePattern],
+    patterns: Iterable[SentencePattern], skips: Iterable[Skip] = ()
 ) -> tuple[list[SentencePattern], list[Skip]]:
-    """Split already-normalized patterns into fully mappable ones and skips
-    for those containing an FE outside the interlingual inventory."""
+    """The fully mappable patterns, and ``skips`` with the skips of the
+    examples that hold an FE outside the interlingual inventory merged in,
+    sorted by sentence id."""
     kept: list[SentencePattern] = []
-    skips: list[Skip] = []
+    merged = list(skips)
     for p in patterns:
         skip = p.unconsidered_skip()
         if skip is None:
             kept.append(p)
         else:
-            skips.append(skip)
-    return kept, skips
-
-
-def _skip_unconsidered(
-    patterns: Iterable[SentencePattern], skips: list[Skip]
-) -> tuple[list[SentencePattern], list[Skip]]:
-    """The fully mappable patterns, and ``skips`` with the skips of the other
-    examples merged in, sorted by sentence id."""
-    kept, promoted = promote_unconsidered_skips(patterns)
-    return kept, sorted(skips + promoted, key=lambda sk: sk.sentence_id)
+            merged.append(skip)
+    return kept, sorted(merged, key=lambda sk: sk.sentence_id)
 
 
 def normalize_corpus(
@@ -665,7 +644,7 @@ def normalize_corpus(
         else:
             patterns.append(result)
     if skip_unconsidered:
-        return _skip_unconsidered(patterns, skips)
+        return promote_unconsidered_skips(patterns, skips)
     return patterns, skips
 
 

@@ -44,9 +44,9 @@ from .ingest import AnnotatedSentence, Dialect, parse_corpus, write_sentences_js
 from .normalize import (
     SentencePattern,
     Skip,
-    _skip_unconsidered,
     load_voice_rules,
     normalize_corpus,
+    promote_unconsidered_skips,
     write_patterns_tsv,
     write_skips_tsv,
 )
@@ -101,14 +101,6 @@ class PipelineConfig:
 # Stages
 # ---------------------------------------------------------------------------
 
-def load_frame_indexes(paths: Sequence[Path | str]) -> FrameIndex:
-    """Load and merge frame-index files; later files win frame by frame."""
-    index = load_frame_index(Path(paths[0]))
-    for path in paths[1:]:
-        index = index.merged(load_frame_index(Path(path)))
-    return index
-
-
 def ingest_corpora(
     paths: Iterable[Path | str], dialect: Dialect, out: Path | None = None
 ) -> list[AnnotatedSentence]:
@@ -139,7 +131,7 @@ def normalize_sentences(
     all_patterns, skips = normalize_corpus(sentences, index, rules, skip_unconsidered=False)
     patterns = all_patterns
     if skip_unconsidered:
-        patterns, skips = _skip_unconsidered(all_patterns, skips)
+        patterns, skips = promote_unconsidered_skips(all_patterns, skips)
     if patterns_out is not None:
         write_patterns_tsv(patterns, patterns_out, native=native)
     if skips_out is not None:
@@ -285,7 +277,7 @@ def _run_stages(config: PipelineConfig) -> None:
         for side in (config.left, config.right):
             name = side.name
             stage = f"frames[{name}]"
-            index = load_frame_indexes(side.frame_index_paths)
+            index = load_frame_index(*map(Path, side.frame_index_paths))
 
             stage = f"ingest[{name}]"
             sentences = ingest_corpora(

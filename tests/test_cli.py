@@ -54,6 +54,25 @@ def test_frames_validate_error(tmp_path, capsys):
     assert "Desiring" in record["message"]
 
 
+@pytest.mark.parametrize("overlay,message", [
+    ("Desiring\tcore\tEvent\nDesiring\tkernel\tDegree\n", ":2: unknown coreness kind 'kernel'"),
+    ("Desiring\tcore\tEvent\nDesiring\tnoncore\tEvent\n",
+     ": frame 'Desiring' lists ['Event'] as both core and non-core"),
+], ids=["line", "clash"])
+def test_frame_index_error_names_the_file_at_fault(
+    tmp_path, capsys, bfn_mini, frames_tsv, overlay, message
+):
+    bad = tmp_path / "overlay.tsv"
+    bad.write_text(overlay, encoding="utf-8")
+    assert run_cli(
+        "normalize", "--dialect", "bfn", "--frames", frames_tsv, bad,
+        "--out", tmp_path / "patterns.tsv", bfn_mini,
+    ) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert (record["stage"], record["error"]) == ("normalize", "FrameIndexError")
+    assert record["message"] == f"{bad}{message}"
+
+
 def test_normalize_command(tmp_path, bfn_mini, frames_tsv):
     out = tmp_path / "patterns.tsv"
     skips = tmp_path / "skips.tsv"
@@ -590,6 +609,10 @@ _TSV_CORRUPTIONS = {
     "meta-count": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 4,
                    '{"syn": {"left": [[["Event_VP"], "3"]]}}',
                    "meta: syn.left[0][1]: expected an integer, got a string"),
+    "shared-voice": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 1, "Bogus",
+                     "voice: expected 'Act' or 'Pass' at level semsyn, got 'Bogus'"),
+    "shared-token": ("generate", "shared/semsyn-fuzzy.tsv", -1, 2, "Event_NP,Nonsense",
+                     "fes: cannot parse FE token 'Nonsense' as a category"),
 }
 
 
@@ -626,7 +649,10 @@ _BAD_FE_TOKENS = st.one_of(
         st.sampled_from(["Sfin", "PP", "AVP", "NP.Dep", "VPto", "Adv[for", "np"]),
     ),
 )
-_FIELD_TEXT = st.text(st.characters(exclude_characters="\t\n\r"), max_size=6)
+# A UTF-8 file cannot hold a lone surrogate, so none is drawn.
+_FIELD_TEXT = st.text(
+    st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)), max_size=6
+)
 
 
 @pytest.mark.parametrize("command", ["aggregate", "evaluate"])
@@ -666,6 +692,168 @@ def test_corrupted_patterns_tsv_line_is_one_error_record(
     else:
         argv = _evaluate(run / "shared" / "semsyn-fuzzy.tsv", bad, "bfn", out)
     assert _command_error(argv).startswith(f"{bad}:{i + 1}: {message}")
+
+
+def _corrupt_line(data, path: Path, kinds: list[str]):
+    """The lines of the TSV at ``path``, the index and fields of one drawn
+    data line, and one drawn kind of corruption. The caller corrupts the
+    fields and writes them with ``_write_line``."""
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    i = data.draw(st.sampled_from(rows), label="line")
+    return lines, i, lines[i].split("\t"), data.draw(st.sampled_from(kinds), label="kind")
+
+
+def _write_line(lines: list[str], i: int, fields: list[str], out: Path) -> str:
+    """``lines`` with line ``i`` made of ``fields``, written to ``out``; the
+    ``<path>:<line>: `` that an error at that line starts with."""
+    lines = list(lines)
+    lines[i] = "\t".join(fields)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"{out}:{i + 1}: "
+
+
+def _other_field_count(data, fields: list[str]) -> tuple[list[str], int]:
+    n = data.draw(st.integers(1, 8).filter(lambda n: n != len(fields)), label="fields")
+    return (fields + data.draw(st.lists(_FIELD_TEXT, min_size=4, max_size=4)))[:n], n
+
+
+def _insert_token(data, fes_field: str, token: str, sep: str) -> str:
+    tokens = fes_field.split(sep)
+    tokens.insert(data.draw(st.integers(0, len(tokens)), label="at"), token)
+    return sep.join(tokens)
+
+
+# Count columns that are not what the writers write: ASCII digits only.
+_BAD_COUNTS = st.one_of(
+    st.sampled_from(["x", "1_0", "-3", "+3", " 3", "3.0", "", "\u0663"]),
+    _FIELD_TEXT.filter(lambda text: not (text.isascii() and text.isdigit())),
+)
+# Key tokens with no "_<type>", which no reading of a key takes. A name with
+# an "_" inside would read as a name and a type, so none is drawn.
+_UNTYPED_TOKENS = st.one_of(
+    st.from_regex(r"[A-Za-z]{1,10}", fullmatch=True),
+    st.from_regex(r"[A-Za-z]{1,10}_", fullmatch=True),
+)
+
+
+@settings(max_examples=50)  # each example runs compare on the mini valences
+@given(data=st.data())
+def test_corrupted_valences_tsv_line_is_one_error_record(tmp_path_factory, mini_run, data):
+    # One line of the mini valences TSV gets another field count, a voice
+    # that is not one, a count that is not ASCII digits, or an FE token with
+    # no type. compare then fails with one error record naming the file, the
+    # line and the field.
+    run = mini_run("2.B")
+    side = data.draw(st.sampled_from(["bfn", "swefn"]), label="side")
+    bad = tmp_path_factory.getbasetemp() / f"corrupt.{side}.valences.tsv"
+    lines, i, fields, kind = _corrupt_line(
+        data, run / f"{side}.valences.tsv", ["fields", "voice", "count", "token"]
+    )
+    if kind == "fields":
+        fields, n = _other_field_count(data, fields)
+        message = f"expected 4 fields, got {n}"
+    elif kind == "voice":
+        fields[1] = data.draw(_FIELD_TEXT.filter(lambda v: v not in ("Act", "Pass")), label="voice")
+        message = f"voice: {fields[1]!r} is not a valid Voice"
+    elif kind == "count":
+        fields[3] = data.draw(_BAD_COUNTS, label="count")
+        message = "count: "
+    else:
+        token = data.draw(_UNTYPED_TOKENS, label="token")
+        fields[2] = _insert_token(data, fields[2], token, ",")
+        message = f"fes: cannot parse FE token {token!r} as a key"
+    at = _write_line(lines, i, fields, bad)
+    inputs = {f"{s}.valences.tsv": run / f"{s}.valences.tsv" for s in ("bfn", "swefn")}
+    inputs[f"{side}.valences.tsv"] = bad
+    argv = _consumer_argv("compare", inputs, tmp_path_factory.getbasetemp() / "corrupt.out")
+    assert _command_error(argv).startswith(at + message)
+
+
+# FE tokens that a shared set of each level does not hold: at the semantic
+# level an FE name that tokens cannot carry, at the semantic-syntactic level
+# anything but a grammar category (a typed FE with no syntactic function).
+_BAD_SHARED_TOKENS = {
+    "sem": st.sampled_from(["Opt_", "Event.x", "A[b", "b]", "Exp erien", "Opt_Opt_Degree"]),
+    "semsyn": st.one_of(_BAD_FE_TOKENS, st.sampled_from(["Event_NP.Subj", "Event_Adv[for]"])),
+}
+
+
+def _bad_meta(data, meta: dict) -> str:
+    """The provenance column of a shared-set row made into something that
+    write_shared_tsv does not write: text that is not JSON, a value of
+    another JSON type in place of the object or of one of its values, or a
+    variant token that does not read as a key."""
+    text = json.dumps(meta, ensure_ascii=False, sort_keys=True)
+    kind = data.draw(st.sampled_from(["truncated", "whole", "value", "token"]), label="meta")
+    if kind == "truncated":
+        return text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
+    if kind == "whole":
+        wrong = [k for k in _JSON_VALUES if k != "an object"]
+        return json.dumps(_JSON_VALUES[data.draw(st.sampled_from(wrong), label="value")])
+    side = data.draw(st.sampled_from(sorted(meta["syn"])), label="side")
+    variants = meta["syn"][side]
+    at = data.draw(st.integers(0, len(variants) - 1), label="variant")
+    if kind == "token":
+        variants[at][0].append(data.draw(_UNTYPED_TOKENS, label="token"))
+        return json.dumps(meta)
+    # (the object holding the value, its key, the JSON type it may hold)
+    slots = [
+        (meta, "syn", "an object"), (meta, "subsumed_by", "an object"),
+        (meta["syn"], side, "an array"), (variants, at, None),  # a pair, not any array
+        (variants[at], 0, "an array"), (variants[at], 1, "an integer"),
+    ]
+    holder, key, allowed = data.draw(st.sampled_from(slots), label="slot")
+    wrong = [k for k in _JSON_VALUES if k != allowed]
+    holder[key] = _JSON_VALUES[data.draw(st.sampled_from(wrong), label="value")]
+    return json.dumps(meta)
+
+
+@pytest.mark.parametrize("command,level", [
+    ("evaluate", "sem"), ("evaluate", "semsyn"), ("generate", "semsyn"),
+])
+@settings(max_examples=50)  # each example runs a command on the mini shared set
+@given(data=st.data())
+def test_corrupted_shared_tsv_line_is_one_error_record(
+    tmp_path_factory, mini_run, command, level, data
+):
+    # One row of a mini shared set gets another field count, a voice its
+    # level does not take, an FE token its level does not hold, a count that
+    # is not the sum of the variants' counts, or a provenance column that is
+    # not the JSON write_shared_tsv writes. The command then fails with one
+    # error record naming the file, the line and the field.
+    run = mini_run("2.B")
+    bad = tmp_path_factory.getbasetemp() / f"corrupt-{command}.{level}-fuzzy.tsv"
+    lines, i, fields, kind = _corrupt_line(
+        data, run / "shared" / f"{level}-fuzzy.tsv", ["fields", "voice", "token", "count", "meta"]
+    )
+    if kind == "fields":
+        fields, n = _other_field_count(data, fields)
+        message = f"expected 5 fields, got {n}"
+    elif kind == "voice":
+        voices = ("-",) if level == "sem" else ("Act", "Pass")
+        fields[1] = data.draw(_FIELD_TEXT.filter(lambda v: v not in voices), label="voice")
+        expected = " or ".join(map(repr, voices))
+        message = f"voice: expected {expected} at level {level}, got {fields[1]!r}"
+    elif kind == "token":
+        token = data.draw(_BAD_SHARED_TOKENS[level], label="token")
+        fields[2] = _insert_token(data, fields[2], token, ",")
+        reading = "an FE name" if level == "sem" else "a category"
+        message = f"fes: cannot parse FE token {token!r} as {reading}"
+    elif kind == "count":
+        total = int(fields[3])
+        fields[3] = str(data.draw(st.integers(0, 10**6).filter(lambda n: n != total), label="count"))
+        message = f"count: {fields[3]} is not the sum of the variants' counts, {total}"
+    else:
+        fields[4] = _bad_meta(data, json.loads(fields[4]))
+        message = "meta: "
+    at = _write_line(lines, i, fields, bad)
+    inputs = {n: run / n for n in (
+        "bfn.patterns.tsv", "bfn.filtered-patterns.tsv", "swefn.filtered-patterns.tsv",
+    )}
+    inputs["shared/semsyn-fuzzy.tsv"] = bad  # the consumer's shared set, of either level
+    out = tmp_path_factory.getbasetemp() / f"corrupt-{command}.out"
+    assert _command_error(_consumer_argv(command, inputs, out)).startswith(at + message)
 
 
 @pytest.mark.parametrize("count", ["x", "999"])
@@ -779,3 +967,78 @@ def test_generate_reproduces_run_grammar(tmp_path, mini_run, sid):
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
         assert _grammar_body(out / name) == _grammar_body(run / "grammar" / name)
+
+
+def test_generate_include_noncore_declares_the_attested_opt_categories(
+    tmp_path, mini_run, bfn_mini, frames_tsv
+):
+    # The mini corpora annotate core FEs only, so an overlay makes Event
+    # non-core. The filtered patterns of 2.B drop non-core FEs; the
+    # normalize patterns keep them.
+    run = mini_run("2.B")
+    overlay = tmp_path / "overlay.tsv"
+    overlay.write_text("Desiring\tcore\tExperiencer\nDesiring\tnoncore\tEvent\n", encoding="utf-8")
+    patterns = tmp_path / "bfn.patterns.tsv"
+    assert run_cli(
+        "normalize", "--dialect", "bfn", "--frames", frames_tsv, overlay, "--out", patterns, bfn_mini,
+    ) == 0
+    argv = _generate(
+        run / "shared" / "semsyn-fuzzy.tsv", patterns, run / "swefn.filtered-patterns.tsv",
+        tmp_path / "plain",
+    )
+    assert run_cli(*argv) == 0
+    assert run_cli(*argv[:-1], tmp_path / "noncore", "--include-noncore") == 0
+
+    def categories(out_dir: Path) -> set[str]:
+        lines = _grammar_body(out_dir / "FrameFE.gf-abs.txt")
+        return {line[4:-2] for line in lines if line.startswith("cat ")}
+
+    assert categories(tmp_path / "noncore") - categories(tmp_path / "plain") == {
+        "Opt_Event_Adv", "Opt_Event_NP", "Opt_Event_VP",
+    }
+    assert not any(c.startswith("Opt_") for c in categories(tmp_path / "plain"))
+    assert _grammar_body(tmp_path / "noncore" / "Frames.gf-abs.txt") == _grammar_body(
+        tmp_path / "plain" / "Frames.gf-abs.txt"
+    )
+
+
+def test_aggregate_in_format_overrides_the_suffix(tmp_path, mini_run, frames_tsv):
+    # A patterns TSV under a .jsonl name, and a sentence JSONL under a .tsv name.
+    run = mini_run("2.B")
+    tsv, jsonl = tmp_path / "patterns.jsonl", tmp_path / "sentences.tsv"
+    tsv.write_bytes((run / "bfn.patterns.tsv").read_bytes())
+    jsonl.write_bytes((run / "bfn.sentences.jsonl").read_bytes())
+    aggregate = ["aggregate", "--settings", "2.B", "--frames", frames_tsv]
+    for path, in_format in ((tsv, "tsv"), (jsonl, "jsonl")):
+        out = tmp_path / f"{in_format}.valences.tsv"
+        assert run_cli(*aggregate, "--in", path, "--out", out) == 1
+        assert run_cli(*aggregate, "--in", path, "--in-format", in_format, "--out", out) == 0
+        assert out.read_bytes() == (run / "bfn.valences.tsv").read_bytes()
+
+
+def test_run_side_names_name_the_artifacts_lu_modules_and_input_digests(
+    tmp_path, mini_run, bfn_mini, swefn_mini, frames_tsv
+):
+    default, named = mini_run("2.B"), tmp_path / "named"
+    assert run_cli(
+        "run", "--left", bfn_mini, "--left-dialect", "bfn", "--left-name", "en",
+        "--right", swefn_mini, "--right-dialect", "swefn", "--right-name", "sv",
+        "--frames", frames_tsv, "--out-dir", named,
+    ) == 0
+
+    def renamed(text: str) -> str:
+        return text.replace("swefn", "sv").replace("bfn", "en")
+
+    files = sorted(_tree_digests(default))
+    assert sorted(_tree_digests(named)) == sorted(map(renamed, files))
+    for name in files:
+        want = (default / name).read_text(encoding="utf-8")
+        # Only the coverage rows and the grammar modules name the sides; the
+        # sentence records keep their dialect and their ids.
+        if name == "coverage.csv" or name.startswith("grammar/"):
+            want = renamed(want)
+        assert (named / renamed(name)).read_text(encoding="utf-8") == want
+    lu = (named / "grammar" / "LU_en.gf-abs.txt").read_text(encoding="utf-8").splitlines()
+    assert lu[0] == "-- Lexical unit functions: en"
+    digest = hashlib.sha256((named / "en.valences.tsv").read_bytes()).hexdigest()
+    assert f"-- input: en.valences=sha256:{digest}" in lu

@@ -10,6 +10,7 @@ import pytest
 from valgram import pipeline
 from valgram.aggregate import Settings
 from valgram.cli import main
+from valgram.frames import load_frame_index
 from valgram.ingest import Dialect
 from valgram.normalize import load_voice_rules
 from valgram.pipeline import PipelineConfig, SideConfig, StageError, run_pipeline
@@ -121,7 +122,7 @@ def test_a_disabled_collector_stays_disabled(
 
 
 def _build_and_drop_records(bfn, swefn, frames, out: Path) -> None:
-    index = pipeline.load_frame_indexes([frames])
+    index = load_frame_index(Path(frames))
     rules = load_voice_rules(None)
     for name, path in (("bfn", bfn), ("swefn", swefn)):
         sentences = pipeline.ingest_corpora([path], Dialect(name))

@@ -64,11 +64,37 @@ def test_same_fe_name_may_differ_across_frames():
 
 
 def test_merged_precedence():
-    base = load_frame_index("Desiring\tcore\tEvent\nMotion\tcore\tTheme\n")
-    override = load_frame_index("Desiring\tcore\tEvent,Experiencer\n")
-    merged = base.merged(override)
+    merged = load_frame_index(
+        "Desiring\tcore\tEvent\nMotion\tcore\tTheme\n", "Desiring\tcore\tEvent,Experiencer\n"
+    )
     assert merged.defs["Desiring"].core_fes == frozenset({"Event", "Experiencer"})
     assert merged.defs["Motion"].core_fes == frozenset({"Theme"})
+
+
+def test_later_sources_replace_earlier_frames_whole(tmp_path):
+    base, overlay = tmp_path / "base.tsv", tmp_path / "overlay.tsv"
+    base.write_text("Desiring\tcore\tEvent\nDesiring\tnoncore\tDegree\n", encoding="utf-8")
+    overlay.write_text("Desiring\tcore\tExperiencer\n", encoding="utf-8")
+    index = load_frame_index(base, b"Motion\tcore\tTheme\n", overlay)
+    assert index.defs == {
+        "Desiring": FrameDef("Desiring", frozenset({"Experiencer"}), frozenset()),
+        "Motion": FrameDef("Motion", frozenset({"Theme"}), frozenset()),
+    }
+
+
+@pytest.mark.parametrize("text,message", [
+    ("Desiring\tcore\n", ":1: expected 3 tab-separated fields, got 2"),
+    ("# c\nDesiring\tcore\tA.b\n", ":2: FE tokens cannot carry the FE names ['A.b']"),
+    ("Desiring\tkernel\tEvent\n", ":1: unknown coreness kind 'kernel'"),
+    ("Desiring\tcore\tEvent\nDesiring\tnoncore\tEvent\n",
+     ": frame 'Desiring' lists ['Event'] as both core and non-core"),
+], ids=["fields", "fe-name", "kind", "clash"])
+def test_errors_in_a_file_start_with_its_path(tmp_path, text, message):
+    path = tmp_path / "index.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FrameIndexError) as excinfo:
+        load_frame_index(b"Motion\tcore\tTheme\n", path)
+    assert str(excinfo.value) == f"{path}{message}"
 
 
 @pytest.mark.parametrize("name", ["Exp.erien[cer", "Opt_x", "A]b", "Exp erien"])

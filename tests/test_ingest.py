@@ -19,8 +19,8 @@ from valgram.ingest import (
     WordAnno,
     _json_lines,
     parse_corpus,
+    _sentence_from,
     read_sentences_jsonl,
-    sentence_from_dict,
     write_sentences_jsonl,
 )
 
@@ -211,7 +211,7 @@ def test_parsing_is_pure(data_dir, dialect):
 def test_jsonl_round_trip(bfn_mini, swefn_mini):
     for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
         for s in parse_corpus(path, dialect):
-            assert sentence_from_dict(json.loads(next(_json_lines([s])))) == s
+            assert _sentence_from(json.loads(next(_json_lines([s]))), {}) == s
 
 
 # The dict form of a record: the JSON-lines encoder must write exactly what
@@ -308,7 +308,7 @@ def test_writer_matches_json_dumps_on_a_generator_of_fresh_records(tmp_path_fact
     # ids of its words and FEs are free to be reused by the next record's.
     def fresh():
         for s in sentences:
-            yield sentence_from_dict(sentence_to_dict(s))
+            yield _sentence_from(sentence_to_dict(s), {})
 
     path = tmp_path_factory.getbasetemp() / "fresh.sentences.jsonl"
     write_sentences_jsonl(fresh(), path)
@@ -319,7 +319,7 @@ def test_writer_matches_json_dumps_on_a_generator_of_fresh_records(tmp_path_fact
 @given(_SENTENCE)
 @example(_EVERY_CASE)
 def test_writer_matches_json_dumps_with_equal_but_distinct_sub_records(tmp_path_factory, s):
-    twin = sentence_from_dict(sentence_to_dict(s))  # equal words and FEs, other objects
+    twin = _sentence_from(sentence_to_dict(s), {})  # equal words and FEs, other objects
     mixed = replace(s, fe_spans=s.fe_spans + twin.fe_spans, tokens=twin.tokens + s.tokens)
     sentences = [s, twin, mixed, s]
     path = tmp_path_factory.getbasetemp() / "twins.sentences.jsonl"

@@ -26,7 +26,6 @@ from valgram.normalize import (
     generalize_swefn_fe,
     load_voice_rules,
     normalize_corpus,
-    normalize_sentence,
     parse_fe_category,
     parse_fe_key,
     parse_fe_token,
@@ -50,10 +49,17 @@ def _fes(pattern: SentencePattern) -> str:
     return " ".join(r.rgl_token() for r in pattern.realizations)
 
 
+def _normalized(s, index) -> SentencePattern | Skip:
+    """The pattern of one sentence, with FEs outside the interlingual
+    inventory kept as untyped realizations, or its skip."""
+    patterns, skips = normalize_corpus([s], index, skip_unconsidered=False)
+    return [*patterns, *skips][0]
+
+
 def _pattern_or_skip(s, index) -> SentencePattern | Skip:
     """One sentence through normalization and the promotion of an FE outside
     the interlingual inventory to a whole-sentence skip."""
-    result = normalize_sentence(s, index)
+    result = _normalized(s, index)
     if isinstance(result, Skip):
         return result
     kept, skips = promote_unconsidered_skips([result])
@@ -373,7 +379,7 @@ def test_swefn_all_conjunction_fe_keeps_first_word_native_type(frame_index):
      </sentence>
     </corpus>""".encode("utf-8")
     (s,) = parse_corpus(xml, Dialect.SWEFN_DEP)
-    pattern = normalize_sentence(s, frame_index)
+    pattern = _normalized(s, frame_index)
     (r,) = pattern.realizations
     assert (r.fe_name, r.native_type, r.rgl_type) == ("Experiencer", "KN.CC", None)
     assert r.skip_reason is SkipReason.UNCONSIDERED_PHRASE_TYPE
@@ -599,7 +605,7 @@ _MERGE_ORDER_XML = """<corpus>
 def test_promoted_skips_merge_with_sentence_skips_by_sentence_id(frame_index):
     sentences = parse_corpus(_MERGE_ORDER_XML, Dialect.SWEFN_DEP)
     rules = load_voice_rules(None)
-    _, unmerged = normalize_corpus(sentences, frame_index, rules, skip_unconsidered=False)
+    unskipped, unmerged = normalize_corpus(sentences, frame_index, rules, skip_unconsidered=False)
     assert [(sk.sentence_id, sk.reason) for sk in unmerged] == [
         ("b-unknown", SkipReason.UNKNOWN_FRAME),
     ]
@@ -610,6 +616,7 @@ def test_promoted_skips_merge_with_sentence_skips_by_sentence_id(frame_index):
     patterns, skips = normalize_corpus(sentences, frame_index, rules)
     assert [p.sentence_id for p in patterns] == ["c-kept"]
     assert [(sk.sentence_id, sk.reason) for sk in skips] == expected
+    assert promote_unconsidered_skips(unskipped, unmerged) == (patterns, skips)
     _, kept, skips = pipeline.normalize_sentences(sentences, frame_index, rules)
     assert [p.sentence_id for p in kept] == ["c-kept"]
     assert [(sk.sentence_id, sk.reason) for sk in skips] == expected
@@ -645,8 +652,8 @@ def _bfn_pp_sentence(sid: str, frame: str, prep: str) -> str:
 def test_equal_annotations_share_one_realization(bfn_mini, swefn_mini, frame_index):
     for path, dialect in ((bfn_mini, Dialect.BFN_PHRASE), (swefn_mini, Dialect.SWEFN_DEP)):
         sentences = parse_corpus(path, dialect)
-        first = [normalize_sentence(s, frame_index) for s in sentences]
-        again = [normalize_sentence(s, frame_index) for s in sentences]
+        first = [_normalized(s, frame_index) for s in sentences]
+        again = [_normalized(s, frame_index) for s in sentences]
         assert first == again
         for p, q in zip(first, again):
             if isinstance(p, SentencePattern):
@@ -678,7 +685,7 @@ def test_demoting_a_subject_leaves_the_shared_realization_a_subject(frame_index)
         <layer name="Target"><label start="9" end="13" name="Target"/></layer>
       </annotationSet>
     </sentence></corpus>"""
-    two, one = (normalize_sentence(s, frame_index) for s in parse_corpus(xml, Dialect.BFN_PHRASE))
+    two, one = (_normalized(s, frame_index) for s in parse_corpus(xml, Dialect.BFN_PHRASE))
     assert _fes(two) == "Experiencer_NP.Subj Event_Adv"
     assert _fes(one) == "Event_NP.Subj"
     assert one.realizations[0].syn_function is SynFunction.SUBJ
@@ -727,7 +734,7 @@ def test_shared_realizations_keep_prepositions_and_coreness_apart():
         _bfn_pp_sentence("b", "Wanting", "after"),
         _bfn_pp_sentence("c", "Craving", "for"),
     ]) + "</corpus>"
-    patterns = [normalize_sentence(s, index) for s in parse_corpus(xml, Dialect.BFN_PHRASE)]
+    patterns = [_normalized(s, index) for s in parse_corpus(xml, Dialect.BFN_PHRASE)]
     assert [_fes(p) for p in patterns] == [
         "Experiencer_NP.Subj Event_Adv[for]",
         "Experiencer_NP.Subj Event_Adv[after]",
