@@ -148,7 +148,11 @@ def _filtered(
 
 @dataclass(slots=True)
 class ValencePattern:
-    """Order- and preposition-free abstraction of sentence patterns."""
+    """Order- and preposition-free abstraction of sentence patterns.
+
+    Its frame, voice and FE keys are assumed unchanged after aggregation:
+    ``compare.intersect`` keeps the projection it builds from them for later
+    calls on the same list. Its count is read at every call."""
 
     frame: str
     voice: Voice

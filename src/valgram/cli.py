@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .aggregate import ALL_SETTINGS_IDS, Settings, read_valences_tsv
-from .compare import MatchLevel, MatchMode, _level_tokens, read_shared_tsv
+from .compare import MatchLevel, MatchMode, _clear_caches, read_shared_tsv
 from .frames import load_frame_index
 from .grammar import file_digest
 from .ingest import Dialect, _json_lines, read_sentences_jsonl
@@ -146,6 +146,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    # Each side's LU module is named after it.
+    if args.left_name == args.right_name:
+        raise ValueError(f"the left and right sides are both named {args.left_name!r}")
     shared_path, left_path, right_path = Path(args.shared), Path(args.lu_left), Path(args.lu_right)
     shared = read_shared_tsv(shared_path)
     generate_grammar(
@@ -329,12 +332,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     with _collector_paused():
         # The parser and the command's data are dropped when _run_command
-        # returns, before the pause ends. The key cache is emptied then too,
-        # so a process that runs many commands keeps no earlier command's keys.
+        # returns, before the pause ends. The key cache and the inputs kept for
+        # reuse are emptied then too, so a process that runs many commands
+        # keeps no earlier command's keys.
         try:
             return _run_command(argv)
         finally:
-            _level_tokens.cache_clear()
+            _clear_caches()
 
 
 def _run_command(argv: list[str] | None) -> int:

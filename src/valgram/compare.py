@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .aggregate import ValencePattern
 from .frames import fe_name_fits_tokens
@@ -50,12 +51,48 @@ class MatchMode(str, Enum):
 
 
 # One token set per distinct FE-key tuple and level: a sweep's valences repeat
-# a few thousand key sets, intersect projects each valence once per shared
-# set, and coverage keys each example through it, so examples with the same
-# core FEs share one set.
+# a few thousand key sets, intersect projects each valence list through it,
+# and coverage keys each example through it, so examples with the same core
+# FEs share one set.
 @functools.cache
 def _level_tokens(fes: tuple[FeKey, ...], level: MatchLevel) -> frozenset[str]:
     return level.tokens(fes)
+
+
+# The last two inputs passed under each key, most recent first, each as (the
+# caller's object, its items then, the value derived from them). intersect
+# keys by level and coverage by ("coverage", level). An entry holds its
+# object, so no id is reused while the entry lives.
+_last_inputs: dict[Hashable, list[tuple[Any, tuple, Any]]] = {}
+
+
+def _reused(key: Hashable, obj: Iterable, derive: Callable[[tuple], Any]) -> Any:
+    """``derive`` of the items of ``obj``, or the value derived at one of
+    the last two calls under ``key`` when that call passed ``obj`` itself,
+    and ``obj`` still holds the same items, by identity, in the same order.
+    So appending, removing, reordering or replacing an item, even with an
+    equal copy, derives the value again."""
+    items = tuple(obj)
+    entries = _last_inputs.setdefault(key, [])
+    for i, (held, held_items, value) in enumerate(entries):
+        if (
+            held is obj and len(held_items) == len(items)
+            and all(map(operator.is_, held_items, items))
+        ):
+            del entries[i]
+            break
+    else:
+        value = derive(items)
+    entries.insert(0, (obj, items, value))
+    del entries[2:]
+    return value
+
+
+def _clear_caches() -> None:
+    """Empty the token sets and the inputs kept for reuse, so that nothing
+    holds an earlier caller's keys, valences or examples."""
+    _level_tokens.cache_clear()
+    _last_inputs.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -169,28 +206,26 @@ _Group = tuple[str, str | None]
 _Projection = dict[_Group, dict[frozenset[str], ValencePattern | list[ValencePattern]]]
 
 
-def _project(
-    valences: Iterable[ValencePattern], frames: set[str], level: MatchLevel
-) -> _Projection:
-    """The projection of the valences in ``frames``."""
+def _project(valences: Iterable[ValencePattern], level: MatchLevel) -> _Projection:
+    """The projection of the valences of every frame. Only their frames,
+    voices and FE keys are read, so it stays valid while those stay as
+    they are; counts are read from the valences at each intersect."""
     proj: _Projection = {}
     semantic = level is _SEMANTIC
     for vp in valences:
-        frame = vp.frame
-        if frame in frames:
-            # ``_value_`` skips the ``value`` property's descriptor call.
-            key = (frame, None) if semantic else (frame, vp.voice._value_)
-            group = proj.get(key)
-            if group is None:
-                group = proj[key] = {}
-            fes = _level_tokens(vp.fes, level)
-            same = group.get(fes)
-            if same is None:
-                group[fes] = vp
-            elif type(same) is list:
-                same.append(vp)
-            else:
-                group[fes] = [same, vp]
+        # ``_value_`` skips the ``value`` property's descriptor call.
+        key = (vp.frame, None) if semantic else (vp.frame, vp.voice._value_)
+        group = proj.get(key)
+        if group is None:
+            group = proj[key] = {}
+        fes = _level_tokens(vp.fes, level)
+        same = group.get(fes)
+        if same is None:
+            group[fes] = vp
+        elif type(same) is list:
+            same.append(vp)
+        else:
+            group[fes] = [same, vp]
     return proj
 
 
@@ -216,11 +251,15 @@ def intersect(
     pattern subsumed by some pattern of the other side (checked in both
     directions, so either framenet can contribute the more specific pattern).
     The final set keeps only patterns not subsumed by another member.
+
+    A side's projection is reused by the next call at the level that passes
+    the same list, unchanged, as either side; a sweep over settings pairs
+    then projects each side's list once per run of calls that share it.
     """
-    left, right = list(left), list(right)
-    shared_frames = {v.frame for v in left} & {v.frame for v in right}
-    left_proj = _project(left, shared_frames, level)
-    right_proj = _project(right, shared_frames, level)
+    project = functools.partial(_project, level=level)
+    left_proj = _reused(level, left, project)
+    right_proj = _reused(level, right, project)
+    shared_frames = {frame for frame, _ in left_proj} & {frame for frame, _ in right_proj}
 
     # Keys can meet only within a group both sides have. Exact mode admits
     # a key the other side has; fuzzy mode one that some other-side key
@@ -260,8 +299,11 @@ def intersect(
             final.append(sp)
     final.sort(key=SharedPattern.sort_key)
 
-    left_total = sum(map(len, left_proj.values()))
-    right_total = sum(map(len, right_proj.values()))
+    # The projections hold every frame; the totals count shared frames only.
+    left_total, right_total = (
+        sum(len(keys) for (frame, _), keys in proj.items() if frame in shared_frames)
+        for proj in (left_proj, right_proj)
+    )
     # The keys both sides have are the ones admitted from both.
     both = n_left + n_right - n_admitted
     return SharedPatternSet(

@@ -9,13 +9,14 @@ accepts empty phrases for unexpressed FEs.
 from __future__ import annotations
 
 import csv
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .compare import MatchLevel, SharedPatternSet, _level_tokens
+from .compare import MatchLevel, SharedPatternSet, _Group, _level_tokens, _reused
 from .frames import Coreness
 from .ingest import _once_per_object
 from .normalize import FeRealization, SentencePattern
@@ -86,18 +87,16 @@ def _cover_key(
     return key
 
 
-def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> CoverageReport:
-    level = final.level
-    frames = final.final_frames()
-    # The final FE sets by (frame, voice), the only patterns that can cover an example.
-    by_group: dict[tuple[str, str | None], list[frozenset[str]]] = {}
-    for sp in final.patterns:
-        by_group.setdefault((sp.frame, sp.voice), []).append(sp.fes)
+# An example list's counts at a level: the examples per frame, and each
+# (frame, voice) group's distinct reduced sets with their examples.
+_ExampleCounts = tuple[dict[str, int], dict[_Group, list[tuple[frozenset[str], int]]]]
 
-    # Examples repeat their keys, so each distinct key is tested once,
-    # weighted by its count. The first call at a level fills the keys of all
-    # its examples, so equal keys share one key object, and examples that
-    # share a realizations tuple reduce it once.
+
+def _example_counts(examples: Sequence[SentencePattern], level: MatchLevel) -> _ExampleCounts:
+    """Examples repeat their keys, so each distinct key is counted once. The
+    first call at a level fills the keys of all its examples, so equal keys
+    share one key object, and examples that share a realizations tuple
+    reduce it once."""
     slot = _SLOTS[level]
     counts = Counter(map(attrgetter(slot), examples))
     if None in counts:
@@ -106,21 +105,40 @@ def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> Co
         counts = Counter(
             getattr(p, slot) or _cover_key(p, level, slot, keys, reduce) for p in examples
         )
-    covered = 0
-    in_shared = 0
+    per_frame: dict[str, int] = {}
+    by_group: dict[_Group, list[tuple[frozenset[str], int]]] = {}
     for (group, reduced), n in counts.items():
-        if group[0] not in frames:
-            continue
-        in_shared += n
-        candidates = by_group.get(group)
-        if candidates and any(map(reduced.issubset, candidates)):
-            covered += n
+        per_frame[group[0]] = per_frame.get(group[0], 0) + n
+        by_group.setdefault(group, []).append((reduced, n))
+    return per_frame, by_group
+
+
+def coverage(final: SharedPatternSet, examples: Sequence[SentencePattern]) -> CoverageReport:
+    """The examples in the final set's frames, and those some final pattern
+    covers. An example list's counts are reused by a later call at the level
+    that passes one of the last two lists counted there, unchanged, so a
+    sweep that alternates two sides counts each once per level."""
+    level = final.level
+    per_frame, by_group = _reused(
+        ("coverage", level), examples, functools.partial(_example_counts, level=level)
+    )
+    # The final FE sets by (frame, voice), the only patterns that can cover an
+    # example; each distinct key of such a group is tested once, weighted by
+    # its count.
+    candidates: dict[_Group, list[frozenset[str]]] = {}
+    for sp in final.patterns:
+        candidates.setdefault((sp.frame, sp.voice), []).append(sp.fes)
+    covered = 0
+    for group, fes_sets in candidates.items():
+        for reduced, n in by_group.get(group, ()):
+            if any(map(reduced.issubset, fes_sets)):
+                covered += n
 
     return CoverageReport(
         level=level.value,
         mode=final.mode.value,
         covered=covered,
-        in_shared_frames=in_shared,
+        in_shared_frames=sum(per_frame.get(frame, 0) for frame in final.final_frames()),
         total=len(examples),
     )
 

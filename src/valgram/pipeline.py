@@ -30,6 +30,7 @@ from .compare import (
     MatchLevel,
     MatchMode,
     SharedPatternSet,
+    _clear_caches,
     frame_set_report,
     intersect,
     pattern_set_report,
@@ -261,17 +262,24 @@ def run_pipeline(config: PipelineConfig) -> Path:
     """
     with _collector_paused():
         # The stages' records are freed when _run_stages returns, before the
-        # collector resumes and would scan them.
-        _run_stages(config)
+        # collector resumes and would scan them. The key tables and the inputs
+        # kept for reuse are emptied then too, or they would keep the run's
+        # examples alive in the caller's process.
+        try:
+            _run_stages(config)
+        finally:
+            _clear_caches()
     return config.out_dir
 
 
 def _run_stages(config: PipelineConfig) -> None:
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     stage = "configure"
     try:
+        # Each side's artifacts and per-side tables are named after it.
+        if config.left.name == config.right.name:
+            raise ValueError(f"the left and right sides are both named {config.left.name!r}")
+        out.mkdir(parents=True, exist_ok=True)
         rules = load_voice_rules(config.voice_rules_path)
         valences, examples, filtered = {}, {}, {}  # by side name
         for side in (config.left, config.right):

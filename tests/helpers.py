@@ -131,18 +131,33 @@ _ORACLE_TOKENS = [
 ]
 
 
+def random_valence(rng, frames=("Desiring", "Motion"), max_fes=3):
+    """One random valence pattern whose key repeats at both levels: NP tokens
+    draw a syntactic function, and voices collapse at the semantic level."""
+    tokens = [
+        tok + rng.choice(["", ".Subj", ".Obj"]) if tok.endswith("_NP") else tok
+        for tok in rng.sample(_ORACLE_TOKENS, rng.randint(1, max_fes))
+    ]
+    return vp(rng.choice(frames), rng.choice(["Act", "Pass"]), tokens, rng.randint(1, 9))
+
+
 def random_valences(rng, frames=("Desiring", "Motion"), max_patterns=16, max_fes=3):
-    """One side of random valence patterns whose keys repeat at both levels:
-    NP tokens draw a syntactic function, and voices collapse at the semantic
-    level."""
-    side = []
-    for _ in range(rng.randint(0, max_patterns)):
-        tokens = [
-            tok + rng.choice(["", ".Subj", ".Obj"]) if tok.endswith("_NP") else tok
-            for tok in rng.sample(_ORACLE_TOKENS, rng.randint(1, max_fes))
-        ]
-        side.append(vp(rng.choice(frames), rng.choice(["Act", "Pass"]), tokens, rng.randint(1, 9)))
-    return side
+    """One side of random valence patterns whose keys repeat at both levels."""
+    return [random_valence(rng, frames, max_fes) for _ in range(rng.randint(0, max_patterns))]
+
+
+# Example FE tokens whose keys repeat: word orders, prepositions, syntactic
+# functions and non-core FEs drop out of the reduced set.
+EXAMPLE_TOKENS = [
+    "Event_VP", "Event_NP.Obj", "Event_Adv[for]", "Experiencer_NP.Subj", "Experiencer_NP.Obj",
+    "Theme_NP.Obj", "Opt_Degree_Adv", "Opt_Time_NP.Obj",
+]
+
+
+def random_example(rng, frames=("Desiring", "Motion", "Giving")):
+    """One random sentence pattern of one to three FEs."""
+    tokens = rng.sample(EXAMPLE_TOKENS, rng.randint(1, 3))
+    return mk(rng.choice(frames), rng.choice(["Act", "Pass"]), " ".join(tokens))
 
 
 def _oracle_tokens(fes, level):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from valgram.aggregate import ALL_SETTINGS_IDS
 from valgram.cli import main
-from valgram.compare import MatchLevel, _level_tokens
+from valgram.compare import MatchLevel, MatchMode, _last_inputs, _level_tokens, intersect
+from valgram.ingest import Dialect
+from valgram.pipeline import PipelineConfig, SideConfig, StageError, run_pipeline
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -516,18 +518,59 @@ def test_corrupted_sentence_jsonl_field_is_one_error_record(
     assert message.endswith("missing" if kind == "absent" else f"got {kind}")
 
 
+def _nothing_cached() -> bool:
+    """No token set and no input kept for reuse is left."""
+    return _level_tokens.cache_info().currsize == 0 and not _last_inputs
+
+
+def _cache_an_earlier_callers_keys() -> None:
+    _level_tokens((), MatchLevel.SEMANTIC)
+    intersect([], [], MatchLevel.SEMANTIC, MatchMode.EXACT)
+    assert not _nothing_cached()
+
+
 def test_commands_leave_no_cached_keys(tmp_path, data_dir):
     compare = [
         "compare", "--left", data_dir / "desiring_bfn_valences.tsv",
         "--right", data_dir / "desiring_swefn_valences.tsv", "--level", "semsyn", "--mode", "fuzzy",
     ]
     assert run_cli(*compare, "--out", tmp_path / "shared.tsv") == 0
-    assert _level_tokens.cache_info().currsize == 0
+    assert _nothing_cached()
     # The shared set is built before its write fails, and an earlier
     # caller's keys are there too: none is left once the command returns.
-    _level_tokens((), MatchLevel.SEMANTIC)
+    _cache_an_earlier_callers_keys()
     assert run_cli(*compare, "--out", tmp_path / "missing" / "shared.tsv") == 1
-    assert _level_tokens.cache_info().currsize == 0
+    assert _nothing_cached()
+
+
+def test_runs_leave_no_cached_keys_or_inputs(tmp_path, bfn_mini, swefn_mini, frames_tsv):
+    # A run's examples are kept for reuse while it runs; an in-process caller
+    # must not keep them, nor any key, once run_pipeline or cli.main returns.
+    def config(out):
+        return PipelineConfig(
+            left=SideConfig("bfn", Dialect.BFN_PHRASE, [bfn_mini], [frames_tsv]),
+            right=SideConfig("swefn", Dialect.SWEFN_DEP, [swefn_mini], [frames_tsv]),
+            out_dir=out,
+        )
+
+    run = [
+        "run", "--left", bfn_mini, "--left-dialect", "bfn",
+        "--right", swefn_mini, "--right-dialect", "swefn", "--frames", frames_tsv,
+    ]
+    # The coverage counts are made before the coverage table's write fails.
+    bad = tmp_path / "bad"
+    (bad / "coverage.csv").mkdir(parents=True)
+    for succeeds, out in ((True, tmp_path / "ok"), (False, bad)):
+        _cache_an_earlier_callers_keys()
+        if succeeds:
+            run_pipeline(config(out))
+        else:
+            with pytest.raises(StageError, match="evaluate"):
+                run_pipeline(config(out))
+        assert _nothing_cached()
+        _cache_an_earlier_callers_keys()
+        assert run_cli(*run, "--out-dir", out) == (0 if succeeds else 1)
+        assert _nothing_cached()
 
 
 # ---------------------------------------------------------------------------
@@ -1014,6 +1057,31 @@ def test_aggregate_in_format_overrides_the_suffix(tmp_path, mini_run, frames_tsv
         assert run_cli(*aggregate, "--in", path, "--out", out) == 1
         assert run_cli(*aggregate, "--in", path, "--in-format", in_format, "--out", out) == 0
         assert out.read_bytes() == (run / "bfn.valences.tsv").read_bytes()
+
+
+def test_equal_side_names_are_refused(tmp_path, mini_run, bfn_mini, swefn_mini, frames_tsv):
+    # Each side's artifacts and LU module are named after it, so with equal
+    # names the right side would overwrite the left. Nothing is written.
+    out = tmp_path / "run"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli(
+            "run", "--left", bfn_mini, "--left-dialect", "bfn", "--left-name", "x",
+            "--right", swefn_mini, "--right-dialect", "swefn", "--right-name", "x",
+            "--frames", frames_tsv, "--out-dir", out,
+        ) == 1
+    message = _single_error_message(err.getvalue(), "configure")
+    assert message == "the left and right sides are both named 'x'"
+    assert not out.exists()
+
+    run, grammar = mini_run("2.B"), tmp_path / "grammar"
+    argv = _generate(
+        run / "shared" / "semsyn-fuzzy.tsv", run / "bfn.filtered-patterns.tsv",
+        run / "swefn.filtered-patterns.tsv", grammar,
+    )
+    message = _command_error([*argv, "--left-name", "y", "--right-name", "y"])
+    assert message == "the left and right sides are both named 'y'"
+    assert not grammar.exists()
 
 
 def test_run_side_names_name_the_artifacts_lu_modules_and_input_digests(

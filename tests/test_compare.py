@@ -3,10 +3,10 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valgram import compare
+from valgram import compare, coverage
 from valgram.aggregate import ALL_SETTINGS_IDS, read_valences_tsv
 from valgram.compare import (
     MatchLevel,
@@ -18,11 +18,14 @@ from valgram.compare import (
     write_shared_tsv,
 )
 from valgram.ingest import Dialect, parse_corpus
-from valgram.normalize import normalize_corpus
+from valgram.normalize import normalize_corpus, promote_unconsidered_skips
 from helpers import (
+    oracle_coverage,
     oracle_fuzzy_intersection,
     oracle_intersection,
+    random_example,
     random_side,
+    random_valence,
     random_valences,
     valences_by_settings,
     vp,
@@ -302,26 +305,108 @@ def test_fuzzy_intersection_matches_brute_force(level):
 @pytest.mark.parametrize("mode", list(MatchMode))
 @pytest.mark.parametrize("level", list(MatchLevel))
 def test_intersection_fields_match_brute_force(level, mode):
-    # Every field of the result, the provenance of each final member included.
     rng = random.Random(20261019)
     for _ in range(150):
         left, right = random_valences(rng), random_valences(rng)
-        want = oracle_intersection(left, right, level, mode)
-        shared = intersect(left, right, level, mode)
-        assert (shared.level, shared.mode) == (level, mode)
-        assert [sp.sort_key() for sp in shared.patterns] == sorted(
-            (frame, voice or "", tuple(sorted(fes))) for frame, voice, fes in want["members"]
-        )
-        for sp in shared.patterns:
-            member = want["members"][sp.frame, sp.voice, sp.fes]
-            assert sp.sides == member["sides"]
-            assert sp.syn_variants == member["syn_variants"]
-            assert sp.subsumed_by == member["subsumed_by"]
-        for total in (
-            "left_total", "right_total", "union_total", "intersection_total",
-            "left_only", "right_only",
-        ):
-            assert getattr(shared, total) == want[total], total
+        _assert_matches_oracle(intersect(left, right, level, mode), left, right, level, mode)
+
+
+def _assert_matches_oracle(shared, left, right, level, mode):
+    """Every field of the result, the provenance of each final member included."""
+    want = oracle_intersection(left, right, level, mode)
+    assert (shared.level, shared.mode) == (level, mode)
+    assert [sp.sort_key() for sp in shared.patterns] == sorted(
+        (frame, voice or "", tuple(sorted(fes))) for frame, voice, fes in want["members"]
+    )
+    for sp in shared.patterns:
+        member = want["members"][sp.frame, sp.voice, sp.fes]
+        assert sp.sides == member["sides"]
+        assert sp.syn_variants == member["syn_variants"]
+        assert sp.subsumed_by == member["subsumed_by"]
+    for total in (
+        "left_total", "right_total", "union_total", "intersection_total",
+        "left_only", "right_only",
+    ):
+        assert getattr(shared, total) == want[total], total
+
+
+_FRAMES = ("Desiring", "Motion", "Giving")
+_STEPS = st.tuples(
+    st.sampled_from(["intersect", "coverage", "append", "pop", "reorder", "copy", "recount"]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from(list(MatchLevel)),
+    st.sampled_from(list(MatchMode)),
+)
+
+
+@settings(max_examples=150)
+@given(st.randoms(use_true_random=False), st.lists(_STEPS, min_size=1, max_size=30))
+def test_reuse_across_calls_is_invisible(rng, steps):
+    # intersect and coverage reuse what an earlier call derived from the same
+    # list. Between calls the lists change in place: items are appended
+    # (fresh ones, or one already in the list), popped, reordered, replaced
+    # by equal copies, or a valence's count changes. Every result must still
+    # be the oracles'.
+    compare._clear_caches()
+    valences = [random_valences(rng, _FRAMES) for _ in range(3)]
+    examples = [[random_example(rng) for _ in range(rng.randint(0, 12))] for _ in range(2)]
+    for op, i, j, level, mode in steps:
+        if op in ("intersect", "coverage"):
+            left, right = valences[i % 3], valences[j % 3]
+            shared = intersect(left, right, level, mode)
+            _assert_matches_oracle(shared, left, right, level, mode)
+            if op == "coverage":
+                side = examples[j % 2]
+                report = coverage.coverage(shared, side)
+                assert (report.covered, report.in_shared_frames, report.total) == oracle_coverage(
+                    shared, side
+                )
+            continue
+        items = (valences + examples)[i]
+        if op == "append":
+            fresh = random_valence(rng, _FRAMES) if i < 3 else random_example(rng)
+            items.append(rng.choice(items) if items and rng.random() < 0.3 else fresh)
+        elif op == "reorder":
+            rng.shuffle(items)
+        elif items:
+            k = rng.randrange(len(items))
+            if op == "pop":
+                items.pop(k)
+            elif op == "recount" and i < 3:
+                items[k].count += 1
+            else:
+                items[k] = replace(items[k])
+
+
+def test_a_settings_sweep_projects_and_counts_each_list_once_per_run_of_calls(
+    monkeypatch, bfn_mini, swefn_mini, frame_index
+):
+    # The sweep's loop order: each left list meets the ten right lists in a
+    # row, at both levels and in both modes, and coverage alternates the two
+    # sides' examples. A list is projected again only when it was not one of
+    # the last two lists at the level: 2 + 9 times per left list and level.
+    compare._clear_caches()
+    calls = {"_project": 0, "_example_counts": 0}
+    for module, name in ((compare, "_project"), (coverage, "_example_counts")):
+        def counted(*args, _derive=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _derive(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    examples, valences = [], []
+    for dialect, path in ((Dialect.BFN_PHRASE, bfn_mini), (Dialect.SWEFN_DEP, swefn_mini)):
+        patterns, _ = normalize_corpus(parse_corpus(path, dialect), frame_index, skip_unconsidered=False)
+        examples.append(promote_unconsidered_skips(patterns)[0])
+        valences.append(valences_by_settings(patterns))
+    for left in ALL_SETTINGS_IDS:
+        for right in ALL_SETTINGS_IDS:
+            for level in MatchLevel:
+                for mode in MatchMode:
+                    shared = intersect(valences[0][left], valences[1][right], level, mode)
+                    for side in examples:
+                        coverage.coverage(shared, side)
+    assert calls == {"_project": 10 * (2 + 9) * 2, "_example_counts": 2 * 2}
 
 
 def test_token_cache_does_not_leak_between_levels(data_dir):

@@ -9,7 +9,7 @@ from valgram.coverage import coverage
 from valgram.frames import Coreness
 from valgram.ingest import Dialect, parse_corpus
 from valgram.normalize import FeRealization, SkipReason, Voice, normalize_corpus
-from helpers import mk, oracle_coverage, random_side, random_valences, vp
+from helpers import EXAMPLE_TOKENS, mk, oracle_coverage, random_side, random_valences, vp
 
 
 @pytest.fixture()
@@ -132,12 +132,6 @@ def test_cover_keys_do_not_leak_between_levels(bfn_mini, swefn_mini, frame_index
                 assert len(set(map(id, key))) == len(set(key)) < len(key)
 
 
-_EXAMPLE_TOKENS = [
-    "Event_VP", "Event_NP.Obj", "Event_Adv[for]", "Experiencer_NP.Subj", "Experiencer_NP.Obj",
-    "Theme_NP.Obj", "Opt_Degree_Adv", "Opt_Time_NP.Obj",
-]
-
-
 def test_coverage_matches_a_count_of_each_example():
     # One example list serves both levels and several shared sets, in both
     # orders. Keys repeat, within one example object and across equal ones,
@@ -147,7 +141,7 @@ def test_coverage_matches_a_count_of_each_example():
         distinct = []
         for _ in range(rng.randint(1, 8)):
             frame, voice = rng.choice(["Desiring", "Motion", "Giving"]), rng.choice(["Act", "Pass"])
-            tokens = rng.sample(_EXAMPLE_TOKENS, rng.randint(1, 3))
+            tokens = rng.sample(EXAMPLE_TOKENS, rng.randint(1, 3))
             distinct += [mk(frame, voice, " ".join(tokens)), mk(frame, voice, " ".join(tokens[::-1]))]
         finals = [
             intersect(random_valences(rng), random_valences(rng), level, mode)
