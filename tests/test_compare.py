@@ -348,7 +348,6 @@ def test_reuse_across_calls_is_invisible(rng, steps):
     # (fresh ones, or one already in the list), popped, reordered, replaced
     # by equal copies, or a valence's count changes. Every result must still
     # be the oracles'.
-    compare._clear_caches()
     valences = [random_valences(rng, _FRAMES) for _ in range(3)]
     examples = [[random_example(rng) for _ in range(rng.randint(0, 12))] for _ in range(2)]
     for op, i, j, level, mode in steps:
