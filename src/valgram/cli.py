@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .aggregate import ALL_SETTINGS_IDS, Settings, read_valences_tsv
-from .compare import MatchLevel, MatchMode, _clear_caches, read_shared_tsv
+from .compare import MatchLevel, MatchMode, read_shared_tsv
 from .frames import load_frame_index
 from .grammar import file_digest
 from .ingest import Dialect, _json_lines, read_sentences_jsonl
@@ -25,6 +25,7 @@ from .pipeline import (
     PipelineConfig,
     SideConfig,
     StageError,
+    _clear_tables,
     _collector_paused,
     aggregate_patterns,
     compare_valences,
@@ -332,13 +333,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     with _collector_paused():
         # The parser and the command's data are dropped when _run_command
-        # returns, before the pause ends. The key cache and the inputs kept for
-        # reuse are emptied then too, so a process that runs many commands
-        # keeps no earlier command's keys.
+        # returns, before the pause ends. The process-wide tables are emptied
+        # then too, so a process that runs many commands keeps no earlier
+        # command's keys.
         try:
             return _run_command(argv)
         finally:
-            _clear_caches()
+            _clear_tables()
 
 
 def _run_command(argv: list[str] | None) -> int:

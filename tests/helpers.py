@@ -3,11 +3,15 @@ used across tests."""
 
 import importlib.util
 import itertools
+import xml.etree.ElementTree as ET
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from valgram.aggregate import ALL_SETTINGS_IDS, Settings, ValencePattern, aggregate_corpus
 from valgram.compare import MatchLevel, MatchMode
 from valgram.frames import Coreness
+from valgram.ingest import CorpusParseError, parse_corpus
 from valgram.normalize import SentencePattern, Voice, parse_fe_key, parse_fe_token
 
 _counter = itertools.count()
@@ -248,3 +252,46 @@ def oracle_coverage(final, examples):
         ):
             covered += 1
     return covered, in_shared, len(examples)
+
+
+def _document(sentences: list[ET.Element]) -> bytes:
+    root = ET.Element("corpus")
+    root.extend(sentences)
+    return ET.tostring(root)
+
+
+_ATTRIBUTE_VALUES = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+)
+
+
+def check_corrupted_sentence(data_dir, dialect, data, parse):
+    """One attribute value of one sentence of the mini corpus is replaced,
+    or one element of it dropped. The document then either fails as a whole
+    or parses, and every untouched sentence yields exactly its records from
+    before. ``parse`` takes the document's bytes."""
+    fixture = data_dir / f"{dialect.value}_mini.xml"
+    sentences = list(ET.parse(fixture).getroot())
+    per_sentence = [parse_corpus(_document([s]), dialect) for s in sentences]
+    assert [r for records in per_sentence for r in records] == parse_corpus(fixture, dialect)
+
+    i = data.draw(st.integers(0, len(sentences) - 1), label="sentence")
+    target = sentences[i]
+    parent = {child: elem for elem in target.iter() for child in elem}
+    elem = data.draw(st.sampled_from(list(target.iter())), label="element")
+    if elem is target or (elem.attrib and data.draw(st.booleans(), label="mutate")):
+        attr = data.draw(st.sampled_from(sorted(elem.attrib)), label="attribute")
+        elem.set(attr, data.draw(_ATTRIBUTE_VALUES, label="value"))
+    else:
+        parent[elem].remove(elem)
+
+    try:
+        parsed = parse(_document(sentences))
+    except CorpusParseError:
+        return
+    before = [r for records in per_sentence[:i] for r in records]
+    after = [r for records in per_sentence[i + 1:] for r in records]
+    assert len(parsed) >= len(before) + len(after)
+    assert parsed[:len(before)] == before
+    assert parsed[len(parsed) - len(after):] == after

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valgram import aggregate, normalize
 from valgram.aggregate import ALL_SETTINGS_IDS
 from valgram.cli import main
 from valgram.compare import MatchLevel, MatchMode, _last_inputs, _level_tokens, intersect
+from valgram.frames import Coreness
 from valgram.ingest import Dialect
 from valgram.pipeline import PipelineConfig, SideConfig, StageError, run_pipeline
 
@@ -519,13 +521,24 @@ def test_corrupted_sentence_jsonl_field_is_one_error_record(
 
 
 def _nothing_cached() -> bool:
-    """No token set and no input kept for reuse is left."""
-    return _level_tokens.cache_info().currsize == 0 and not _last_inputs
+    """None of the five process-wide tables holds anything: no token set,
+    no input kept for reuse, no FE-key set, no BFN tags, no realization."""
+    return (
+        _level_tokens.cache_info().currsize == 0 and not _last_inputs
+        and not aggregate._FE_SETS
+        and normalize._bfn_tags.cache_info().currsize == 0
+        and normalize._realization.cache_info().currsize == 0
+    )
 
 
 def _cache_an_earlier_callers_keys() -> None:
     _level_tokens((), MatchLevel.SEMANTIC)
     intersect([], [], MatchLevel.SEMANTIC, MatchMode.EXACT)
+    aggregate._FE_SETS.setdefault((), ())
+    normalize._realization(
+        "Event", normalize._bfn_tags("NP", "Obj")[0],
+        normalize.Generalized(normalize.RglType.NP), Coreness.CORE,
+    )
     assert not _nothing_cached()
 
 

@@ -1,14 +1,13 @@
 import json
 import random
 import tracemalloc
-import xml.etree.ElementTree as ET
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import load_corpus_generator
+from helpers import check_corrupted_sentence, load_corpus_generator
 from valgram import ingest
 from valgram.ingest import (
     AnnotatedSentence,
@@ -566,48 +565,10 @@ def test_swefn_bad_record_is_skipped_and_neighbour_parses(caplog, word, verb, me
     assert "sentence 'bad'" in caplog.text and message in caplog.text
 
 
-def _document(sentences: list[ET.Element]) -> bytes:
-    root = ET.Element("corpus")
-    root.extend(sentences)
-    return ET.tostring(root)
-
-
-_ATTRIBUTE_VALUES = st.one_of(
-    st.integers(-3, 60).map(str),
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
-)
-
-
 @pytest.mark.parametrize("dialect", list(Dialect))
 @given(data=st.data())
 def test_corrupted_sentence_leaves_the_others_intact(data_dir, dialect, data):
-    # One attribute value of one sentence is replaced, or one element of it
-    # dropped. The document then either fails as a whole or parses, and
-    # every untouched sentence yields exactly its records from before.
-    fixture = data_dir / f"{dialect.value}_mini.xml"
-    sentences = list(ET.parse(fixture).getroot())
-    per_sentence = [parse_corpus(_document([s]), dialect) for s in sentences]
-    assert [r for records in per_sentence for r in records] == parse_corpus(fixture, dialect)
-
-    i = data.draw(st.integers(0, len(sentences) - 1), label="sentence")
-    target = sentences[i]
-    parent = {child: elem for elem in target.iter() for child in elem}
-    elem = data.draw(st.sampled_from(list(target.iter())), label="element")
-    if elem is target or (elem.attrib and data.draw(st.booleans(), label="mutate")):
-        attr = data.draw(st.sampled_from(sorted(elem.attrib)), label="attribute")
-        elem.set(attr, data.draw(_ATTRIBUTE_VALUES, label="value"))
-    else:
-        parent[elem].remove(elem)
-
-    try:
-        parsed = parse_corpus(_document(sentences), dialect)
-    except CorpusParseError:
-        return
-    before = [r for records in per_sentence[:i] for r in records]
-    after = [r for records in per_sentence[i + 1:] for r in records]
-    assert len(parsed) >= len(before) + len(after)
-    assert parsed[:len(before)] == before
-    assert parsed[len(parsed) - len(after):] == after
+    check_corrupted_sentence(data_dir, dialect, data, lambda document: parse_corpus(document, dialect))
 
 
 @pytest.mark.parametrize("dialect", list(Dialect))
