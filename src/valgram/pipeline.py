@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,10 +45,9 @@ from .grammar import derive_grammar, emit_abstract_syntax, file_digest, noncore_
 from .ingest import (
     AnnotatedSentence,
     Dialect,
-    _cut_in_two,
     _log_skips,
-    _parse_piece,
-    _Piece,
+    _parse_in_two_processes,
+    _two_parts,
     parse_corpus,
     write_sentences_jsonl,
 )
@@ -122,8 +119,8 @@ def ingest_corpora(
     """Sentences of the corpus files, sorted by (path, sentence id).
 
     A side large enough to pay for it is parsed in two processes (see
-    :func:`_two_parts`); the records, the skip warnings and their order, and
-    the JSON-lines bytes are those of a parse in one process.
+    :func:`ingest._two_parts`); the records, the skip warnings and their
+    order, and the JSON-lines bytes are those of a parse in one process.
     """
     paths = sorted(Path(p) for p in paths)
     parts = _two_parts(paths)
@@ -141,102 +138,6 @@ def ingest_corpora(
     if out is not None:
         write_sentences_jsonl(sentences, out)
     return sentences
-
-
-# Below this many bytes a side is parsed in one process: starting a second
-# one and pickling its records back cost more than the half of the parse it
-# takes over. On synthetic corpora, 2 vCPUs, 12 alternating rounds per size,
-# two processes broke even at 2.5 MB (BFN) and 2-2.5 MB (SweFN), and won 11
-# or 12 of 12 rounds from 3 MB in both dialects.
-_TWO_PROCESS_MIN_BYTES = 3_000_000
-
-
-def _two_processes_pay(size: int) -> bool:
-    """Whether ``size`` bytes of corpus are parsed faster in two processes:
-    only from the break-even size, and only with a second usable CPU."""
-    if size < _TWO_PROCESS_MIN_BYTES:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-def _two_parts(paths: list[Path]) -> tuple[list[_Piece], list[_Piece]] | None:
-    """The sorted corpus files as two parts of about equal bytes, in order.
-    A part is made of whole files, except that a file straddling the middle
-    that would pay to split on its own is cut at a ``</sentence>`` near it.
-    None when the files are parsed in one process."""
-    try:
-        sizes = [path.stat().st_size for path in paths]
-    except OSError:
-        return None  # the parse in one process reports it
-    if not paths or not _two_processes_pay(sum(sizes)):
-        return None
-    half = sum(sizes) // 2
-    before = 0  # the bytes of the files before the one straddling ``half``
-    for i, size in enumerate(sizes):
-        if before + size > half:
-            break
-        before += size
-    whole = [(path, 0, 0, None, b"") for path in paths]
-    cut = _cut_in_two(paths[i], half - before) if _two_processes_pay(sizes[i]) else None
-    if cut is not None:
-        first, second = whole[:i] + [cut[0]], [cut[1]] + whole[i + 1:]
-    else:
-        # The straddling file goes to the part it leaves closer to half.
-        i += half - before > sizes[i] // 2
-        first, second = whole[:i], whole[i:]
-    return (first, second) if first and second else None
-
-
-# The second process imports the package from where this one found it, and
-# of the package only the parser.
-_CHILD = (
-    "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from valgram.ingest import _parse_pieces_main; _parse_pieces_main()"
-)
-
-
-def _parse_in_two_processes(
-    first: list[_Piece], second: list[_Piece], dialect: Dialect
-) -> list[tuple[Path, list[AnnotatedSentence], list[str]]] | None:
-    """The path, records and skip reasons of each piece, in order: a child
-    process parses ``second`` while this one streams ``first``.
-
-    None, once the child has ended, when the child cannot start or fails,
-    or either part fails to parse: the caller then parses every file in one
-    process, which raises that parse's errors, with the byte offset of
-    malformed XML. The child is a fresh interpreter started with
-    ``subprocess``, so that no process pool or resource tracker outlives
-    the call.
-    """
-    import pickle
-    import subprocess
-
-    job = json.dumps([dialect.value, [[str(p), head, start] for p, head, start, _, _ in second]])
-    root = str(Path(__file__).resolve().parents[1])
-    try:
-        child = subprocess.Popen(
-            [sys.executable, "-I", "-S", "-c", _CHILD, root, job],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        )
-    except OSError:
-        return None
-    with child:
-        try:
-            mine = [_parse_piece(piece, dialect) for piece in first]
-            theirs = pickle.load(child.stdout)
-        except BaseException as exc:
-            # A parse error, a child that ended early, or an interrupt: end
-            # the child now rather than wait for it to finish its part.
-            child.kill()
-            child.wait()
-            if not isinstance(exc, Exception):
-                raise
-            return None
-    if child.returncode:
-        return None
-    return [(piece[0], *parsed) for piece, parsed in zip(first + second, mine + theirs)]
 
 
 def normalize_sentences(

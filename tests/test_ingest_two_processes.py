@@ -2,6 +2,7 @@
 JSON-lines bytes and errors as the parse in one process, and no process
 left behind."""
 
+import signal
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_corrupted_sentence
-from valgram import pipeline
+from valgram import ingest, pipeline
 from valgram.ingest import CorpusParseError, Dialect, parse_corpus
 from valgram.pipeline import ingest_corpora
 
@@ -33,7 +34,7 @@ def force_two_processes(mp: pytest.MonkeyPatch) -> SimpleNamespace:
         return parse_corpus(path, dialect)
 
     mp.setattr(subprocess, "Popen", RecordedPopen)
-    mp.setattr(pipeline, "_two_processes_pay", lambda size: True)
+    mp.setattr(ingest, "_two_processes_pay", lambda size: True)
     mp.setattr(pipeline, "parse_corpus", parse_whole)
     return seen
 
@@ -53,7 +54,7 @@ def _assert_same_as_one_process(tmp_path, caplog, seen, paths, dialect, *, split
     than fall back to parsing every file whole."""
     caplog.clear()
     with pytest.MonkeyPatch.context() as mp, caplog.at_level("WARNING"):
-        mp.setattr(pipeline, "_two_processes_pay", lambda size: False)
+        mp.setattr(ingest, "_two_processes_pay", lambda size: False)
         serial = ingest_corpora(paths, dialect, tmp_path / "one.jsonl")
     serial_warnings = _warnings(caplog)
     caplog.clear()
@@ -93,7 +94,7 @@ def _corpus(sentences, head="<corpus>\n", tail="</corpus>\n") -> str:
 @pytest.mark.parametrize("dialect", list(Dialect))
 def test_mini_corpus_in_two_processes_matches_one(tmp_path, caplog, forced, data_dir, dialect):
     path = data_dir / f"{dialect.value}_mini.xml"
-    first, second = pipeline._two_parts([path])
+    first, second = ingest._two_parts([path])
     # One document, cut in two after a sentence.
     assert [piece[0] for piece in first + second] == [path, path]
     cut = second[0][2]
@@ -127,7 +128,7 @@ def test_side_of_several_files_is_cut_in_the_file_at_the_middle(tmp_path, caplog
     sizes = (2, 8, 2)
     for n, (path, size) in enumerate(zip(paths, sizes)):
         path.write_text(_corpus(_sentence(f"{n}-{i}", bad=i == 5) for i in range(size)))
-    first, second = pipeline._two_parts(paths)
+    first, second = ingest._two_parts(paths)
     assert [piece[0] for piece in first] == paths[:2]
     assert [piece[0] for piece in second] == paths[1:]
     _assert_same_as_one_process(tmp_path, caplog, forced, paths, BFN)
@@ -142,7 +143,7 @@ def test_files_that_cannot_be_cut_are_split_whole(tmp_path, caplog, forced):
             head="<lexUnit><subCorpus>\n", tail="</subCorpus></lexUnit>\n",
         ))
     whole = [(path, 0, 0, None, b"") for path in paths]
-    assert pipeline._two_parts(paths) == (whole[:2], whole[2:])
+    assert ingest._two_parts(paths) == (whole[:2], whole[2:])
     _assert_same_as_one_process(tmp_path, caplog, forced, paths, BFN)
 
 
@@ -158,7 +159,7 @@ def test_prolog_doctype_and_namespaces_reach_the_second_piece(tmp_path, caplog, 
     path.write_text(_corpus(
         [_sentence(f"s{i}", lu="&lu;") + "<fn:meta n='1'/>\n" for i in range(6)], head=head
     ))
-    first, second = pipeline._two_parts([path])
+    first, second = ingest._two_parts([path])
     assert first[0][4] == b"</corpus>"
     assert path.read_bytes()[:second[0][1]].endswith(b'note="a > b">')
     records, _ = _assert_same_as_one_process(tmp_path, caplog, forced, [path], BFN)
@@ -171,7 +172,7 @@ def test_sentences_under_a_subcorpus_fall_back(tmp_path, caplog, forced):
         [_sentence(f"s{i}") for i in range(6)], head="<corpus><subCorpus>\n",
         tail="</subCorpus></corpus>\n",
     ))
-    assert pipeline._two_parts([path]) is None
+    assert ingest._two_parts([path]) is None
     _assert_same_as_one_process(tmp_path, caplog, forced, [path], BFN, split=False)
     assert forced.children == []
 
@@ -185,7 +186,7 @@ def test_a_cut_inside_a_subcorpus_falls_back(tmp_path, caplog, forced):
         [_sentence("s0"), "<subCorpus>\n", *(_sentence(f"s{i}") for i in range(1, 8)),
          "</subCorpus>\n"]
     ))
-    assert pipeline._two_parts([path]) is not None
+    assert ingest._two_parts([path]) is not None
     _assert_same_as_one_process(tmp_path, caplog, forced, [path], BFN, split=False)
     assert len(forced.children) == 1
 
@@ -198,14 +199,14 @@ def _malformed(tmp_path, where: str):
     path.write_text(_corpus(sentences))
     data = path.read_bytes()
     if where == "cut":
-        at = pipeline._two_parts([path])[1][0][2]
+        at = ingest._two_parts([path])[1][0][2]
         data = data[:at] + b"<&" + data[at:]
     else:
         at = data.index(b"</text>", data.index(b'"s1"' if where == "first" else b'"s8"'))
         data = data[:at] + b"</txet>" + data[at + len(b"</text>"):]
     path.write_bytes(data)
     if where == "cut":
-        assert pipeline._two_parts([path])[1][0][2] == at
+        assert ingest._two_parts([path])[1][0][2] == at
     # Expat points at the "&", or at the name in the mismatched end tag.
     return path, at + (1 if where == "cut" else 2)
 
@@ -228,42 +229,53 @@ def _no_resource_tracker() -> bool:
     return tracker is None or tracker._resource_tracker._pid is None
 
 
-@pytest.mark.parametrize("case", ["success", "malformed", "child-fails", "interrupt"])
-def test_no_process_outlives_the_ingest(tmp_path, monkeypatch, forced, data_dir, case):
+# A child that would outlive the test unless it is ended, and one that
+# writes a whole pickle of no records and then exits with an error.
+_SLEEPER = "import time; time.sleep(60)"
+_FAILS_AFTER_WRITING = "import pickle, sys; pickle.dump([], sys.stdout.buffer); sys.exit(3)"
+
+
+@pytest.mark.parametrize("case,returncode", [
+    ("success", 0),
+    ("malformed-first-part", -signal.SIGKILL),
+    ("malformed-second-part", 1),
+    ("child-fails", 3),
+    ("interrupt", -signal.SIGKILL),
+])
+def test_no_process_outlives_the_ingest(tmp_path, monkeypatch, forced, data_dir, case, returncode):
     path = data_dir / "bfn_mini.xml"
-    if case == "malformed":
-        path, _ = _malformed(tmp_path, "second")
+    if case.startswith("malformed"):
+        path, _ = _malformed(tmp_path, case.split("-")[1])
+        if case == "malformed-first-part":
+            monkeypatch.setattr(ingest, "_CHILD", _SLEEPER)
         with pytest.raises(CorpusParseError):
             ingest_corpora([path], BFN)
     elif case == "interrupt":
         def interrupted(piece, dialect):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(pipeline, "_parse_piece", interrupted)
+        monkeypatch.setattr(ingest, "_CHILD", _SLEEPER)
+        monkeypatch.setattr(ingest, "_parse_piece", interrupted)
         with pytest.raises(KeyboardInterrupt):
             ingest_corpora([path], BFN)
     else:
         if case == "child-fails":
-            monkeypatch.setattr(pipeline, "_CHILD", "import sys; sys.exit(3)")
+            monkeypatch.setattr(ingest, "_CHILD", _FAILS_AFTER_WRITING)
         assert ingest_corpora([path], BFN) == sorted(
             parse_corpus(path, BFN), key=lambda s: s.sentence_id
         )
         assert forced.whole == ([path] if case == "child-fails" else [])
-    assert len(forced.children) == 1
-    assert forced.children[0].returncode is not None
-    assert forced.children[0].returncode == {"success": 0, "child-fails": 3}.get(
-        case, forced.children[0].returncode
-    )
+    assert [child.returncode for child in forced.children] == [returncode]
     assert _no_resource_tracker()
 
 
 def test_two_processes_pay_only_from_the_threshold_and_with_a_second_cpu(monkeypatch):
-    threshold = pipeline._TWO_PROCESS_MIN_BYTES
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert pipeline._two_processes_pay(threshold)
-    assert not pipeline._two_processes_pay(threshold - 1)
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {1}, raising=False)
-    assert not pipeline._two_processes_pay(100 * threshold)
+    threshold = ingest._TWO_PROCESS_MIN_BYTES
+    monkeypatch.setattr(ingest.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert ingest._two_processes_pay(threshold)
+    assert not ingest._two_processes_pay(threshold - 1)
+    monkeypatch.setattr(ingest.os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert not ingest._two_processes_pay(100 * threshold)
 
 
 @pytest.mark.parametrize("dialect", list(Dialect))
@@ -278,7 +290,7 @@ def test_corrupted_sentence_leaves_the_others_intact_in_two_processes(
         path.write_bytes(document)
         with pytest.MonkeyPatch.context() as mp:
             seen = force_two_processes(mp)
-            parsed = pipeline._parse_in_two_processes(*pipeline._two_parts([path]), dialect)
+            parsed = ingest._parse_in_two_processes(*ingest._two_parts([path]), dialect)
         assert [child.returncode is not None for child in seen.children] == [True]
         if parsed is None:
             # Only a malformed document falls back, and it fails as a whole.
