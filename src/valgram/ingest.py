@@ -489,41 +489,32 @@ def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[Annotated
 _Piece = tuple[Path, int, int, "int | None", bytes]
 
 _SENTENCE_END = b"</sentence>"
-# A start tag from its "<": the name, then attributes whose quoted values may
-# hold ">".
-_START_TAG = re.compile(rb"""<([^\s/>]+)(?:[^>"']|"[^"]*"|'[^']*')*>""")
 _CHUNK = 1 << 16
 
 
-class _Found(Exception):
-    """Stops the probe of a document's prolog."""
+class _FirstSentence(Exception):
+    """Ends the probe of a document at its first ``<sentence>``."""
 
 
-def _root_and_first_sentence(f: IO[bytes]) -> tuple[int, int] | None:
-    """(The byte offset of the root start tag, the depth of the first
-    ``<sentence>`` under the root, 1 for a child of the root), read from the
-    start of ``f``; None when the document ends or is malformed first."""
+def _first_sentence(f: IO[bytes]) -> tuple[str, int, int] | None:
+    """(The root's name, the byte offset of the first ``<sentence>`` start
+    tag, the depth of that element: 1 for a child of the root), read from
+    the start of ``f``; None when the document ends or is malformed first."""
     parser = xml.parsers.expat.ParserCreate()
-    depth, root = 0, None
+    open_names: list[str] = []
 
     def start(name: str, attrs: dict) -> None:
-        nonlocal depth, root
-        if root is None:
-            root = parser.CurrentByteIndex
-        elif name == "sentence":
-            raise _Found(depth)
-        depth += 1
+        if name == "sentence" and open_names:
+            raise _FirstSentence(open_names[0], parser.CurrentByteIndex, len(open_names))
+        open_names.append(name)
 
-    def end(name: str) -> None:
-        nonlocal depth
-        depth -= 1
-
-    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda name: open_names.pop()
     try:
         while chunk := f.read(_CHUNK):
             parser.Parse(chunk, False)
-    except _Found as found:
-        return root, found.args[0]
+    except _FirstSentence as found:
+        return found.args
     except xml.parsers.expat.ExpatError:
         pass
     return None
@@ -532,33 +523,27 @@ def _root_and_first_sentence(f: IO[bytes]) -> tuple[int, int] | None:
 def _cut_in_two(path: Path, near: int) -> tuple[_Piece, _Piece] | None:
     """``path`` cut just after the first ``</sentence>`` at or past byte
     ``near``, as two pieces that are each a document: the first ends with
-    the root's end tag, the second starts with the document's prefix through
-    the root start tag (prolog, DOCTYPE and namespaces included). None when
-    the file's first ``<sentence>`` is not a child of the root, or no
-    ``</sentence>`` ends within 64 KiB of ``near``.
+    the root's end tag, the second starts with the document up to its first
+    ``<sentence>`` (prolog, DOCTYPE, the root start tag with its namespaces,
+    and any header). None when the first ``<sentence>`` is not a child of
+    the root, or no ``</sentence>`` ends within 64 KiB of ``near``.
 
     A cut that still lands inside nested markup leaves a piece malformed, so
     a caller that falls back to the whole document on a parse error in
     either piece gets the document's records either way.
     """
     with path.open("rb") as f:
-        found = _root_and_first_sentence(f)
-        if found is None or found[1] != 1:
+        found = _first_sentence(f)
+        if found is None or found[2] != 1:
             return None
-        root, _ = found
-        f.seek(root)
-        tag = _START_TAG.match(f.read(_CHUNK))
-        if tag is None or tag.group().endswith(b"/>"):
-            return None
-        head = root + tag.end()
+        root, head, _ = found
         pos = max(near, head)
         f.seek(pos)
         i = f.read(_CHUNK).find(_SENTENCE_END)
     if i < 0:
         return None
     cut = pos + i + len(_SENTENCE_END)
-    end_tag = b"</" + tag.group(1) + b">"
-    return (path, 0, 0, cut, end_tag), (path, head, cut, None, b"")
+    return (path, 0, 0, cut, f"</{root}>".encode()), (path, head, cut, None, b"")
 
 
 def _piece_chunks(

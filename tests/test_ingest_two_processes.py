@@ -149,19 +149,22 @@ def test_files_that_cannot_be_cut_are_split_whole(tmp_path, caplog, forced):
 
 def test_prolog_doctype_and_namespaces_reach_the_second_piece(tmp_path, caplog, forced):
     # The second piece needs the entity declared in the DOCTYPE and the
-    # namespace declared on the root.
+    # namespace declared on the root; it reads the header again, which
+    # holds no sentence.
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n<!-- a comment <sentence> -->\n'
         '<!DOCTYPE corpus [<!ENTITY lu "want.v">]>\n'
-        '<corpus xmlns:fn="urn:example:fn" fn:release="1.7" note="a > b">\n'
+        '<fn:corpus xmlns:fn="urn:example:fn" fn:release="1.7" note="a > b">\n'
+        "<header><fn:frame name='Desiring'/></header>\n"
     )
     path = tmp_path / "corpus.xml"
     path.write_text(_corpus(
-        [_sentence(f"s{i}", lu="&lu;") + "<fn:meta n='1'/>\n" for i in range(6)], head=head
+        [_sentence(f"s{i}", lu="&lu;") + "<fn:meta n='1'/>\n" for i in range(6)],
+        head=head, tail="</fn:corpus>\n",
     ))
     first, second = ingest._two_parts([path])
-    assert first[0][4] == b"</corpus>"
-    assert path.read_bytes()[:second[0][1]].endswith(b'note="a > b">')
+    assert first[0][4] == b"</fn:corpus>"
+    assert path.read_bytes()[second[0][1]:].startswith(b'<sentence ID="s0">')
     records, _ = _assert_same_as_one_process(tmp_path, caplog, forced, [path], BFN)
     assert {s.lu_ref for s in records} == {"want.v.1"} and len(records) == 6
 
