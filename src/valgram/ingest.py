@@ -22,7 +22,7 @@ import xml.parsers.expat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -600,8 +600,8 @@ def _two_processes_pay(size: int) -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _two_parts(paths: list[Path]) -> tuple[list[_Piece], list[_Piece]] | None:
-    """The sorted corpus files as two parts of about equal bytes, in order.
+def _two_parts(paths: Sequence[Path]) -> tuple[list[_Piece], list[_Piece]] | None:
+    """The corpus files as two parts of about equal bytes, in order.
     A part is made of whole files, except that a file straddling the middle
     that would pay to split on its own is cut at a ``</sentence>`` near it.
     None when the files are parsed in one process."""
@@ -679,6 +679,26 @@ def _parse_in_two_processes(
     if child.returncode:
         return None
     return [(piece[0], *parsed) for piece, parsed in zip(first + second, mine + theirs)]
+
+
+def parse_corpora(
+    paths: Sequence[Path], dialect: Dialect
+) -> list[tuple[Path, list[AnnotatedSentence]]]:
+    """Each corpus file's records, in the order of ``paths``, as
+    :func:`parse_corpus` gives them; a file cut in two gives two entries.
+
+    When it pays, the files are parsed in two processes (see
+    :func:`_two_parts`); the records, the skip warnings and their order are
+    those of a parse in one process, and so are the errors: on any failure
+    the files are parsed again in one process.
+    """
+    parts = _two_parts(paths)
+    parsed = None if parts is None else _parse_in_two_processes(*parts, dialect)
+    if parsed is None:
+        return [(path, parse_corpus(path, dialect)) for path in paths]
+    for _, _, skips in parsed:
+        _log_skips(dialect, skips)
+    return [(path, records) for path, records, _ in parsed]
 
 
 def _parse_pieces_main() -> None:

@@ -42,15 +42,7 @@ from .compare import (
 from .coverage import coverage, write_coverage_csv
 from .frames import FrameIndex, load_frame_index
 from .grammar import derive_grammar, emit_abstract_syntax, file_digest, noncore_categories
-from .ingest import (
-    AnnotatedSentence,
-    Dialect,
-    _log_skips,
-    _parse_in_two_processes,
-    _two_parts,
-    parse_corpus,
-    write_sentences_jsonl,
-)
+from .ingest import AnnotatedSentence, Dialect, parse_corpora, write_sentences_jsonl
 from .normalize import (
     SentencePattern,
     _bfn_tags,
@@ -116,23 +108,13 @@ class PipelineConfig:
 def ingest_corpora(
     paths: Iterable[Path | str], dialect: Dialect, out: Path | None = None
 ) -> list[AnnotatedSentence]:
-    """Sentences of the corpus files, sorted by (path, sentence id).
-
-    A side large enough to pay for it is parsed in two processes (see
-    :func:`ingest._two_parts`); the records, the skip warnings and their
-    order, and the JSON-lines bytes are those of a parse in one process.
-    """
-    paths = sorted(Path(p) for p in paths)
-    parts = _two_parts(paths)
-    parsed = None if parts is None else _parse_in_two_processes(*parts, dialect)
-    records = []
-    if parsed is None:
-        for path in paths:
-            records.extend((str(path), s) for s in parse_corpus(path, dialect))
-    else:
-        for path, sentences, skips in parsed:
-            _log_skips(dialect, skips)
-            records.extend((str(path), s) for s in sentences)
+    """Sentences of the corpus files, sorted by (path, sentence id). A large
+    side is parsed in two processes (see :func:`ingest.parse_corpora`)."""
+    records = [
+        (str(path), s)
+        for path, sentences in parse_corpora(sorted(Path(p) for p in paths), dialect)
+        for s in sentences
+    ]
     records.sort(key=lambda pair: (pair[0], pair[1].sentence_id))
     sentences = [s for _, s in records]
     if out is not None:

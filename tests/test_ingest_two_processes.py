@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_corrupted_sentence
-from valgram import ingest, pipeline
+from valgram import ingest
 from valgram.ingest import CorpusParseError, Dialect, parse_corpus
 from valgram.pipeline import ingest_corpora
 
@@ -29,13 +29,13 @@ def force_two_processes(mp: pytest.MonkeyPatch) -> SimpleNamespace:
             super().__init__(*args, **kwargs)
             seen.children.append(self)
 
-    def parse_whole(path, dialect):
+    def parse_whole(path, dialect, parse_corpus=ingest.parse_corpus):
         seen.whole.append(path)
         return parse_corpus(path, dialect)
 
     mp.setattr(subprocess, "Popen", RecordedPopen)
     mp.setattr(ingest, "_two_processes_pay", lambda size: True)
-    mp.setattr(pipeline, "parse_corpus", parse_whole)
+    mp.setattr(ingest, "parse_corpus", parse_whole)
     return seen
 
 
