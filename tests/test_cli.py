@@ -665,6 +665,21 @@ _TSV_CORRUPTIONS = {
     "meta-count": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 4,
                    '{"syn": {"left": [[["Event_VP"], "3"]]}}',
                    "meta: syn.left[0][1]: expected an integer, got a string"),
+    "meta-subsumed-by": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 4, '{"subsumed_by": []}',
+                         "meta: subsumed_by: expected an object, got an array"),
+    "meta-subsumed-by-side": ("generate", "shared/semsyn-fuzzy.tsv", -1, 4,
+                              '{"subsumed_by": {"left": ["Event_VP", 1]}}',
+                              "meta: subsumed_by.left: expected an array of strings"),
+    "meta-syn": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 4, '{"syn": 1}',
+                 "meta: syn: expected an object, got an integer"),
+    "meta-syn-side": ("generate", "shared/semsyn-fuzzy.tsv", -1, 4, '{"syn": {"left": {}}}',
+                      "meta: syn.left: expected an array, got an object"),
+    "meta-variant": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 4,
+                     '{"syn": {"left": [[["Event_VP"], 3, 4]]}}',
+                     "meta: syn.left[0]: expected a [tokens, count] pair"),
+    "meta-variant-tokens": ("generate", "shared/semsyn-fuzzy.tsv", -1, 4,
+                            '{"syn": {"left": [["Event_VP", 3]]}}',
+                            "meta: syn.left[0][0]: expected an array of strings"),
     "shared-voice": ("evaluate", "shared/semsyn-fuzzy.tsv", -1, 1, "Bogus",
                      "voice: expected 'Act' or 'Pass' at level semsyn, got 'Bogus'"),
     "shared-token": ("generate", "shared/semsyn-fuzzy.tsv", -1, 2, "Event_NP,Nonsense",
