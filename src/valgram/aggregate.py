@@ -18,6 +18,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._base import _register
 from .frames import Coreness
 from .normalize import (
     FeKey,
@@ -182,7 +183,7 @@ def _valence_entry(
 
 # One copy of each FE-key set: the valences of the ten settings ids repeat the
 # same few thousand sets, which also key compare's token cache.
-_FE_SETS: dict[tuple[FeKey, ...], tuple[FeKey, ...]] = {}
+_FE_SETS: dict[tuple[FeKey, ...], tuple[FeKey, ...]] = _register({})
 
 
 def _sorted_valences(groups: _Groups, drop_singletons: bool) -> list[ValencePattern]:

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, _base
 from .aggregate import ALL_SETTINGS_IDS, Settings, read_valences_tsv
 from .compare import MatchLevel, MatchMode, read_shared_tsv
 from .frames import load_frame_index
@@ -25,7 +25,6 @@ from .pipeline import (
     PipelineConfig,
     SideConfig,
     StageError,
-    _clear_tables,
     _collector_paused,
     aggregate_patterns,
     compare_valences,
@@ -333,13 +332,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     with _collector_paused():
         # The parser and the command's data are dropped when _run_command
-        # returns, before the pause ends. The process-wide tables are emptied
-        # then too, so a process that runs many commands keeps no earlier
-        # command's keys.
+        # returns, before the pause ends; the tables are emptied then.
         try:
             return _run_command(argv)
         finally:
-            _clear_tables()
+            _base.clear()
 
 
 def _run_command(argv: list[str] | None) -> int:

@@ -13,16 +13,15 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from ._base import _REQUIRED, _FieldError, _json_type, _register, _reused, _values
 from .aggregate import ValencePattern
 from .frames import fe_name_fits_tokens
-from .ingest import _JSON_TYPES, _json_type
 from .normalize import (
     FeKey, _decode_count, fe_key_token, parse_fe_category, parse_fe_key, read_tsv_rows,
 )
@@ -54,45 +53,10 @@ class MatchMode(str, Enum):
 # a few thousand key sets, intersect projects each valence list through it,
 # and coverage keys each example through it, so examples with the same core
 # FEs share one set.
+@_register
 @functools.cache
 def _level_tokens(fes: tuple[FeKey, ...], level: MatchLevel) -> frozenset[str]:
     return level.tokens(fes)
-
-
-# The last two inputs passed under each key, most recent first, each as (the
-# caller's object, its items then, the value derived from them). intersect
-# keys by level and coverage by ("coverage", level). An entry holds its
-# object, so no id is reused while the entry lives.
-_last_inputs: dict[Hashable, list[tuple[Any, tuple, Any]]] = {}
-
-
-def _reused(key: Hashable, obj: Iterable, derive: Callable[[tuple], Any]) -> Any:
-    """``derive`` of the items of ``obj``, or the value derived at one of
-    the last two calls under ``key`` when that call passed ``obj`` itself,
-    and ``obj`` still holds the same items, by identity, in the same order.
-    So appending, removing, reordering or replacing an item, even with an
-    equal copy, derives the value again."""
-    items = tuple(obj)
-    entries = _last_inputs.setdefault(key, [])
-    for i, (held, held_items, value) in enumerate(entries):
-        if (
-            held is obj and len(held_items) == len(items)
-            and all(map(operator.is_, held_items, items))
-        ):
-            del entries[i]
-            break
-    else:
-        value = derive(items)
-    entries.insert(0, (obj, items, value))
-    del entries[2:]
-    return value
-
-
-def _clear_caches() -> None:
-    """Empty the token sets and the inputs kept for reuse, so that nothing
-    holds an earlier caller's keys, valences or examples."""
-    _level_tokens.cache_clear()
-    _last_inputs.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +390,14 @@ def write_shared_tsv(shared: SharedPatternSet, path: Path) -> None:
 _SHARED_HEADER_RE = re.compile(r"# level=(sem|semsyn) mode=(exact|fuzzy)")
 
 
-def _expect(value: object, kind: type, where: str) -> Any:
-    """``value`` if its JSON type is ``kind``; else a ValueError that names
-    ``where`` in the provenance column it is."""
-    if type(value) is not kind:
-        prefix = f"{where}: " if where else ""
-        raise ValueError(f"{prefix}expected {_JSON_TYPES[kind]}, got {_json_type(value)}")
-    return value
+# The provenance column's two maps, each empty when absent. Sides and counts
+# derive from the variants, so the "sides" key is not read back.
+_META_FIELDS = (("subsumed_by", (dict,), {}), ("syn", (dict,), {}))
 
 
 def _strings(value: object, where: str) -> list[str]:
     if type(value) is not list or not all(type(v) is str for v in value):
-        raise ValueError(f"{where}: expected an array of strings")
+        raise _FieldError(where, "expected an array of strings")
     return value
 
 
@@ -446,22 +406,30 @@ def _shared_meta(
 ) -> tuple[dict[str, list[str]], dict[str, list[tuple[tuple[FeKey, ...], int]]]]:
     """The subsuming patterns and the syntactic variants in the JSON
     provenance column of a shared-set row, each checked for its JSON type.
-    Sides and counts derive from the variants, so the ``sides`` key is not
-    read back."""
-    meta = _expect(json.loads(meta_field), dict, "")
-    subsumed_by = _expect(meta.get("subsumed_by", {}), dict, "subsumed_by")
-    for side, fes in subsumed_by.items():
-        _strings(fes, f"subsumed_by.{side}")
-    syn = {}
-    for side, variants in _expect(meta.get("syn", {}), dict, "syn").items():
-        decoded = syn[side] = []
-        for i, variant in enumerate(_expect(variants, list, f"syn.{side}")):
-            where = f"syn.{side}[{i}]"
-            if type(variant) is not list or len(variant) != 2:
-                raise ValueError(f"{where}: expected a [tokens, count] pair")
-            fes = tuple(sorted(map(key, _strings(variant[0], f"{where}[0]"))))
-            decoded.append((fes, _expect(variant[1], int, f"{where}[1]")))
-    return subsumed_by, syn
+    An error names its path within the column; the column itself has none."""
+    try:
+        subsumed_by, syn = _values(json.loads(meta_field), _META_FIELDS)
+        for side, fes in subsumed_by.items():
+            _strings(fes, f"subsumed_by.{side}")
+        try:
+            sides = _values(syn, tuple((side, (list,), _REQUIRED) for side in syn))
+        except _FieldError as exc:
+            raise exc.within("syn") from None
+        decoded = {}
+        for side, variants in zip(syn, sides):
+            decoded[side] = []
+            for i, variant in enumerate(variants):
+                where = f"syn.{side}[{i}]"
+                if type(variant) is not list or len(variant) != 2:
+                    raise _FieldError(where, "expected a [tokens, count] pair")
+                tokens, count = variant
+                fes = tuple(sorted(map(key, _strings(tokens, f"{where}[0]"))))
+                if type(count) is not int:
+                    raise _FieldError(f"{where}[1]", f"expected an integer, got {_json_type(count)}")
+                decoded[side].append((fes, count))
+    except _FieldError as exc:
+        raise ValueError(str(exc) if exc.field else exc.reason) from None
+    return subsumed_by, decoded
 
 
 def _check_count(row: list) -> None:

@@ -16,9 +16,9 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .compare import MatchLevel, SharedPatternSet, _Group, _level_tokens, _reused
+from ._base import _once_per_object, _reused
+from .compare import MatchLevel, SharedPatternSet, _Group, _level_tokens
 from .frames import Coreness
-from .ingest import _once_per_object
 from .normalize import FeRealization, SentencePattern
 
 

@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
+from ._base import _once_per_object
 from .compare import MatchLevel, SharedPattern, SharedPatternSet
 from .frames import Coreness
-from .ingest import _once_per_object
 from .normalize import FeKey, RglType, SentencePattern, SynFunction, parse_fe_category
 
 

@@ -24,10 +24,11 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
+from ._base import _NULL, _REQUIRED, _FieldError, _once_per_object, _values
+
 logger = logging.getLogger(__name__)
 
 _T = TypeVar("_T")
-_R = TypeVar("_R")
 
 # Layers whose labels are treated as the token/POS layer of a BFN sentence.
 BFN_POS_LAYERS = {"BNC", "PENN"}
@@ -723,48 +724,6 @@ def _parse_pieces_main() -> None:
 # JSON-lines serialization
 # ---------------------------------------------------------------------------
 
-_REQUIRED = object()
-_NULL = type(None)
-_JSON_TYPES = {
-    dict: "an object", list: "an array", str: "a string", int: "an integer",
-    float: "a number", bool: "a boolean", _NULL: "null",
-}
-
-
-class _FieldError(ValueError):
-    """A field of a JSON-lines record is missing or has the wrong JSON type.
-    ``field`` is its path within the record, empty for the record itself."""
-
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"{field or 'record'}: {reason}")
-        self.field = field
-        self.reason = reason
-
-    def within(self, outer: str) -> _FieldError:
-        return _FieldError(f"{outer}.{self.field}" if self.field else outer, self.reason)
-
-
-def _json_type(value: object) -> str:
-    return _JSON_TYPES.get(type(value), type(value).__name__)
-
-
-def _values(d: object, fields: tuple) -> tuple:
-    """The values of a JSON object's fields, in the order of ``fields``: each
-    is checked for its JSON type, and an absent one takes its default."""
-    if type(d) is not dict:
-        raise _FieldError("", f"expected an object, got {_json_type(d)}")
-    values = []
-    for name, types, default in fields:
-        value = d.get(name, default)
-        if type(value) not in types:
-            if value is _REQUIRED:
-                raise _FieldError(name, "missing")
-            expected = " or ".join(_JSON_TYPES[t] for t in types)
-            raise _FieldError(name, f"expected {expected}, got {_json_type(value)}")
-        values.append(value)
-    return tuple(values)
-
-
 # The fields of each record type in declaration order, each with the JSON
 # types it may hold and its value when absent (_REQUIRED: it may not be).
 _SPAN_FIELDS = (("start", (int,), _REQUIRED), ("end", (int,), _REQUIRED))
@@ -882,23 +841,6 @@ def _fe_json(fe: FeSpan, word_json: Callable[[WordAnno], str]) -> str:
         f'"null_instantiated": {"true" if fe.null_instantiated else "false"}, '
         f'"phrase_type": {pt}, "span": {_span_json(fe.span)}, "words": {words}}}'
     )
-
-
-def _once_per_object(compute: Callable[[_T], _R]) -> Callable[[_T], _R]:
-    """``compute``, run once per distinct argument object. The memo is keyed
-    by ``id()`` and holds the argument, so no id is reused while the memo
-    lives, even when the caller's objects could be freed. So it keeps every
-    distinct argument it has seen, with its result, until it is dropped:
-    memory grows with the distinct objects passed, not with the calls."""
-    memo: dict[int, tuple[_T, _R]] = {}
-
-    def once(obj: _T) -> _R:
-        entry = memo.get(id(obj))
-        if entry is None:
-            entry = memo[id(obj)] = (obj, compute(obj))
-        return entry[1]
-
-    return once
 
 
 def _json_lines(sentences: Iterable[AnnotatedSentence]) -> Iterator[str]:

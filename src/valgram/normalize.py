@@ -16,8 +16,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from ._base import _once_per_object, _register
 from .frames import Coreness, FrameIndex, fe_name_fits_tokens
-from .ingest import AnnotatedSentence, Dialect, FeSpan, WordAnno, _once_per_object
+from .ingest import AnnotatedSentence, Dialect, FeSpan, WordAnno
 
 logger = logging.getLogger(__name__)
 
@@ -421,6 +422,7 @@ def _bfn_prep(fe: FeSpan, s: AnnotatedSentence, rules: dict) -> str | None:
 
 
 # Native tags and mapping of each phrase type and grammatical function pair.
+@_register
 @functools.cache
 def _bfn_tags(pt: str, gf: str) -> tuple[str, Generalized | SkipReason]:
     return (f"{pt}.{gf}" if gf else pt), generalize_bfn_fe(pt, gf)
@@ -529,6 +531,7 @@ def _swefn_types(fe: FeSpan, s: AnnotatedSentence) -> tuple[str, Generalized | S
 
 # One shared realization per distinct annotation: records are frozen, and
 # thousands of examples repeat a few hundred FE annotations.
+@_register
 @functools.cache
 def _realization(
     fe_name: str, native: str, mapped: Generalized | SkipReason, coreness: Coreness

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import __version__
+from . import __version__, _base
 from .aggregate import (
-    _FE_SETS,
     Settings,
     ValencePattern,
     aggregate_corpus,
@@ -31,7 +30,6 @@ from .compare import (
     MatchLevel,
     MatchMode,
     SharedPatternSet,
-    _clear_caches,
     frame_set_report,
     intersect,
     pattern_set_report,
@@ -45,8 +43,6 @@ from .grammar import derive_grammar, emit_abstract_syntax, file_digest, noncore_
 from .ingest import AnnotatedSentence, Dialect, parse_corpora, write_sentences_jsonl
 from .normalize import (
     SentencePattern,
-    _bfn_tags,
-    _realization,
     Skip,
     load_voice_rules,
     normalize_corpus,
@@ -239,18 +235,6 @@ def evaluate_coverage(
 # Whole run
 # ---------------------------------------------------------------------------
 
-def _clear_tables() -> None:
-    """Empty the package's five process-wide tables: the FE-key sets of the
-    valences, the BFN tags and realizations of normalize, and compare's
-    token sets and inputs kept for reuse. Otherwise a process that runs many
-    corpora keeps every distinct key and annotation it has seen, and the
-    last run's examples."""
-    _clear_caches()
-    _FE_SETS.clear()
-    _bfn_tags.cache_clear()
-    _realization.cache_clear()
-
-
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Run the enclosed work with Python's cyclic garbage collector off, and
@@ -280,13 +264,11 @@ def run_pipeline(config: PipelineConfig) -> Path:
     """
     with _collector_paused():
         # The stages' records are freed when _run_stages returns, before the
-        # collector resumes and would scan them. The process-wide tables are
-        # emptied then too, or they would keep the run's keys and examples
-        # alive in the caller's process.
+        # collector resumes and would scan them; the tables are emptied then.
         try:
             _run_stages(config)
         finally:
-            _clear_tables()
+            _base.clear()
     return config.out_dir
 
 

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valgram import aggregate, normalize
-from valgram.aggregate import ALL_SETTINGS_IDS
+from valgram import _base
+from valgram.aggregate import ALL_SETTINGS_IDS, Settings, aggregate_corpus
 from valgram.cli import main
-from valgram.compare import MatchLevel, MatchMode, _last_inputs, _level_tokens, intersect
-from valgram.frames import Coreness
-from valgram.ingest import Dialect
+from valgram.compare import MatchLevel, MatchMode, intersect
+from valgram.coverage import coverage
+from valgram.frames import load_frame_index
+from valgram.ingest import Dialect, parse_corpus
+from valgram.normalize import normalize_corpus
 from valgram.pipeline import PipelineConfig, SideConfig, StageError, run_pipeline
 
 REPO = Path(__file__).resolve().parents[1]
@@ -520,26 +522,63 @@ def test_corrupted_sentence_jsonl_field_is_one_error_record(
     assert message.endswith("missing" if kind == "absent" else f"got {kind}")
 
 
+def _size(table) -> int:
+    return table.cache_info().currsize if hasattr(table, "cache_info") else len(table)
+
+
 def _nothing_cached() -> bool:
-    """None of the five process-wide tables holds anything: no token set,
-    no input kept for reuse, no FE-key set, no BFN tags, no realization."""
-    return (
-        _level_tokens.cache_info().currsize == 0 and not _last_inputs
-        and not aggregate._FE_SETS
-        and normalize._bfn_tags.cache_info().currsize == 0
-        and normalize._realization.cache_info().currsize == 0
-    )
+    """No process-wide table holds anything."""
+    return not any(map(_size, _base._TABLES))
 
 
-def _cache_an_earlier_callers_keys() -> None:
-    _level_tokens((), MatchLevel.SEMANTIC)
-    intersect([], [], MatchLevel.SEMANTIC, MatchMode.EXACT)
-    aggregate._FE_SETS.setdefault((), ())
-    normalize._realization(
-        "Event", normalize._bfn_tags("NP", "Obj")[0],
-        normalize.Generalized(normalize.RglType.NP), Coreness.CORE,
+def _use_every_stage(data_dir: Path) -> None:
+    """Parse, normalize, aggregate, intersect and cover the mini corpora,
+    each stage called directly."""
+    frame_index = load_frame_index(data_dir / "frames_fixture.tsv")
+    sides = []
+    for name, dialect in (("bfn_mini.xml", Dialect.BFN_PHRASE), ("swefn_mini.xml", Dialect.SWEFN_DEP)):
+        patterns, _ = normalize_corpus(parse_corpus(data_dir / name, dialect), frame_index)
+        sides.append((patterns, aggregate_corpus(patterns, Settings.from_id("2.B"))[0]))
+    shared = intersect(sides[0][1], sides[1][1], MatchLevel.SEMANTIC, MatchMode.FUZZY)
+    coverage(shared, sides[0][0])
+
+
+def _cache_an_earlier_callers_keys(data_dir: Path) -> None:
+    _use_every_stage(data_dir)
+    assert all(map(_size, _base._TABLES))
+
+
+def _check_every_grown_table_is_registered(data_dir: str) -> None:
+    """Every module-level container or functools cache of the package that
+    the stages grow is a registered table, each registered table grows, and
+    ``clear()`` empties them all."""
+    tables = {
+        f"{name}.{attr}": obj
+        for name, module in list(sys.modules.items()) if name.split(".")[0] == "valgram"
+        for attr, obj in vars(module).items()
+        if not attr.startswith("__")
+        and (isinstance(obj, (dict, list, set)) or hasattr(obj, "cache_info"))
+    }
+    before = {name: _size(table) for name, table in tables.items()}
+    _use_every_stage(Path(data_dir))
+    grown = {name for name, table in tables.items() if _size(table) != before[name]}
+    registered = {id(table) for table in _base._TABLES}
+    unregistered = {name for name in grown if id(tables[name]) not in registered}
+    assert not unregistered, unregistered
+    assert {id(tables[name]) for name in grown} == registered
+    _base.clear()
+    assert not any(_size(tables[name]) for name in grown) and _nothing_cached()
+
+
+def test_every_table_the_stages_grow_is_registered_and_cleared(data_dir):
+    # In a new process: here, earlier tests may already have filled an
+    # unregistered table with the keys of the mini corpora.
+    check = (
+        f"import sys; sys.path.insert(0, {str(REPO / 'tests')!r}); import test_cli; "
+        f"test_cli._check_every_grown_table_is_registered({str(data_dir)!r})"
     )
-    assert not _nothing_cached()
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_commands_leave_no_cached_keys(tmp_path, data_dir):
@@ -551,12 +590,12 @@ def test_commands_leave_no_cached_keys(tmp_path, data_dir):
     assert _nothing_cached()
     # The shared set is built before its write fails, and an earlier
     # caller's keys are there too: none is left once the command returns.
-    _cache_an_earlier_callers_keys()
+    _cache_an_earlier_callers_keys(data_dir)
     assert run_cli(*compare, "--out", tmp_path / "missing" / "shared.tsv") == 1
     assert _nothing_cached()
 
 
-def test_runs_leave_no_cached_keys_or_inputs(tmp_path, bfn_mini, swefn_mini, frames_tsv):
+def test_runs_leave_no_cached_keys_or_inputs(tmp_path, data_dir, bfn_mini, swefn_mini, frames_tsv):
     # A run's examples are kept for reuse while it runs; an in-process caller
     # must not keep them, nor any key, once run_pipeline or cli.main returns.
     def config(out):
@@ -574,14 +613,14 @@ def test_runs_leave_no_cached_keys_or_inputs(tmp_path, bfn_mini, swefn_mini, fra
     bad = tmp_path / "bad"
     (bad / "coverage.csv").mkdir(parents=True)
     for succeeds, out in ((True, tmp_path / "ok"), (False, bad)):
-        _cache_an_earlier_callers_keys()
+        _cache_an_earlier_callers_keys(data_dir)
         if succeeds:
             run_pipeline(config(out))
         else:
             with pytest.raises(StageError, match="evaluate"):
                 run_pipeline(config(out))
         assert _nothing_cached()
-        _cache_an_earlier_callers_keys()
+        _cache_an_earlier_callers_keys(data_dir)
         assert run_cli(*run, "--out-dir", out) == (0 if succeeds else 1)
         assert _nothing_cached()
 

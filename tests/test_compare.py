@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valgram import compare, coverage
+from valgram import _base, compare, coverage
 from valgram.aggregate import ALL_SETTINGS_IDS, read_valences_tsv
 from valgram.compare import (
     MatchLevel,
@@ -385,7 +385,7 @@ def test_a_settings_sweep_projects_and_counts_each_list_once_per_run_of_calls(
     # row, at both levels and in both modes, and coverage alternates the two
     # sides' examples. A list is projected again only when it was not one of
     # the last two lists at the level: 2 + 9 times per left list and level.
-    compare._clear_caches()
+    _base.clear()
     calls = {"_project": 0, "_example_counts": 0}
     for module, name in ((compare, "_project"), (coverage, "_example_counts")):
         def counted(*args, _derive=getattr(module, name), _name=name, **kwargs):
