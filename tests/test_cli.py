@@ -536,7 +536,8 @@ def _use_every_stage(data_dir: Path) -> None:
     each stage called directly."""
     frame_index = load_frame_index(data_dir / "frames_fixture.tsv")
     sides = []
-    for name, dialect in (("bfn_mini.xml", Dialect.BFN_PHRASE), ("swefn_mini.xml", Dialect.SWEFN_DEP)):
+    corpora = (("bfn_mini.xml", Dialect.BFN_PHRASE), ("swefn_mini.xml", Dialect.SWEFN_DEP))
+    for name, dialect in corpora:
         patterns, _ = normalize_corpus(parse_corpus(data_dir / name, dialect), frame_index)
         sides.append((patterns, aggregate_corpus(patterns, Settings.from_id("2.B"))[0]))
     shared = intersect(sides[0][1], sides[1][1], MatchLevel.SEMANTIC, MatchMode.FUZZY)
@@ -567,7 +568,7 @@ def _check_every_grown_table_is_registered(data_dir: str) -> None:
     assert not unregistered, unregistered
     assert {id(tables[name]) for name in grown} == registered
     _base.clear()
-    assert not any(_size(tables[name]) for name in grown) and _nothing_cached()
+    assert _nothing_cached()
 
 
 def test_every_table_the_stages_grow_is_registered_and_cleared(data_dir):
