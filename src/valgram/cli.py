@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, _base
+from . import __version__
 from .aggregate import ALL_SETTINGS_IDS, Settings, read_valences_tsv
 from .compare import MatchLevel, MatchMode, read_shared_tsv
 from .frames import load_frame_index
@@ -332,11 +332,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     with _collector_paused():
         # The parser and the command's data are dropped when _run_command
-        # returns, before the pause ends; the tables are emptied then.
-        try:
-            return _run_command(argv)
-        finally:
-            _base.clear()
+        # returns, before the pause ends and the tables are emptied.
+        return _run_command(argv)
 
 
 def _run_command(argv: list[str] | None) -> int:

@@ -12,9 +12,8 @@ import csv
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ._base import _once_per_object, _reused
 from .compare import MatchLevel, SharedPatternSet, _Group, _level_tokens
@@ -54,12 +53,6 @@ class CoverageReport:
 _SEMANTIC = MatchLevel.SEMANTIC
 _NONCORE = Coreness.NONCORE
 
-# The SentencePattern slot that holds each level's coverage key.
-_SLOTS = {
-    MatchLevel.SEMANTIC: "sem_cover_key",
-    MatchLevel.SEMANTIC_SYNTACTIC: "semsyn_cover_key",
-}
-
 
 def _reduced(reals: tuple[FeRealization, ...], level: MatchLevel) -> frozenset[str]:
     """The level's tokens of an example's core FEs, so word order,
@@ -73,38 +66,21 @@ def _reduced(reals: tuple[FeRealization, ...], level: MatchLevel) -> frozenset[s
     return _level_tokens(tuple(fes), level)
 
 
-def _cover_key(
-    p: SentencePattern, level: MatchLevel, slot: str, keys: dict,
-    reduce: Callable[[tuple[FeRealization, ...]], frozenset[str]],
-) -> tuple:
-    """The example's ((frame, voice), reduced set) at the level, stored in
-    its slot as the one object in ``keys`` equal to it; the reduced set,
-    ``reduce`` of its realizations, does not depend on the shared set."""
-    group = (p.frame, None) if level is _SEMANTIC else (p.frame, p.voice._value_)
-    key = group, reduce(p.realizations)
-    key = keys.setdefault(key, key)
-    object.__setattr__(p, slot, key)
-    return key
-
-
 # An example list's counts at a level: the examples per frame, and each
 # (frame, voice) group's distinct reduced sets with their examples.
 _ExampleCounts = tuple[dict[str, int], dict[_Group, list[tuple[frozenset[str], int]]]]
 
 
 def _example_counts(examples: Sequence[SentencePattern], level: MatchLevel) -> _ExampleCounts:
-    """Examples repeat their keys, so each distinct key is counted once. The
-    first call at a level fills the keys of all its examples, so equal keys
-    share one key object, and examples that share a realizations tuple
-    reduce it once."""
-    slot = _SLOTS[level]
-    counts = Counter(map(attrgetter(slot), examples))
-    if None in counts:
-        keys: dict[tuple, tuple] = {}
-        reduce = _once_per_object(lambda reals: _reduced(reals, level))
-        counts = Counter(
-            getattr(p, slot) or _cover_key(p, level, slot, keys, reduce) for p in examples
-        )
+    """Examples repeat their ((frame, voice), reduced set) keys, so each
+    distinct key is counted once; the reduced set does not depend on the
+    shared set. Examples that share a realizations tuple reduce it once."""
+    reduce = _once_per_object(lambda reals: _reduced(reals, level))
+    semantic = level is _SEMANTIC
+    counts = Counter(
+        ((p.frame, None if semantic else p.voice._value_), reduce(p.realizations))
+        for p in examples
+    )
     per_frame: dict[str, int] = {}
     by_group: dict[_Group, list[tuple[frozenset[str], int]]] = {}
     for (group, reduced), n in counts.items():

@@ -207,12 +207,6 @@ class SentencePattern:
     realizations: tuple[FeRealization, ...]
     lu_ref: str
     sentence_id: str
-    # Each level's ((frame, voice), reduced FE set), filled by
-    # ``coverage.coverage`` on first use and left out of identity.
-    sem_cover_key: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    semsyn_cover_key: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def unconsidered_skip(self) -> Skip | None:
         """The skip of an example with an FE outside the interlingual

@@ -237,21 +237,24 @@ def evaluate_coverage(
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Run the enclosed work with Python's cyclic garbage collector off, and
-    restore the state found on exit, also on an error.
+    """Run the enclosed work with Python's cyclic garbage collector off. On
+    exit, also on an error, empty the process-wide tables, then restore the
+    collector's state found: the tables live for this one scope.
 
     The records the stages build hold no reference cycles, so reference
     counting frees them; the collector would only rescan a heap of records
     that grows to hundreds of MiB. A collector found on runs one full
-    collection on exit, the one the pause postponed: it also empties the
-    interpreter's free lists, whose objects would otherwise keep the memory
-    blocks of the freed records from being returned to the system.
+    collection on exit, the one the pause postponed, after the tables let go
+    of what they held: it also empties the interpreter's free lists, whose
+    objects would otherwise keep the memory blocks of the freed records from
+    being returned to the system.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
+        _base.clear()
         if enabled:
             gc.enable()
             gc.collect()
@@ -264,11 +267,8 @@ def run_pipeline(config: PipelineConfig) -> Path:
     """
     with _collector_paused():
         # The stages' records are freed when _run_stages returns, before the
-        # collector resumes and would scan them; the tables are emptied then.
-        try:
-            _run_stages(config)
-        finally:
-            _base.clear()
+        # pause ends and the tables are emptied.
+        _run_stages(config)
     return config.out_dir
 
 

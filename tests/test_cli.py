@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -531,17 +532,47 @@ def _nothing_cached() -> bool:
     return not any(map(_size, _base._TABLES))
 
 
+def _slot_values(records) -> Iterator[tuple[object, str, object]]:
+    """Each (record, slot, value) of the records and of the slotted records
+    and tuples their slots hold."""
+    for record in records:
+        if isinstance(record, tuple):
+            yield from _slot_values(record)
+        for slot in getattr(type(record), "__slots__", ()):
+            value = getattr(record, slot)
+            yield record, slot, value
+            yield from _slot_values([value])
+
+
 def _use_every_stage(data_dir: Path) -> None:
     """Parse, normalize, aggregate, intersect and cover the mini corpora,
-    each stage called directly."""
+    each stage called directly, and check that no stage stores anything on
+    the sentences, patterns and valences it is given: each of their slots
+    still holds the same object."""
     frame_index = load_frame_index(data_dir / "frames_fixture.tsv")
+    given = []
+
+    def give(records):
+        given.extend(_slot_values(records))
+        return records
+
     sides = []
     corpora = (("bfn_mini.xml", Dialect.BFN_PHRASE), ("swefn_mini.xml", Dialect.SWEFN_DEP))
     for name, dialect in corpora:
-        patterns, _ = normalize_corpus(parse_corpus(data_dir / name, dialect), frame_index)
-        sides.append((patterns, aggregate_corpus(patterns, Settings.from_id("2.B"))[0]))
+        sentences = give(parse_corpus(data_dir / name, dialect))
+        patterns = give(normalize_corpus(sentences, frame_index)[0])
+        sides.append((patterns, give(aggregate_corpus(patterns, Settings.from_id("2.B"))[0])))
     shared = intersect(sides[0][1], sides[1][1], MatchLevel.SEMANTIC, MatchMode.FUZZY)
     coverage(shared, sides[0][0])
+    stored = {
+        f"{type(record).__name__}.{slot}"
+        for record, slot, value in given if getattr(record, slot) is not value
+    }
+    assert not stored, stored
+
+
+def test_no_stage_stores_anything_on_the_records_it_is_given(data_dir):
+    _use_every_stage(data_dir)
 
 
 def _cache_an_earlier_callers_keys(data_dir: Path) -> None:

@@ -127,9 +127,6 @@ def test_cover_keys_do_not_leak_between_levels(bfn_mini, swefn_mini, frame_index
             reused = [replace(p) for p in examples]
             for level in order:
                 assert coverage(finals[level], reused) == expected[level]
-            # Examples with equal keys share one key object.
-            for key in ([p.sem_cover_key for p in reused], [p.semsyn_cover_key for p in reused]):
-                assert len(set(map(id, key))) == len(set(key)) < len(key)
 
 
 def test_coverage_matches_a_count_of_each_example():
