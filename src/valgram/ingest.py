@@ -132,37 +132,24 @@ def _byte_offset(data: bytes, line: int, column: int) -> int:
     return start + len(chars.encode("utf-8", "surrogateescape"))
 
 
-def _sentence_elements(stream: object) -> Iterator[ET.Element]:
-    """Each ``<sentence>`` element of the document read from ``stream`` (a
-    path or an object with ``read``), in the order the elements end,
-    emptied once the caller asks for the next one. Malformed XML is an
-    ``ET.ParseError``."""
-    for _, elem in ET.iterparse(stream, events=("end",)):
-        if elem.tag == "sentence":
-            yield elem
-            elem.clear()
-
-
-def _iter_sentences(source: bytes | str | Path) -> Iterator[ET.Element]:
-    """:func:`_sentence_elements` of a document, read incrementally, so memory
-    is bounded by one sentence plus the records the caller keeps, not by the
-    document size. Malformed XML anywhere in the document is a
-    :class:`CorpusParseError` giving the byte offset; only then is the source
-    read a second time.
-    """
-    if isinstance(source, str):
-        source = source.encode("utf-8")
-    try:
-        yield from _sentence_elements(
-            source if isinstance(source, Path) else io.BytesIO(source)
-        )
-    except ET.ParseError as exc:
-        line, col = exc.position
-        data = source.read_bytes() if isinstance(source, Path) else source
-        offset = _byte_offset(data, line, col)
-        raise CorpusParseError(
-            f"malformed XML at byte {offset} (line {line}, column {col}): {exc}"
-        ) from exc
+def _sentence_elements(chunks: Iterable[bytes]) -> Iterator[ET.Element]:
+    """Each ``<sentence>`` element of the document whose bytes are
+    ``chunks``, in the order the elements end, emptied once the caller asks
+    for the next one. So memory is bounded by one sentence and one chunk
+    plus the records the caller keeps, not by the document size. Malformed
+    XML is an ``ET.ParseError``."""
+    parser = ET.XMLPullParser(("end",))
+    for chunk in itertools.chain(chunks, [None]):
+        if chunk is None:
+            # Expat 2.6 and later may hold back a token longer than the
+            # input fed so far until the end: its events come after close().
+            parser.close()
+        else:
+            parser.feed(chunk)
+        for _, elem in parser.read_events():
+            if elem.tag == "sentence":
+                yield elem
+                elem.clear()
 
 
 class _RecordError(ValueError):
@@ -473,9 +460,21 @@ def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[Annotated
     none.
 
     Equal spans, words and FE annotations within the document are one
-    object; two calls share none.
+    object; two calls share none. Malformed XML is a :class:`CorpusParseError`
+    giving its byte offset, for which the document is read again.
     """
-    records, skips = _parse(_iter_sentences(source), dialect)
+    if isinstance(source, str):
+        source = source.encode("utf-8")
+    with source.open("rb") if isinstance(source, Path) else io.BytesIO(source) as f:
+        try:
+            records, skips = _parse(_sentence_elements(_piece_chunks(f, 0, 0, None, b"")), dialect)
+        except ET.ParseError as exc:
+            line, col = exc.position
+            f.seek(0)
+            offset = _byte_offset(f.read(), line, col)
+            raise CorpusParseError(
+                f"malformed XML at byte {offset} (line {line}, column {col}): {exc}"
+            ) from exc
     _log_skips(dialect, skips)
     return records
 
@@ -490,7 +489,8 @@ def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[Annotated
 _Piece = tuple[Path, int, int, "int | None", bytes]
 
 _SENTENCE_END = b"</sentence>"
-_CHUNK = 1 << 16
+# The size of each read: a larger one holds more sentences unfreed at the peak.
+_CHUNK = 1 << 14
 
 
 class _FirstSentence(Exception):
@@ -540,7 +540,7 @@ def _cut_in_two(path: Path, near: int) -> tuple[_Piece, _Piece] | None:
         root, head, _ = found
         pos = max(near, head)
         f.seek(pos)
-        i = f.read(_CHUNK).find(_SENTENCE_END)
+        i = f.read(4 * _CHUNK).find(_SENTENCE_END)
     if i < 0:
         return None
     cut = pos + i + len(_SENTENCE_END)
@@ -560,23 +560,13 @@ def _piece_chunks(
     yield tail
 
 
-class _Reader:
-    """Chunks of bytes as a file whose ``read`` returns the next one."""
-
-    def __init__(self, chunks: Iterable[bytes]):
-        self._chunks = filter(None, chunks)
-
-    def read(self, size: int = -1) -> bytes:
-        return next(self._chunks, b"")
-
-
 def _parse_piece(piece: _Piece, dialect: Dialect) -> tuple[list[AnnotatedSentence], list[str]]:
     """The records and skip reasons of one piece of a corpus file, as
     :func:`_parse` gives them. Malformed XML is an ``ET.ParseError``, with
     no byte offset: a caller parses the whole document again to get it."""
     path, *extent = piece
     with path.open("rb") as f:
-        return _parse(_sentence_elements(_Reader(_piece_chunks(f, *extent))), dialect)
+        return _parse(_sentence_elements(_piece_chunks(f, *extent)), dialect)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._base import _once_per_object, _register
+from ._base import _REQUIRED, _FieldError, _once_per_object, _register, _values
 from .frames import Coreness, FrameIndex, fe_name_fits_tokens
 from .ingest import AnnotatedSentence, Dialect, FeSpan, WordAnno
 
@@ -272,13 +272,22 @@ DEFAULT_VOICE_RULES: dict = {
 
 
 def load_voice_rules(path: Path | None) -> dict:
-    """Merge a user rule file over the defaults (per dialect, per key)."""
+    """Merge a user rule file over the defaults (per dialect, per key). A file
+    that is not JSON, or not an object of objects, is a ``ValueError`` that
+    starts ``<path>:`` and names the bad key."""
     import json
 
     rules = {k: dict(v) for k, v in DEFAULT_VOICE_RULES.items()}
     if path is not None:
-        user = json.loads(Path(path).read_text(encoding="utf-8"))
-        for dialect, table in user.items():
+        try:
+            user = json.loads(Path(path).read_text(encoding="utf-8"))
+            _values(user, ())  # an object
+            tables = _values(user, tuple((dialect, (dict,), _REQUIRED) for dialect in user))
+        except _FieldError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+        for dialect, table in zip(user, tables):
             rules.setdefault(dialect, {}).update(table)
     return rules
 

@@ -576,21 +576,36 @@ def test_parse_memory_is_bounded_by_the_records_kept(tmp_path, dialect):
     gen = load_corpus_generator()
     frames = gen.build_frames(50, random.Random(1))
     build = gen.build_bfn_corpus if dialect is Dialect.BFN_PHRASE else gen.build_swefn_corpus
-    path = tmp_path / "corpus.xml"
-    path.write_text(build(3000, frames, seed=5), encoding="utf-8")
 
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sentences = parse_corpus(path, dialect)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    def corpus(size):
+        path = tmp_path / f"corpus-{size}.xml"
+        path.write_text(build(size, frames, seed=5), encoding="utf-8")
+        return path
+
+    def traced(parse):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            records = parse()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A whole-document element tree costs several times the records built
+        # from it; reading one sentence at a time keeps the peak near them.
+        assert peak - base <= 1.5 * (retained - base)
+        return records
+
+    path = corpus(3000)
+    sentences = traced(lambda: parse_corpus(path, dialect))
     assert len(sentences) == 3000
-    # A whole-document element tree costs several times the records built
-    # from it; reading one sentence at a time keeps the peak near them.
-    assert peak - base <= 1.5 * (retained - base)
     assert parse_corpus(path.read_bytes(), dialect) == sentences
+    # Each piece of a document cut in two is read under the same bound. The
+    # parser's own memory does not shrink with the records, so each piece
+    # holds about as many records as the document above.
+    path = corpus(6000)
+    pieces = ingest._cut_in_two(path, path.stat().st_size // 2)
+    parts = [traced(lambda: ingest._parse_piece(piece, dialect)[0]) for piece in pieces]
+    assert parts[0] + parts[1] == parse_corpus(path, dialect)
 
 
 def test_malformed_xml_from_a_path_reports_its_byte_offset(tmp_path):

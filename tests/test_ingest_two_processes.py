@@ -169,6 +169,25 @@ def test_prolog_doctype_and_namespaces_reach_the_second_piece(tmp_path, caplog, 
     assert {s.lu_ref for s in records} == {"want.v.1"} and len(records) == 6
 
 
+def test_a_token_longer_than_a_read_reaches_every_parse(tmp_path, forced):
+    # Expat 2.6 and later hold back a token longer than the input fed so
+    # far, and may report it only when the parser is closed. The sentence
+    # holding it ends the document, and so the second piece.
+    lu = "want" * 25_000
+    assert len(lu) > ingest._CHUNK
+    path = tmp_path / "corpus.xml"
+    path.write_text(_corpus([*(_sentence(f"s{i:03d}") for i in range(300)), _sentence("long", lu=lu)]))
+    records = parse_corpus(path, BFN)
+    assert [s.sentence_id for s in records[-2:]] == ["s299", "long"]
+    assert records[-1].lu_ref == f"{lu}.1"
+    assert parse_corpus(path.read_bytes(), BFN) == records
+    first, second = ingest._two_parts([path])
+    assert second[0][2] < path.read_bytes().index(b'"long"')
+    parsed = ingest._parse_in_two_processes(first, second, BFN)
+    assert [record for _, piece, _ in parsed for record in piece] == records
+    assert [child.returncode for child in forced.children] == [0]
+
+
 def test_sentences_under_a_subcorpus_fall_back(tmp_path, caplog, forced):
     path = tmp_path / "corpus.xml"
     path.write_text(_corpus(

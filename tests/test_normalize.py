@@ -167,6 +167,19 @@ def test_voice_rules_are_configurable(tmp_path, bfn_mini):
     assert detect_voice(s, DEFAULT_VOICE_RULES) is Voice.PASS
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "record: expected an object, got an array"),
+    ('{"bfn": ["x"]}', "bfn: expected an object, got an array"),
+    ("{bfn", "not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+], ids=["not-an-object", "dialect-not-an-object", "not-json"])
+def test_voice_rules_file_errors_name_the_file_and_key(tmp_path, text, message):
+    cfg = tmp_path / "rules.json"
+    cfg.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_voice_rules(cfg)
+    assert str(excinfo.value) == f"{cfg}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # BFN generalization rules
 # ---------------------------------------------------------------------------
