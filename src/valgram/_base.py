@@ -1,6 +1,6 @@
-"""The registry of process-wide tables, the two identity memos and the JSON
-shape checker that the stages share. Like ``frames``, this module imports no
-other ``valgram`` module."""
+"""The registry of process-wide tables, the two identity memos, the JSON
+shape checkers and the file-name check that the stages share. Like
+``frames``, this module imports no other ``valgram`` module."""
 
 from __future__ import annotations
 
@@ -114,3 +114,27 @@ def _values(d: object, fields: tuple) -> tuple:
             raise _FieldError(name, f"expected {expected}, got {_json_type(value)}")
         values.append(value)
     return tuple(values)
+
+
+def _strings(value: object, where: str) -> list[str]:
+    """``value``, which must be a JSON array of strings."""
+    if type(value) is list:
+        bad = [v for v in value if type(v) is not str]
+        if not bad:
+            return value
+        got = f"an array holding {_json_type(bad[0])}"
+    else:
+        got = _json_type(value)
+    raise _FieldError(where, f"expected an array of strings, got {got}")
+
+
+def _file_name(name: str, what: str) -> str:
+    """``name``, which a caller makes one entry of a directory: it must not
+    be empty, ``.`` or ``..``, nor hold ``/``, ``\\`` or NUL, any of which
+    would name no entry or one outside that directory."""
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError(
+            f"{what} name {name!r} cannot name a file: a name must not be empty, "
+            "'.' or '..', nor hold '/', '\\' or NUL"
+        )
+    return name

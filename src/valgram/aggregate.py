@@ -18,7 +18,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._base import _register
+from ._base import _file_name, _register
 from .frames import Coreness
 from .normalize import (
     FeKey,
@@ -107,8 +107,8 @@ _GRANULARITY = {
 def _filtered(
     p: SentencePattern, generalize_types: bool, dedupe: bool, drop_noncore: bool
 ) -> SentencePattern | Skip:
-    """One example under the realization switches: the pattern itself when
-    they remove nothing, a pattern of the realizations they keep, or the
+    """One example under the realization switches, which remove at least one
+    of its FEs or drop it: a pattern of the realizations they keep, or the
     Skip that drops the example.
 
     Non-core FEs are removed before repeated FEs are collapsed. When repeated
@@ -135,8 +135,6 @@ def _filtered(
                     p.sentence_id, SkipReason.MIXED_REPEATED_FE_TYPES, ",".join(sorted(mixed))
                 )
             reals = list(first.values())
-    if len(reals) == len(p.realizations):
-        return p
     return SentencePattern(
         frame=p.frame, voice=p.voice, realizations=tuple(reals),
         lu_ref=p.lu_ref, sentence_id=p.sentence_id,
@@ -456,11 +454,14 @@ def frame_summary(valences: Sequence[ValencePattern], frame: str, voice: Voice) 
 
 
 def write_frame_summaries(valences: Sequence[ValencePattern], out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """One ``<frame>.txt`` per frame in ``out_dir``. A frame name that cannot
+    name a file there is a ValueError, raised before anything is written."""
     by_group: dict[tuple[str, Voice], list[ValencePattern]] = {}
     for v in valences:
         by_group.setdefault((v.frame, v.voice), []).append(v)
-    for frame in sorted({frame for frame, _ in by_group}):
+    frames = sorted({_file_name(frame, "frame") for frame, _ in by_group})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for frame in frames:
         parts = [
             frame_summary(by_group.get((frame, voice), []), frame, voice)
             for voice in (Voice.ACT, Voice.PASS)

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from ._base import _file_name
 from .aggregate import ALL_SETTINGS_IDS, Settings, read_valences_tsv
 from .compare import MatchLevel, MatchMode, read_shared_tsv
 from .frames import load_frame_index
@@ -147,6 +148,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     # Each side's LU module is named after it.
+    for name in (args.left_name, args.right_name):
+        _file_name(name, "side")
     if args.left_name == args.right_name:
         raise ValueError(f"the left and right sides are both named {args.left_name!r}")
     shared_path, left_path, right_path = Path(args.shared), Path(args.lu_left), Path(args.lu_right)

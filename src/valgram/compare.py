@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from ._base import _REQUIRED, _FieldError, _json_type, _register, _reused, _values
+from ._base import _REQUIRED, _FieldError, _json_type, _register, _reused, _strings, _values
 from .aggregate import ValencePattern
 from .frames import fe_name_fits_tokens
 from .normalize import (
@@ -393,12 +393,6 @@ _SHARED_HEADER_RE = re.compile(r"# level=(sem|semsyn) mode=(exact|fuzzy)")
 # The provenance column's two maps, each empty when absent. Sides and counts
 # derive from the variants, so the "sides" key is not read back.
 _META_FIELDS = (("subsumed_by", (dict,), {}), ("syn", (dict,), {}))
-
-
-def _strings(value: object, where: str) -> list[str]:
-    if type(value) is not list or not all(type(v) is str for v in value):
-        raise _FieldError(where, "expected an array of strings")
-    return value
 
 
 def _shared_meta(

@@ -633,7 +633,8 @@ def _parse_in_two_processes(
     first: list[_Piece], second: list[_Piece], dialect: Dialect
 ) -> list[tuple[Path, list[AnnotatedSentence], list[str]]] | None:
     """The path, records and skip reasons of each piece, in order: a child
-    process parses ``second`` while this one streams ``first``.
+    process parses ``second``, sent whole on its stdin before this one
+    streams ``first``, and sends its results back on its stdout.
 
     None, once the child has ended, when the child cannot start or fails,
     or either part fails to parse: the caller then parses every file in one
@@ -645,18 +646,19 @@ def _parse_in_two_processes(
     import pickle
     import subprocess
 
-    job = json.dumps([dialect.value, [[str(p), head, start] for p, head, start, _, _ in second]])
     root = str(Path(__file__).resolve().parents[1])
     flags = ["-I", "-S"] + (["-B"] if sys.dont_write_bytecode else [])
     try:
         child = subprocess.Popen(
-            [sys.executable, *flags, "-c", _CHILD, root, job],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            [sys.executable, *flags, "-c", _CHILD, root],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         )
     except OSError:
         return None
     with child:
         try:
+            with child.stdin:
+                pickle.dump((dialect, second), child.stdin, pickle.HIGHEST_PROTOCOL)
             mine = [_parse_piece(piece, dialect) for piece in first]
             theirs = pickle.load(child.stdout)
         except BaseException as exc:
@@ -693,20 +695,16 @@ def parse_corpora(
 
 
 def _parse_pieces_main() -> None:
-    """The second process of a corpus side parsed in two: parses the pieces
-    that ``sys.argv[-1]`` names, as JSON ``[dialect, [[path, head, start],
-    ...]]`` (each piece runs to its file's end), with the cyclic collector
-    off, and writes the :func:`_parse_piece` result of each piece to stdout
-    as one pickle."""
+    """The second process of a corpus side parsed in two: reads ``(dialect,
+    pieces)`` from stdin as one pickle, parses each piece with the cyclic
+    collector off, and writes the :func:`_parse_piece` result of each piece
+    to stdout as one pickle."""
     import gc
     import pickle
 
     gc.disable()
-    dialect, pieces = json.loads(sys.argv[-1])
-    results = [
-        _parse_piece((Path(path), head, start, None, b""), Dialect(dialect))
-        for path, head, start in pieces
-    ]
+    dialect, pieces = pickle.load(sys.stdin.buffer)
+    results = [_parse_piece(piece, dialect) for piece in pieces]
     pickle.dump(results, sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
 
 

@@ -16,7 +16,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from ._base import _REQUIRED, _FieldError, _once_per_object, _register, _values
+from ._base import (
+    _JSON_TYPES, _REQUIRED, _FieldError, _json_type, _once_per_object, _register, _strings,
+    _values,
+)
 from .frames import Coreness, FrameIndex, fe_name_fits_tokens
 from .ingest import AnnotatedSentence, Dialect, FeSpan, WordAnno
 
@@ -273,8 +276,10 @@ DEFAULT_VOICE_RULES: dict = {
 
 def load_voice_rules(path: Path | None) -> dict:
     """Merge a user rule file over the defaults (per dialect, per key). A file
-    that is not JSON, or not an object of objects, is a ``ValueError`` that
-    starts ``<path>:`` and names the bad key."""
+    that is not JSON, or not an object of objects, or that gives a key of the
+    defaults a value of another JSON type than its default's (an array of
+    strings, an integer or a string), is a ``ValueError`` that starts
+    ``<path>:`` and names the bad key."""
     import json
 
     rules = {k: dict(v) for k, v in DEFAULT_VOICE_RULES.items()}
@@ -283,6 +288,15 @@ def load_voice_rules(path: Path | None) -> dict:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
             _values(user, ())  # an object
             tables = _values(user, tuple((dialect, (dict,), _REQUIRED) for dialect in user))
+            for dialect, table in zip(user, tables):
+                defaults = DEFAULT_VOICE_RULES.get(dialect, {})
+                for key, value in table.items():
+                    default, where = defaults.get(key), f"{dialect}.{key}"
+                    if type(default) is list:
+                        _strings(value, where)
+                    elif default is not None and type(value) is not type(default):
+                        expected = _JSON_TYPES[type(default)]
+                        raise _FieldError(where, f"expected {expected}, got {_json_type(value)}")
         except _FieldError as exc:
             raise ValueError(f"{path}: {exc}") from None
         except ValueError as exc:

@@ -277,6 +277,8 @@ def _run_stages(config: PipelineConfig) -> None:
     stage = "configure"
     try:
         # Each side's artifacts and per-side tables are named after it.
+        for side in (config.left, config.right):
+            _base._file_name(side.name, "side")
         if config.left.name == config.right.name:
             raise ValueError(f"the left and right sides are both named {config.left.name!r}")
         out.mkdir(parents=True, exist_ok=True)
@@ -362,7 +364,5 @@ def _run_stages(config: PipelineConfig) -> None:
             json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(stage, exc) from exc

@@ -270,6 +270,21 @@ def test_run_produces_expected_artifacts(tmp_path, bfn_mini, swefn_mini, frames_
     }
 
 
+def test_manifest_holds_the_voice_rules_digest(tmp_path, bfn_mini, swefn_mini, frames_tsv):
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"bfn": {"aux_window": 2}}', encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--left", bfn_mini, "--left-dialect", "bfn",
+        "--right", swefn_mini, "--right-dialect", "swefn",
+        "--frames", frames_tsv, "--voice-rules", rules, "--out-dir", out,
+    ) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["voice_rules_path"] == str(rules)
+    assert manifest["inputs"][str(rules)] == hashlib.sha256(rules.read_bytes()).hexdigest()
+    assert len(manifest["inputs"]) == 4
+
+
 def test_run_grammar_matches_goldens(tmp_path, bfn_mini, swefn_mini, frames_tsv, data_dir):
     out = tmp_path / "out"
     run_cli(
@@ -460,7 +475,8 @@ def _single_error_message(stderr: str, stage: str = "normalize") -> str:
 @pytest.mark.parametrize("field,value,message", [
     ("text", None, "text: missing"),
     ("frame", 7, "frame: expected a string, got an integer"),
-], ids=["missing-text", "integer-frame"])
+    ("dialect", "fn", "dialect: 'fn' is not one of 'bfn', 'swefn'"),
+], ids=["missing-text", "integer-frame", "unknown-dialect"])
 def test_sentence_jsonl_field_error_names_file_line_and_field(
     tmp_path, bfn_mini, frames_tsv, field, value, message
 ):
@@ -1209,3 +1225,92 @@ def test_run_side_names_name_the_artifacts_lu_modules_and_input_digests(
     assert lu[0] == "-- Lexical unit functions: en"
     digest = hashlib.sha256((named / "en.valences.tsv").read_bytes()).hexdigest()
     assert f"-- input: en.valences=sha256:{digest}" in lu
+
+
+# ---------------------------------------------------------------------------
+# Usage errors, and names that would leave their directory
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", [
+    "normalize-xml-without-dialect", "aggregate-jsonl-without-frames", "evaluate-other-mode",
+    "run-without-frames",
+])
+def test_usage_error_is_one_error_record(tmp_path, mini_run, bfn_mini, swefn_mini, frames_tsv, case):
+    tree = mini_run("2.B")
+    argv, message = {
+        "normalize-xml-without-dialect": (
+            ["normalize", "--frames", frames_tsv, "--out", tmp_path / "p.tsv", bfn_mini],
+            "--dialect is required when reading corpus XML",
+        ),
+        "aggregate-jsonl-without-frames": (
+            ["aggregate", "--settings", "2.B", "--in", tree / "bfn.sentences.jsonl"],
+            "aggregating from sentences requires --frames",
+        ),
+        "evaluate-other-mode": (
+            _evaluate(tree / "shared/semsyn-fuzzy.tsv", tree / "bfn.patterns.tsv", "bfn",
+                      tmp_path / "c.csv") + ["--mode", "exact"],
+            "shared set was built in mode 'fuzzy', not 'exact'",
+        ),
+        "run-without-frames": (
+            ["run", "--left", bfn_mini, "--left-dialect", "bfn", "--right", swefn_mini,
+             "--right-dialect", "swefn", "--out-dir", tmp_path / "out"],
+            "run requires --frames (or --frames-left/--frames-right)",
+        ),
+    }[case]
+    assert _command_error(argv) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("route,kind,stage", [
+    ("run", "frame", "aggregate[bfn]"),
+    ("aggregate", "frame", "aggregate"),
+    ("run", "side", "configure"),
+    ("generate", "side", "generate"),
+])
+def test_a_name_that_would_leave_its_directory_is_refused(
+    tmp_path, data_dir, bfn_mini, swefn_mini, frames_tsv, route, kind, stage
+):
+    # Every input lies outside ``box``; every output belongs in ``target``.
+    bad = "../../../escaped" if kind == "frame" else "../escaped"
+    box = tmp_path / "box"
+    target = box / "out" / "a" / "b"
+    frames, left = frames_tsv, bfn_mini
+    if kind == "frame":
+        frames, left = tmp_path / "frames.tsv", tmp_path / "bfn.xml"
+        lines = frames_tsv.read_text().splitlines(keepends=True)
+        frames.write_text("".join(lines + [
+            line.replace("Desiring", bad, 1) for line in lines if line.startswith("Desiring\t")
+        ]))
+        left.write_text(bfn_mini.read_text().replace('frameName="Desiring"', f'frameName="{bad}"'))
+    run = [
+        "run", "--left", left, "--left-dialect", "bfn", "--right", swefn_mini,
+        "--right-dialect", "swefn", "--frames", frames, "--out-dir", target,
+    ]
+    if route == "aggregate":
+        patterns = tmp_path / "patterns.tsv"
+        patterns.write_text((data_dir / "desiring_bfn_patterns.tsv").read_text().replace(
+            "Desiring\t", f"{bad}\t"
+        ))
+        argv = ["aggregate", "--settings", "2.B", "--in", patterns, "--summary-dir", target]
+    elif route == "generate":
+        shared = tmp_path / "shared.tsv"
+        assert run_cli(
+            "compare", "--left", data_dir / "desiring_bfn_valences_voiced.tsv",
+            "--right", data_dir / "desiring_swefn_valences_voiced.tsv",
+            "--level", "semsyn", "--mode", "fuzzy", "--out", shared,
+        ) == 0
+        argv = _generate(
+            shared, data_dir / "desiring_bfn_patterns.tsv",
+            data_dir / "desiring_swefn_patterns.tsv", target,
+        ) + ["--left-name", bad]
+    else:
+        argv = run + (["--left-name", bad] if kind == "side" else [])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli(*argv) == 1
+    (line,) = err.getvalue().splitlines()
+    record = json.loads(line)
+    assert (record["stage"], record["error"]) == (stage, "ValueError")
+    assert record["message"].startswith(f"{kind} name {bad!r} cannot name a file: ")
+    written = [path for path in box.rglob("*") if path.is_file()]
+    assert [path for path in written if not path.is_relative_to(target)] == []

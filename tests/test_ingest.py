@@ -516,7 +516,7 @@ def test_generated_bfn_corpora_parse_cleanly(corpus):
 
 _BFN_PAIR = """<corpus><sentence ID="bad">
   <text>They want it.</text>
-  <annotationSet status="MANUAL" frameName="Desiring" luName="want.v" luID="1">
+  <annotationSet status="MANUAL" {frame} luName="want.v" luID="1">
     <layer name="FE"><label {fe} name="Experiencer"/></layer>
     <layer name="GF"><label start="0" end="3" name="Ext"/></layer>
     <layer name="PT"><label start="0" end="3" name="NP"/></layer>
@@ -530,17 +530,37 @@ _BFN_PAIR = """<corpus><sentence ID="bad">
 </sentence></corpus>"""
 
 
-@pytest.mark.parametrize("fe,target,message", [
-    ('start="0" end="3"', "", "target labels carry no offsets"),
-    ('start="zero" end="3"', 'start="5" end="8"', "label start 'zero' is not an integer"),
-    ('start="0" end="3"', 'start="5" end="8.0"', "label end '8.0' is not an integer"),
-], ids=["target-without-offsets", "non-integer-start", "non-integer-end"])
-def test_bfn_bad_record_is_skipped_and_neighbour_parses(caplog, fe, target, message):
-    xml = _BFN_PAIR.format(fe=fe, target=target).encode()
+_FRAME = 'frameName="Desiring"'
+
+
+@pytest.mark.parametrize("frame,fe,target,message", [
+    (_FRAME, 'start="0" end="3"', "", "target labels carry no offsets"),
+    (_FRAME, 'start="zero" end="3"', 'start="5" end="8"', "label start 'zero' is not an integer"),
+    (_FRAME, 'start="0" end="3"', 'start="5" end="8.0"', "label end '8.0' is not an integer"),
+    ("", 'start="0" end="3"', 'start="5" end="8"', "target annotation set lacks a frame name"),
+], ids=["target-without-offsets", "non-integer-start", "non-integer-end", "no-frame-name"])
+def test_bfn_bad_record_is_skipped_and_neighbour_parses(caplog, frame, fe, target, message):
+    xml = _BFN_PAIR.format(frame=frame, fe=fe, target=target).encode()
     with caplog.at_level("WARNING"):
         sentences = parse_corpus(xml, Dialect.BFN_PHRASE)
     assert [s.sentence_id for s in sentences] == ["neighbour"]
     assert "sentence 'bad'" in caplog.text and message in caplog.text
+
+
+@pytest.mark.parametrize("lu,expected", [
+    ('luName="want.v" luID="1"', "want.v.1"),
+    ('luName="want.v"', "want.v"),
+    ('luID="1"', "want.Desiring"),
+    ("", "want.Desiring"),
+], ids=["name-and-id", "name-only", "id-only", "neither"])
+def test_bfn_lu_ref_falls_back_to_the_target_text_and_frame(lu, expected):
+    xml = f"""<corpus><sentence ID="s1"><text>They WANT it.</text>
+      <annotationSet frameName="Desiring" {lu}>
+        <layer name="Target"><label start="5" end="8" name="Target"/></layer>
+      </annotationSet>
+    </sentence></corpus>"""
+    (s,) = parse_corpus(xml.encode(), Dialect.BFN_PHRASE)
+    assert s.lu_ref == expected
 
 
 _SWEFN_PAIR = """<corpus><sentence id="bad" frame="Desiring" lu="vilja.vb.1">

@@ -134,6 +134,31 @@ def test_side_of_several_files_is_cut_in_the_file_at_the_middle(tmp_path, caplog
     _assert_same_as_one_process(tmp_path, caplog, forced, paths, BFN)
 
 
+def _long_named_side(tmp_path):
+    """1,500 small corpus files with 200-character names: the paths of the
+    second part alone pass the 128 KiB that Linux allows one argument, and
+    the pickled job outgrows a pipe's 64 KiB buffer."""
+    paths = [tmp_path / f"{n:04d}{'x' * 196}" for n in range(1_500)]
+    for n, path in enumerate(paths):
+        path.write_text(_corpus(_sentence(f"{n}-{i}", bad=n % 7 == i) for i in range(2)))
+    _, second = ingest._two_parts(paths)
+    assert len(paths[0].name) == 200
+    assert sum(len(str(piece[0])) for piece in second) > 128 * 1024
+    return paths
+
+
+def test_a_job_longer_than_one_argument_reaches_the_child(tmp_path, caplog, forced):
+    _assert_same_as_one_process(tmp_path, caplog, forced, _long_named_side(tmp_path), BFN)
+
+
+def test_a_child_that_ends_before_reading_its_job_falls_back(tmp_path, caplog, forced, monkeypatch):
+    # The write of the job meets a pipe that no process reads.
+    monkeypatch.setattr(ingest, "_CHILD", "pass")
+    paths = _long_named_side(tmp_path)
+    _assert_same_as_one_process(tmp_path, caplog, forced, paths, BFN, split=False)
+    assert [child.returncode for child in forced.children] == [0]
+
+
 def test_files_that_cannot_be_cut_are_split_whole(tmp_path, caplog, forced):
     # Sentences under <subCorpus>: no file is cut, each part is whole files.
     paths = [tmp_path / f"{name}.xml" for name in "abcd"]
@@ -211,6 +236,16 @@ def test_a_cut_inside_a_subcorpus_falls_back(tmp_path, caplog, forced):
     assert ingest._two_parts([path]) is not None
     _assert_same_as_one_process(tmp_path, caplog, forced, [path], BFN, split=False)
     assert len(forced.children) == 1
+
+
+def test_a_child_that_cannot_start_falls_back(tmp_path, caplog, forced, monkeypatch, data_dir):
+    def cannot_start(*args, **kwargs):
+        raise OSError(7, "Argument list too long")
+
+    monkeypatch.setattr(subprocess, "Popen", cannot_start)
+    path = data_dir / "bfn_mini.xml"
+    _assert_same_as_one_process(tmp_path, caplog, forced, [path], BFN, split=False)
+    assert forced.children == []
 
 
 def _malformed(tmp_path, where: str):

@@ -158,6 +158,21 @@ def test_bfn_aux_window_bounds_the_auxiliary_check(window, expected):
     assert detect_voice(s, rules) is expected
 
 
+@pytest.mark.parametrize("deprel,expected", [("VG", Voice.PASS), ("OO", Voice.ACT)])
+def test_swefn_periphrastic_passive_needs_the_verb_group_link(deprel, expected):
+    # No s-passive marker on the target: the passive is an auxiliary that
+    # the participle links to through a verb-group edge.
+    xml = f"""<corpus><sentence id="p1" frame="Desiring" lu="önska.vb.1">
+      <element name="Event"><w pos="NN" ref="1" dephead="2" deprel="SS">fred</w></element>
+      <w msd="VB.PRT.AKT" ref="2" deprel="ROOT">blev</w>
+      <element name="LU">
+        <w msd="PC.PRF.UTR.SIN.IND.NOM" ref="3" dephead="2" deprel="{deprel}">önskad</w>
+      </element>
+    </sentence></corpus>"""
+    (s,) = parse_corpus(xml.encode(), Dialect.SWEFN_DEP)
+    assert detect_voice(s) is expected
+
+
 def test_voice_rules_are_configurable(tmp_path, bfn_mini):
     cfg = tmp_path / "rules.json"
     cfg.write_text('{"bfn": {"passive_target_tags": []}}', encoding="utf-8")
@@ -171,7 +186,21 @@ def test_voice_rules_are_configurable(tmp_path, bfn_mini):
     ("[1, 2]", "record: expected an object, got an array"),
     ('{"bfn": ["x"]}', "bfn: expected an object, got an array"),
     ("{bfn", "not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-], ids=["not-an-object", "dialect-not-an-object", "not-json"])
+    ('{"swefn": {"passive_msd_markers": "SFO"}}',
+     "swefn.passive_msd_markers: expected an array of strings, got a string"),
+    ('{"bfn": {"passive_target_tags": 5}}',
+     "bfn.passive_target_tags: expected an array of strings, got an integer"),
+    ('{"bfn": {"aux_forms": ["be", null]}}',
+     "bfn.aux_forms: expected an array of strings, got an array holding null"),
+    ('{"bfn": {"aux_window": "three"}}', "bfn.aux_window: expected an integer, got a string"),
+    ('{"bfn": {"aux_window": true}}', "bfn.aux_window: expected an integer, got a boolean"),
+    ('{"bfn": {"agent_preposition": ["by"]}}',
+     "bfn.agent_preposition: expected a string, got an array"),
+], ids=[
+    "not-an-object", "dialect-not-an-object", "not-json", "string-for-markers",
+    "integer-for-tags", "null-among-forms", "string-for-window", "boolean-for-window",
+    "array-for-preposition",
+])
 def test_voice_rules_file_errors_name_the_file_and_key(tmp_path, text, message):
     cfg = tmp_path / "rules.json"
     cfg.write_text(text, encoding="utf-8")
@@ -350,6 +379,20 @@ def test_target_without_pos_skips(frame_index):
     result = _pattern_or_skip(s, frame_index)
     assert isinstance(result, Skip)
     assert result.reason is SkipReason.NO_GRAMMATICAL_ANNOTATION
+
+
+def test_swefn_target_without_msd_or_pos_skips(frame_index):
+    xml = """<corpus><sentence id="x" frame="Desiring" lu="vilja.vb.1">
+      <element name="Experiencer"><w pos="PN" ref="1" dephead="2" deprel="SS">jag</w></element>
+      <element name="LU"><w ref="2" deprel="ROOT">vill</w></element>
+    </sentence></corpus>"""
+    (s,) = parse_corpus(xml.encode(), Dialect.SWEFN_DEP)
+    assert (s.target_tokens()[0].msd, s.target_tokens()[0].pos) == (None, "")
+    result = _pattern_or_skip(s, frame_index)
+    assert isinstance(result, Skip)
+    assert (result.reason, result.detail) == (
+        SkipReason.NO_GRAMMATICAL_ANNOTATION, "target has no MSD annotation"
+    )
 
 
 def test_extra_subjects_demoted_leftmost_kept(frame_index, caplog):
