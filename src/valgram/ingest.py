@@ -159,9 +159,9 @@ class _RecordError(ValueError):
 # The builders of the shared records. Call sites name the fields they set,
 # and the others take the dataclass defaults. Each record is built on the
 # first request and looked up in ``table`` after it, so equal records are
-# one object; ``table`` lives for one read, never longer. A nested span or
-# word is keyed by its id, not hashed again: the record stored under the
-# key holds it, so the id is not reused while the table lives.
+# one object; ``table`` lives for one :func:`_parse_pieces` call. A nested
+# span or word is keyed by its id, not hashed again: the record stored under
+# the key holds it, so the id is not reused while the table lives.
 def _span(table: dict, start: int, end: int) -> TokenSpan:
     key = (TokenSpan, start, end)
     record = table.get(key)
@@ -422,22 +422,38 @@ _DIALECT_PARSERS: dict[
 }
 
 
-def _parse(
-    elements: Iterable[ET.Element], dialect: Dialect
-) -> tuple[list[AnnotatedSentence], list[str]]:
-    """The records of the sentence elements of one document, and the reason
-    each skipped record was skipped, both in document order. Equal spans,
-    words and FE annotations are one object."""
+def _parse_pieces(
+    pieces: Sequence[_Piece], dialect: Dialect
+) -> tuple[list[tuple[Path | bytes, list[AnnotatedSentence]]], list[str]]:
+    """The source and records of each piece, in order, and each skip's
+    reason, in document order; equal spans, words and FE annotations are one
+    object across the pieces. Malformed XML in a whole document is a
+    :class:`CorpusParseError` giving its byte offset, for which the document
+    is read again; in a cut piece it is an ``ET.ParseError``."""
     parse_sentence, _ = _DIALECT_PARSERS[dialect]
-    out: list[AnnotatedSentence] = []
+    records: list[tuple[Path | bytes, list[AnnotatedSentence]]] = []
     skips: list[str] = []
     table: dict = {}
-    for sent in elements:
-        try:
-            out.extend(parse_sentence(sent, table))
-        except _RecordError as exc:
-            skips.append(str(exc))
-    return out, skips
+    for source, *extent in pieces:
+        out: list[AnnotatedSentence] = []
+        records.append((source, out))
+        with source.open("rb") if isinstance(source, Path) else io.BytesIO(source) as f:
+            try:
+                for sent in _sentence_elements(_piece_chunks(f, *extent)):
+                    try:
+                        out.extend(parse_sentence(sent, table))
+                    except _RecordError as exc:
+                        skips.append(str(exc))
+            except ET.ParseError as exc:
+                if tuple(extent) != _WHOLE:
+                    raise
+                line, col = exc.position
+                f.seek(0)
+                offset = _byte_offset(f.read(), line, col)
+                raise CorpusParseError(
+                    f"malformed XML at byte {offset} (line {line}, column {col}): {exc}"
+                ) from exc
+    return records, skips
 
 
 def _log_skips(dialect: Dialect, skips: Iterable[str]) -> None:
@@ -461,20 +477,11 @@ def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[Annotated
 
     Equal spans, words and FE annotations within the document are one
     object; two calls share none. Malformed XML is a :class:`CorpusParseError`
-    giving its byte offset, for which the document is read again.
+    giving its byte offset.
     """
     if isinstance(source, str):
         source = source.encode("utf-8")
-    with source.open("rb") if isinstance(source, Path) else io.BytesIO(source) as f:
-        try:
-            records, skips = _parse(_sentence_elements(_piece_chunks(f, 0, 0, None, b"")), dialect)
-        except ET.ParseError as exc:
-            line, col = exc.position
-            f.seek(0)
-            offset = _byte_offset(f.read(), line, col)
-            raise CorpusParseError(
-                f"malformed XML at byte {offset} (line {line}, column {col}): {exc}"
-            ) from exc
+    ((_, records),), skips = _parse_pieces([(source, *_WHOLE)], dialect)
     _log_skips(dialect, skips)
     return records
 
@@ -483,10 +490,12 @@ def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[Annotated
 # A document in two pieces
 # ---------------------------------------------------------------------------
 
-# A piece of a corpus file: (path, head, start, stop, tail). It reads as the
-# file's first ``head`` bytes, then its bytes from ``start`` to ``stop`` (to
-# the end when None), then ``tail``. A whole file is (path, 0, 0, None, b"").
-_Piece = tuple[Path, int, int, "int | None", bytes]
+# A piece of a corpus document: (source, head, start, stop, tail), where the
+# source is a file's path or the document's bytes. It reads as the source's
+# first ``head`` bytes, then its bytes from ``start`` to ``stop`` (to the
+# end when None), then ``tail``. A whole document is (source, *_WHOLE).
+_Piece = tuple["Path | bytes", int, int, "int | None", bytes]
+_WHOLE = (0, 0, None, b"")
 
 _SENTENCE_END = b"</sentence>"
 # The size of each read: a larger one holds more sentences unfreed at the peak.
@@ -560,15 +569,6 @@ def _piece_chunks(
     yield tail
 
 
-def _parse_piece(piece: _Piece, dialect: Dialect) -> tuple[list[AnnotatedSentence], list[str]]:
-    """The records and skip reasons of one piece of a corpus file, as
-    :func:`_parse` gives them. Malformed XML is an ``ET.ParseError``, with
-    no byte offset: a caller parses the whole document again to get it."""
-    path, *extent = piece
-    with path.open("rb") as f:
-        return _parse(_sentence_elements(_piece_chunks(f, *extent)), dialect)
-
-
 # ---------------------------------------------------------------------------
 # A side parsed in two processes
 # ---------------------------------------------------------------------------
@@ -608,7 +608,7 @@ def _two_parts(paths: Sequence[Path]) -> tuple[list[_Piece], list[_Piece]] | Non
         if before + size > half:
             break
         before += size
-    whole = [(path, 0, 0, None, b"") for path in paths]
+    whole = [(path, *_WHOLE) for path in paths]
     cut = _cut_in_two(paths[i], half - before) if _two_processes_pay(sizes[i]) else None
     if cut is not None:
         first, second = whole[:i] + [cut[0]], [cut[1]] + whole[i + 1:]
@@ -631,10 +631,10 @@ _CHILD = (
 
 def _parse_in_two_processes(
     first: list[_Piece], second: list[_Piece], dialect: Dialect
-) -> list[tuple[Path, list[AnnotatedSentence], list[str]]] | None:
-    """The path, records and skip reasons of each piece, in order: a child
-    process parses ``second``, sent whole on its stdin before this one
-    streams ``first``, and sends its results back on its stdout.
+) -> tuple[list[tuple[Path, list[AnnotatedSentence]]], list[str]] | None:
+    """:func:`_parse_pieces` of ``first + second``, each part through its
+    own table: a child process parses ``second``, sent whole on its stdin
+    before this one parses ``first``, and sends its result back on stdout.
 
     None, once the child has ended, when the child cannot start or fails,
     or either part fails to parse: the caller then parses every file in one
@@ -659,8 +659,8 @@ def _parse_in_two_processes(
         try:
             with child.stdin:
                 pickle.dump((dialect, second), child.stdin, pickle.HIGHEST_PROTOCOL)
-            mine = [_parse_piece(piece, dialect) for piece in first]
-            theirs = pickle.load(child.stdout)
+            mine, my_skips = _parse_pieces(first, dialect)
+            theirs, their_skips = pickle.load(child.stdout)
         except BaseException as exc:
             # A parse error, a child that ended early, or an interrupt: end
             # the child now rather than wait for it to finish its part.
@@ -671,7 +671,7 @@ def _parse_in_two_processes(
             return None
     if child.returncode:
         return None
-    return [(piece[0], *parsed) for piece, parsed in zip(first + second, mine + theirs)]
+    return mine + theirs, my_skips + their_skips
 
 
 def parse_corpora(
@@ -679,33 +679,39 @@ def parse_corpora(
 ) -> list[tuple[Path, list[AnnotatedSentence]]]:
     """Each corpus file's records, in the order of ``paths``, as
     :func:`parse_corpus` gives them; a file cut in two gives two entries.
-
-    When it pays, the files are parsed in two processes (see
-    :func:`_two_parts`); the records, the skip warnings and their order are
-    those of a parse in one process, and so are the errors: on any failure
-    the files are parsed again in one process.
+    Equal spans, words and FE annotations are one object across the side,
+    or across each part when it pays to parse the files in two processes
+    (see :func:`_two_parts`). The records, the skip warnings and their order
+    are those of a parse in one process, and so are the errors: on any
+    failure the files are parsed again in one process. A side that yields
+    no record logs one warning.
     """
     parts = _two_parts(paths)
     parsed = None if parts is None else _parse_in_two_processes(*parts, dialect)
     if parsed is None:
-        return [(path, parse_corpus(path, dialect)) for path in paths]
-    for _, _, skips in parsed:
-        _log_skips(dialect, skips)
-    return [(path, records) for path, records, _ in parsed]
+        parsed = _parse_pieces([(path, *_WHOLE) for path in paths], dialect)
+    records, skips = parsed
+    _log_skips(dialect, skips)
+    if not any(out for _, out in records):
+        named = ", ".join(map(str, paths[:3])) + (", ..." if len(paths) > 3 else "")
+        logger.warning(
+            "no %s record in %d file(s) (%s): %d skipped",
+            _DIALECT_PARSERS[dialect][1], len(paths), named, len(skips),
+        )
+    return records
 
 
 def _parse_pieces_main() -> None:
     """The second process of a corpus side parsed in two: reads ``(dialect,
-    pieces)`` from stdin as one pickle, parses each piece with the cyclic
-    collector off, and writes the :func:`_parse_piece` result of each piece
-    to stdout as one pickle."""
+    pieces)`` from stdin as one pickle, parses the pieces with the cyclic
+    collector off, and writes the :func:`_parse_pieces` result to stdout as
+    one pickle, which keeps its shared records shared."""
     import gc
     import pickle
 
     gc.disable()
     dialect, pieces = pickle.load(sys.stdin.buffer)
-    results = [_parse_piece(piece, dialect) for piece in pieces]
-    pickle.dump(results, sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
+    pickle.dump(_parse_pieces(pieces, dialect), sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
 
 
 # ---------------------------------------------------------------------------

@@ -272,15 +272,20 @@ def run_pipeline(config: PipelineConfig) -> Path:
     return config.out_dir
 
 
+def _check_side_names(left: str, right: str) -> None:
+    """Refuse side names that cannot name files, or that are equal: each
+    side's artifacts, per-side tables and LU module are named after it."""
+    for name in (left, right):
+        _base._file_name(name, "side")
+    if left == right:
+        raise ValueError(f"the left and right sides are both named {left!r}")
+
+
 def _run_stages(config: PipelineConfig) -> None:
     out = config.out_dir
     stage = "configure"
     try:
-        # Each side's artifacts and per-side tables are named after it.
-        for side in (config.left, config.right):
-            _base._file_name(side.name, "side")
-        if config.left.name == config.right.name:
-            raise ValueError(f"the left and right sides are both named {config.left.name!r}")
+        _check_side_names(config.left.name, config.right.name)
         out.mkdir(parents=True, exist_ok=True)
         rules = load_voice_rules(config.voice_rules_path)
         valences, examples, filtered = {}, {}, {}  # by side name

@@ -19,14 +19,33 @@ _counter = itertools.count()
 REPO = Path(__file__).resolve().parents[1]
 
 
-def load_corpus_generator():
-    """The ``scripts/make_synthetic_corpus.py`` module."""
-    spec = importlib.util.spec_from_file_location(
-        "make_synthetic_corpus", REPO / "scripts" / "make_synthetic_corpus.py"
-    )
+def load_script(name):
+    """The ``scripts/<name>.py`` module."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_corpus_generator():
+    """The ``scripts/make_synthetic_corpus.py`` module."""
+    return load_script("make_synthetic_corpus")
+
+
+def sub_records(sentences):
+    """Every span, word and FE annotation the sentences hold, repeats included."""
+    for s in sentences:
+        yield s.target
+        words = list(s.tokens)
+        for fe in s.fe_spans:
+            yield fe
+            words.extend(fe.words or ())
+            if fe.span is not None:
+                yield fe.span
+        for w in words:
+            yield w
+            if w.span is not None:
+                yield w.span
 
 
 def mk(frame, voice, fes, lu="want.v.6412", sid=None):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_corrupted_sentence, load_corpus_generator
+from helpers import check_corrupted_sentence, load_corpus_generator, load_script, sub_records
 from valgram import ingest
 from valgram.ingest import (
     AnnotatedSentence,
@@ -22,6 +22,7 @@ from valgram.ingest import (
     read_sentences_jsonl,
     write_sentences_jsonl,
 )
+from valgram.pipeline import ingest_corpora
 
 
 def test_bfn_round_trip_count(bfn_mini):
@@ -62,6 +63,47 @@ def test_bfn_inclusive_offsets(bfn_mini):
 def test_empty_corpus_documents():
     assert parse_corpus(b"<corpus/>", Dialect.BFN_PHRASE) == []
     assert parse_corpus(b"<corpus/>", Dialect.SWEFN_DEP) == []
+
+
+def test_a_side_that_yields_no_record_says_so(bfn_mini, tmp_path, caplog):
+    # A BFN release file declares a default namespace on its root, which the
+    # parsers do not read: the side yields nothing, and one warning says so.
+    # A single document read by parse_corpus stays silent.
+    path = tmp_path / "bfn_mini.xml"
+    path.write_bytes(bfn_mini.read_bytes().replace(
+        b"<corpus>", b'<corpus xmlns="http://framenet.icsi.berkeley.edu">', 1
+    ))
+    with caplog.at_level("WARNING"):
+        assert parse_corpus(path, Dialect.BFN_PHRASE) == []
+        assert caplog.records == []
+        assert ingest_corpora([path], Dialect.BFN_PHRASE) == []
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("valgram.ingest", "WARNING", f"no BFN record in 1 file(s) ({path}): 0 skipped"),
+    ]
+
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+def test_a_split_corpus_ingests_as_the_whole(data_dir, tmp_path, dialect):
+    # scripts/split_corpus.py: each document keeps the prolog, the header
+    # and the root tags, and the side of documents reads as the one file.
+    split_corpus = load_script("split_corpus")
+    head = b'<?xml version="1.0" encoding="UTF-8"?>\n<!-- <sentence> -->\n'
+    data = head + (data_dir / f"{dialect.value}_mini.xml").read_bytes().replace(
+        b"<corpus>", b'<corpus xmlns:fn="urn:example:fn">\n<fn:header/>', 1
+    )
+    whole = tmp_path / "whole.xml"
+    whole.write_bytes(data)
+    documents = split_corpus.split(data, 3)
+    assert len(documents) == 3 and len(split_corpus.split(data, 100)) == data.count(b"<sentence ")
+    paths = []
+    for k, document in enumerate(documents):
+        assert document.startswith(data[:data.index(b"<sentence ")])
+        assert document.endswith(b"</corpus>\n")
+        paths.append(tmp_path / f"part-{k}.xml")
+        paths[-1].write_bytes(document)
+    one = ingest_corpora([whole], dialect, tmp_path / "one.jsonl")
+    assert ingest_corpora(paths, dialect, tmp_path / "many.jsonl") == one
+    assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "many.jsonl").read_bytes()
 
 
 def test_bfn_fe_without_pt_gf_becomes_null_instantiated():
@@ -327,22 +369,6 @@ def test_writer_matches_json_dumps_with_equal_but_distinct_sub_records(tmp_path_
     assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in expected)
 
 
-def _sub_records(sentences):
-    """Every span, word and FE annotation the sentences hold, repeats included."""
-    for s in sentences:
-        yield s.target
-        words = list(s.tokens)
-        for fe in s.fe_spans:
-            yield fe
-            words.extend(fe.words or ())
-            if fe.span is not None:
-                yield fe.span
-        for w in words:
-            yield w
-            if w.span is not None:
-                yield w.span
-
-
 def _read_twice(tmp_path, dialect, via_jsonl):
     """Two reads of one generated corpus, by its parser or its JSONL reader."""
     gen = load_corpus_generator()
@@ -368,14 +394,14 @@ def test_equal_sub_records_are_one_object_within_a_read(tmp_path, dialect, via_j
     sentences, _ = _read_twice(tmp_path, dialect, via_jsonl)
     first: dict = {}
     held = 0
-    for record in _sub_records(sentences):
+    for record in sub_records(sentences):
         assert first.setdefault(record, record) is record
         held += 1
     kinds = {type(r) for r in first}
     assert kinds == {TokenSpan, WordAnno, FeSpan}
     for kind in kinds:  # the corpus repeats each kind, so sharing is exercised
         assert sum(type(r) is kind for r in first) < sum(
-            type(r) is kind for r in _sub_records(sentences)
+            type(r) is kind for r in sub_records(sentences)
         )
     assert len(first) < held
 
@@ -384,7 +410,7 @@ def test_equal_sub_records_are_one_object_within_a_read(tmp_path, dialect, via_j
 def test_two_reads_share_no_sub_record(tmp_path, dialect, via_jsonl):
     first, second = _read_twice(tmp_path, dialect, via_jsonl)
     assert first == second
-    assert {id(r) for r in _sub_records(first)}.isdisjoint(id(r) for r in _sub_records(second))
+    assert {id(r) for r in sub_records(first)}.isdisjoint(id(r) for r in sub_records(second))
 
 
 @_READS
@@ -392,7 +418,7 @@ def test_shared_sub_records_stay_frozen(tmp_path, dialect, via_jsonl):
     sentences, _ = _read_twice(tmp_path, dialect, via_jsonl)
     seen: set[int] = set()
     shared = {}
-    for record in _sub_records(sentences):
+    for record in sub_records(sentences):
         if id(record) in seen:
             shared.setdefault(type(record), record)
         seen.add(id(record))
@@ -624,7 +650,7 @@ def test_parse_memory_is_bounded_by_the_records_kept(tmp_path, dialect):
     # holds about as many records as the document above.
     path = corpus(6000)
     pieces = ingest._cut_in_two(path, path.stat().st_size // 2)
-    parts = [traced(lambda: ingest._parse_piece(piece, dialect)[0]) for piece in pieces]
+    parts = [traced(lambda: ingest._parse_pieces([piece], dialect)[0][0][1]) for piece in pieces]
     assert parts[0] + parts[1] == parse_corpus(path, dialect)
 
 

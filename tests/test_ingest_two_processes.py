@@ -2,6 +2,7 @@
 JSON-lines bytes and errors as the parse in one process, and no process
 left behind."""
 
+import random
 import signal
 import subprocess
 import sys
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_corrupted_sentence
+from helpers import check_corrupted_sentence, load_corpus_generator, sub_records
 from valgram import ingest
-from valgram.ingest import CorpusParseError, Dialect, parse_corpus
+from valgram.ingest import (
+    CorpusParseError, Dialect, FeSpan, TokenSpan, WordAnno, parse_corpus,
+)
 from valgram.pipeline import ingest_corpora
 
 BFN = Dialect.BFN_PHRASE
@@ -21,7 +24,8 @@ BFN = Dialect.BFN_PHRASE
 
 def force_two_processes(mp: pytest.MonkeyPatch) -> SimpleNamespace:
     """Take the two-process path at any size and CPU count, and record each
-    child process started and each document parsed whole in this process."""
+    child process started and each file that ``parse_corpora`` parses whole
+    in this process."""
     seen = SimpleNamespace(children=[], whole=[])
 
     class RecordedPopen(subprocess.Popen):
@@ -29,13 +33,16 @@ def force_two_processes(mp: pytest.MonkeyPatch) -> SimpleNamespace:
             super().__init__(*args, **kwargs)
             seen.children.append(self)
 
-    def parse_whole(path, dialect, parse_corpus=ingest.parse_corpus):
-        seen.whole.append(path)
-        return parse_corpus(path, dialect)
+    def parse_pieces(pieces, dialect, parse_pieces=ingest._parse_pieces):
+        # parse_corpora parses every file whole itself only when the side is
+        # not parsed in two processes, or after they failed.
+        if sys._getframe(1).f_code is ingest.parse_corpora.__code__:
+            seen.whole.extend(path for path, *_ in pieces)
+        return parse_pieces(pieces, dialect)
 
     mp.setattr(subprocess, "Popen", RecordedPopen)
     mp.setattr(ingest, "_two_processes_pay", lambda size: True)
-    mp.setattr(ingest, "parse_corpus", parse_whole)
+    mp.setattr(ingest, "_parse_pieces", parse_pieces)
     return seen
 
 
@@ -120,7 +127,7 @@ def test_skip_warnings_keep_their_order_in_two_processes(tmp_path_factory, caplo
         f"skipping BFN record: sentence 's{i:02d}': "
         "FE 'Experiencer' offsets 0..30 overlap no text (length 13)"
         for i, b in enumerate(bad) if b
-    ]
+    ] + ([f"no BFN record in 1 file(s) ({path}): {len(bad)} skipped"] if all(bad) else [])
 
 
 def test_side_of_several_files_is_cut_in_the_file_at_the_middle(tmp_path, caplog, forced):
@@ -132,6 +139,42 @@ def test_side_of_several_files_is_cut_in_the_file_at_the_middle(tmp_path, caplog
     assert [piece[0] for piece in first] == paths[:2]
     assert [piece[0] for piece in second] == paths[1:]
     _assert_same_as_one_process(tmp_path, caplog, forced, paths, BFN)
+
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+@pytest.mark.parametrize("split", [False, True], ids=["one-process", "two-processes"])
+def test_a_side_of_many_files_holds_each_record_once_per_process(
+    tmp_path, monkeypatch, dialect, split
+):
+    # 200 files that repeat one set of annotations, shaped as a release's LU
+    # files (sentences under a subCorpus), so the parts are whole files.
+    gen = load_corpus_generator()
+    build = gen.build_bfn_corpus if dialect is BFN else gen.build_swefn_corpus
+    xml = build(20, gen.build_frames(10, random.Random(3)), seed=4)
+    xml = xml.replace("<corpus>", "<corpus><subCorpus>", 1).replace(
+        "</corpus>", "</subCorpus></corpus>"
+    )
+    paths = [tmp_path / f"{n:03d}.xml" for n in range(200)]
+    for path in paths:
+        path.write_text(xml, encoding="utf-8")
+    if split:
+        seen = force_two_processes(monkeypatch)
+        whole = [(path, *ingest._WHOLE) for path in paths]
+        assert ingest._two_parts(paths) == (whole[:100], whole[100:])
+    else:
+        monkeypatch.setattr(ingest, "_two_processes_pay", lambda size: False)
+    records = ingest_corpora(paths, dialect)
+    per_file = len(records) // len(paths)
+    assert per_file and len(records) == per_file * len(paths)
+    parts = [records]
+    if split:
+        assert seen.whole == [] and [child.returncode for child in seen.children] == [0]
+        parts = [records[:100 * per_file], records[100 * per_file:]]
+    for part in parts:
+        one: dict = {}
+        for record in sub_records(part):
+            assert one.setdefault(record, record) is record
+        assert {type(record) for record in one} == {TokenSpan, WordAnno, FeSpan}
 
 
 def _long_named_side(tmp_path):
@@ -208,8 +251,8 @@ def test_a_token_longer_than_a_read_reaches_every_parse(tmp_path, forced):
     assert parse_corpus(path.read_bytes(), BFN) == records
     first, second = ingest._two_parts([path])
     assert second[0][2] < path.read_bytes().index(b'"long"')
-    parsed = ingest._parse_in_two_processes(first, second, BFN)
-    assert [record for _, piece, _ in parsed for record in piece] == records
+    parsed, _ = ingest._parse_in_two_processes(first, second, BFN)
+    assert [record for _, piece in parsed for record in piece] == records
     assert [child.returncode for child in forced.children] == [0]
 
 
@@ -289,7 +332,7 @@ def _no_resource_tracker() -> bool:
 # A child that would outlive the test unless it is ended, and one that
 # writes a whole pickle of no records and then exits with an error.
 _SLEEPER = "import time; time.sleep(60)"
-_FAILS_AFTER_WRITING = "import pickle, sys; pickle.dump([], sys.stdout.buffer); sys.exit(3)"
+_FAILS_AFTER_WRITING = "import pickle, sys; pickle.dump(([], []), sys.stdout.buffer); sys.exit(3)"
 
 
 @pytest.mark.parametrize("case,returncode", [
@@ -308,11 +351,11 @@ def test_no_process_outlives_the_ingest(tmp_path, monkeypatch, forced, data_dir,
         with pytest.raises(CorpusParseError):
             ingest_corpora([path], BFN)
     elif case == "interrupt":
-        def interrupted(piece, dialect):
+        def interrupted(pieces, dialect):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(ingest, "_CHILD", _SLEEPER)
-        monkeypatch.setattr(ingest, "_parse_piece", interrupted)
+        monkeypatch.setattr(ingest, "_parse_pieces", interrupted)
         with pytest.raises(KeyboardInterrupt):
             ingest_corpora([path], BFN)
     else:
@@ -353,6 +396,6 @@ def test_corrupted_sentence_leaves_the_others_intact_in_two_processes(
             # Only a malformed document falls back, and it fails as a whole.
             parse_corpus(path, dialect)
             pytest.fail("a well-formed document fell back to one process")
-        return [record for _, records, _ in parsed for record in records]
+        return [record for _, records in parsed[0] for record in records]
 
     check_corrupted_sentence(data_dir, dialect, data, parse_in_two_processes)
