@@ -1,11 +1,13 @@
 """The registry of process-wide tables, the two identity memos, the JSON
-shape checkers and the file-name check that the stages share. Like
-``frames``, this module imports no other ``valgram`` module."""
+shape checkers, the file-name check and the CSV writer that the stages
+share. Like ``frames``, this module imports no other ``valgram`` module."""
 
 from __future__ import annotations
 
+import csv
 import operator
-from typing import Any, Callable, Hashable, Iterable, TypeVar
+from pathlib import Path
+from typing import Any, Callable, Hashable, Iterable, Sequence, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -138,3 +140,11 @@ def _file_name(name: str, what: str) -> str:
             "'.' or '..', nor hold '/', '\\' or NUL"
         )
     return name
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV table at ``path``: the header, then one line per row."""
+    with path.open("w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -9,7 +9,6 @@ are removed, and whether once-used valence patterns are dropped.
 
 from __future__ import annotations
 
-import csv
 import functools
 import sys
 from contextlib import suppress
@@ -18,7 +17,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._base import _file_name, _register
+from ._base import _file_name, _register, _write_csv
 from .frames import Coreness
 from .normalize import (
     FeKey,
@@ -410,20 +409,14 @@ STATS_COLUMNS = [
 
 
 def write_stats_csv(rows: Sequence[StatsRow], path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(STATS_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.settings_id,
-                r.frames,
-                r.valence_total,
-                f"{r.valence_per_frame:.1f}",
-                r.sentence_total,
-                f"{r.sentences_per_valence:.1f}",
-                r.examples_total,
-                f"{r.examples_per_sentence:.1f}",
-            ])
+    _write_csv(path, STATS_COLUMNS, (
+        [
+            r.settings_id, r.frames, r.valence_total, f"{r.valence_per_frame:.1f}",
+            r.sentence_total, f"{r.sentences_per_valence:.1f}",
+            r.examples_total, f"{r.examples_per_sentence:.1f}",
+        ]
+        for r in rows
+    ))
 
 
 # ---------------------------------------------------------------------------

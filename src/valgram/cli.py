@@ -188,12 +188,10 @@ def _parse_settings_pair(text: str) -> tuple[str, str]:
         left, right = text.split(":", 1)
     else:
         left = right = text
-    for sid in (left, right):
-        if sid not in ALL_SETTINGS_IDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown settings id {sid!r}; expected one of {ALL_SETTINGS_IDS}"
-            )
-    return left, right
+    try:
+        return Settings.from_id(left).id, Settings.from_id(right).id
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -206,7 +204,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             dialect=Dialect(getattr(args, f"{which}_dialect")),
             corpus_paths=[Path(p) for p in getattr(args, which)],
             frame_index_paths=[Path(p) for p in frames],
-            settings_id=settings_id,
+            settings=settings_id,
         )
 
     settings_left, settings_right = args.settings
@@ -339,11 +337,10 @@ def _run_command(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(_error_record(exc.stage, exc.error), file=sys.stderr)
-        return 1
     except Exception as exc:  # argparse handles usage errors with exit 2
-        print(_error_record(args.command, exc), file=sys.stderr)
+        staged = isinstance(exc, StageError)
+        stage, error = (exc.stage, exc.error) if staged else (args.command, exc)
+        print(_error_record(stage, error), file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,6 @@ the grammar built from them covers the removed ones through empty arguments.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import re
@@ -19,7 +18,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from ._base import _REQUIRED, _FieldError, _json_type, _register, _reused, _strings, _values
+from ._base import (
+    _REQUIRED, _FieldError, _json_type, _register, _reused, _strings, _values, _write_csv,
+)
 from .aggregate import ValencePattern
 from .frames import fe_name_fits_tokens
 from .normalize import (
@@ -63,9 +64,16 @@ def _level_tokens(fes: tuple[FeKey, ...], level: MatchLevel) -> frozenset[str]:
 # Frame sets
 # ---------------------------------------------------------------------------
 
-class _SetShares:
-    """Percentages of a set comparison, from its left_total, right_total,
-    left_only, right_only, union and intersection counts."""
+@dataclass(frozen=True)
+class FrameSetReport:
+    """The six counts of a set comparison, and their shares."""
+
+    left_total: int
+    right_total: int
+    left_only: int
+    right_only: int
+    union: int
+    intersection: int
 
     @property
     def left_only_pct(self) -> float:
@@ -79,15 +87,15 @@ class _SetShares:
     def intersection_pct(self) -> float:
         return self.intersection / self.union if self.union else 0.0
 
-
-@dataclass(frozen=True)
-class FrameSetReport(_SetShares):
-    left_total: int
-    right_total: int
-    left_only: int
-    right_only: int
-    union: int
-    intersection: int
+    def _cells(self) -> list:
+        """The report's nine CSV cells: the counts, each share in percent
+        after the count it divides."""
+        return [
+            self.left_total, self.right_total,
+            self.left_only, f"{self.left_only_pct * 100:.1f}",
+            self.right_only, f"{self.right_only_pct * 100:.1f}",
+            self.union, self.intersection, f"{self.intersection_pct * 100:.1f}",
+        ]
 
 
 def frame_set_report(
@@ -288,31 +296,20 @@ def intersect(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PatternSetReport(_SetShares):
+class PatternSetReport(FrameSetReport):
     level: str
     mode: str
-    left_total: int
-    right_total: int
-    left_only: int
-    right_only: int
-    union: int
-    intersection: int
     final_patterns: int
     final_frames: int
 
 
 def pattern_set_report(shared: SharedPatternSet) -> PatternSetReport:
     return PatternSetReport(
-        level=shared.level.value,
-        mode=shared.mode.value,
-        left_total=shared.left_total,
-        right_total=shared.right_total,
-        left_only=shared.left_only,
-        right_only=shared.right_only,
-        union=shared.union_total,
-        intersection=shared.intersection_total,
-        final_patterns=len(shared.patterns),
-        final_frames=len(shared.final_frames()),
+        left_total=shared.left_total, right_total=shared.right_total,
+        left_only=shared.left_only, right_only=shared.right_only,
+        union=shared.union_total, intersection=shared.intersection_total,
+        level=shared.level.value, mode=shared.mode.value,
+        final_patterns=len(shared.patterns), final_frames=len(shared.final_frames()),
     )
 
 
@@ -331,30 +328,13 @@ PATTERN_REPORT_COLUMNS = [
 
 
 def write_frame_report_csv(report: FrameSetReport, path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(FRAME_REPORT_COLUMNS)
-        writer.writerow([
-            report.left_total, report.right_total,
-            report.left_only, f"{report.left_only_pct * 100:.1f}",
-            report.right_only, f"{report.right_only_pct * 100:.1f}",
-            report.union, report.intersection,
-            f"{report.intersection_pct * 100:.1f}",
-        ])
+    _write_csv(path, FRAME_REPORT_COLUMNS, [report._cells()])
 
 
 def write_pattern_report_csv(reports: Sequence[PatternSetReport], path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(PATTERN_REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow([
-                r.level, r.mode, r.left_total, r.right_total,
-                r.left_only, f"{r.left_only_pct * 100:.1f}",
-                r.right_only, f"{r.right_only_pct * 100:.1f}",
-                r.union, r.intersection, f"{r.intersection_pct * 100:.1f}",
-                r.final_patterns, r.final_frames,
-            ])
+    _write_csv(path, PATTERN_REPORT_COLUMNS, (
+        [r.level, r.mode, *r._cells(), r.final_patterns, r.final_frames] for r in reports
+    ))
 
 
 # ---------------------------------------------------------------------------

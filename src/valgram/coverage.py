@@ -8,14 +8,13 @@ accepts empty phrases for unexpressed FEs.
 
 from __future__ import annotations
 
-import csv
 import functools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._base import _once_per_object, _reused
+from ._base import _once_per_object, _reused, _write_csv
 from .compare import MatchLevel, SharedPatternSet, _Group, _level_tokens
 from .frames import Coreness
 from .normalize import FeRealization, SentencePattern
@@ -129,13 +128,11 @@ COVERAGE_COLUMNS = [
 
 def write_coverage_csv(rows: Iterable[tuple[str, CoverageReport]], path: Path) -> None:
     """Rows are (side label, report) pairs."""
-    with path.open("w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(COVERAGE_COLUMNS)
-        for side, r in rows:
-            writer.writerow([
-                side, r.level, r.mode,
-                r.covered, r.in_shared_frames, r.total,
-                f"{r.pct_of_shared * 100:.1f}", f"{r.pct_of_all * 100:.1f}",
-                r.frame_level_covered, f"{r.frame_level_pct * 100:.1f}",
-            ])
+    _write_csv(path, COVERAGE_COLUMNS, (
+        [
+            side, r.level, r.mode, r.covered, r.in_shared_frames, r.total,
+            f"{r.pct_of_shared * 100:.1f}", f"{r.pct_of_all * 100:.1f}",
+            r.frame_level_covered, f"{r.frame_level_pct * 100:.1f}",
+        ]
+        for side, r in rows
+    ))

@@ -198,6 +198,12 @@ def _fe(
     return record
 
 
+def _outside_text(sid: str, what: str, start: int, end: int, text: str) -> _RecordError:
+    return _RecordError(
+        f"sentence {sid!r}: {what} offsets {start}..{end} overlap no text (length {len(text)})"
+    )
+
+
 def _int(value: str, sid: str, what: str) -> int:
     try:
         return int(value)
@@ -250,6 +256,8 @@ def _parse_bfn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence
             if name in BFN_POS_LAYERS:
                 for pos, start, end in _bfn_labels(layer, sid):
                     if start is not None:
+                        if not (0 <= start <= end < len(text)):
+                            raise _outside_text(sid, f"POS label {pos!r}", start, end, text)
                         tokens.append(_word(
                             table, text[start:end + 1], pos, len(tokens) + 1,
                             span=_span(table, start, end),
@@ -271,6 +279,9 @@ def _parse_bfn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence
         target_offsets = [(start, end) for _, start, end in target_labels if start is not None]
         if not target_offsets:
             raise _RecordError(f"sentence {sid!r}: target labels carry no offsets")
+        for start, end in target_offsets:
+            if not (0 <= start <= end < len(text)):
+                raise _outside_text(sid, "target", start, end, text)
         target = _span(
             table, min(o[0] for o in target_offsets), max(o[1] for o in target_offsets)
         )
@@ -304,10 +315,7 @@ def _parse_bfn_sentence(sent: ET.Element, table: dict) -> list[AnnotatedSentence
                 fe_spans.append(_fe(table, fe_name, null_instantiated=True))
                 continue
             if not (0 <= start <= end < len(text)):
-                raise _RecordError(
-                    f"sentence {sid!r}: FE {fe_name!r} offsets {start}..{end} "
-                    f"overlap no text (length {len(text)})"
-                )
+                raise _outside_text(sid, f"FE {fe_name!r}", start, end, text)
             span = _span(table, start, end)
             pt = pt_by_span.get((start, end))
             gf = gf_by_span.get((start, end))
@@ -469,11 +477,11 @@ def parse_corpus(source: bytes | str | Path, dialect: Dialect) -> list[Annotated
     A BFN document gives one record per target-bearing annotation set, a
     SweFN document one per sentence element. A sentence with inconsistent
     annotations is skipped and logged rather than aborting the run: in BFN,
-    FE offsets outside the text, a missing frame name, target labels without
-    offsets or non-integer offsets; in SweFN, no frame or LU, a word with an
-    empty surface, or a non-integer ``ref`` or ``dephead``. The skips are
-    logged once the whole document has parsed, so a malformed one logs
-    none.
+    FE, target or POS offsets outside the text, a missing frame name, target
+    labels without offsets or non-integer offsets; in SweFN, no frame or LU,
+    a word with an empty surface, or a non-integer ``ref`` or ``dephead``.
+    The skips are logged once the whole document has parsed, so a malformed
+    one logs none.
 
     Equal spans, words and FE annotations within the document are one
     object; two calls share none. Malformed XML is a :class:`CorpusParseError`
@@ -639,12 +647,19 @@ def _parse_in_two_processes(
     None, once the child has ended, when the child cannot start or fails,
     or either part fails to parse: the caller then parses every file in one
     process, which raises that parse's errors, with the byte offset of
-    malformed XML. The child is a fresh interpreter started with
-    ``subprocess``, so that no process pool or resource tracker outlives
-    the call.
+    malformed XML. A child that cannot start, ends early or exits non-zero
+    logs one warning first; this process's part failing to parse logs none.
+    The child is a fresh interpreter started with ``subprocess``, so that
+    no process pool or resource tracker outlives the call.
     """
     import pickle
     import subprocess
+
+    def child_failed(why: str) -> None:
+        logger.warning(
+            "the second %s parse process failed (%s); parsing the side in one process",
+            _DIALECT_PARSERS[dialect][1], why,
+        )
 
     root = str(Path(__file__).resolve().parents[1])
     flags = ["-I", "-S"] + (["-B"] if sys.dont_write_bytecode else [])
@@ -653,13 +668,17 @@ def _parse_in_two_processes(
             [sys.executable, *flags, "-c", _CHILD, root],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         )
-    except OSError:
+    except OSError as exc:
+        child_failed(f"cannot start: {exc}")
         return None
     with child:
+        parsing_mine = False
         try:
             with child.stdin:
                 pickle.dump((dialect, second), child.stdin, pickle.HIGHEST_PROTOCOL)
+            parsing_mine = True
             mine, my_skips = _parse_pieces(first, dialect)
+            parsing_mine = False
             theirs, their_skips = pickle.load(child.stdout)
         except BaseException as exc:
             # A parse error, a child that ended early, or an interrupt: end
@@ -668,8 +687,11 @@ def _parse_in_two_processes(
             child.wait()
             if not isinstance(exc, Exception):
                 raise
+            if not parsing_mine:
+                child_failed(f"exit code {child.returncode}")
             return None
     if child.returncode:
+        child_failed(f"exit code {child.returncode}")
         return None
     return mine + theirs, my_skips + their_skips
 
@@ -683,8 +705,8 @@ def parse_corpora(
     or across each part when it pays to parse the files in two processes
     (see :func:`_two_parts`). The records, the skip warnings and their order
     are those of a parse in one process, and so are the errors: on any
-    failure the files are parsed again in one process. A side that yields
-    no record logs one warning.
+    failure the files are parsed again in one process, after a warning when
+    the child process failed. A side that yields no record logs one warning.
     """
     parts = _two_parts(paths)
     parsed = None if parts is None else _parse_in_two_processes(*parts, dialect)

@@ -9,6 +9,7 @@ identical inputs produce byte-identical artifact trees.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 from contextlib import contextmanager
@@ -65,7 +66,7 @@ class SideConfig:
     dialect: Dialect
     corpus_paths: list[Path]
     frame_index_paths: list[Path]
-    settings_id: str = "2.B"
+    settings: str = "2.B"  # its settings id
 
 
 @dataclass
@@ -76,25 +77,6 @@ class PipelineConfig:
     grammar_level: MatchLevel = MatchLevel.SEMANTIC_SYNTACTIC
     grammar_mode: MatchMode = MatchMode.FUZZY
     voice_rules_path: Path | None = None
-
-    def to_dict(self) -> dict:
-        def side(s: SideConfig) -> dict:
-            return {
-                "name": s.name,
-                "dialect": s.dialect.value,
-                "corpus_paths": [str(p) for p in s.corpus_paths],
-                "frame_index_paths": [str(p) for p in s.frame_index_paths],
-                "settings": s.settings_id,
-            }
-
-        return {
-            "left": side(self.left),
-            "right": side(self.right),
-            "out_dir": str(self.out_dir),
-            "grammar_level": self.grammar_level.value,
-            "grammar_mode": self.grammar_mode.value,
-            "voice_rules_path": str(self.voice_rules_path) if self.voice_rules_path else None,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +294,7 @@ def _run_stages(config: PipelineConfig) -> None:
             stage = f"aggregate[{name}]"
             valences[name], filtered[name] = aggregate_patterns(
                 all_patterns,
-                Settings.from_id(side.settings_id),
+                Settings.from_id(side.settings),
                 valences_out=out / f"{name}.valences.tsv",
                 patterns_out=out / f"{name}.filtered-patterns.tsv",
                 summary_dir=out / "summaries" / name,
@@ -340,7 +322,7 @@ def _run_stages(config: PipelineConfig) -> None:
             filtered,
             out / "grammar",
             settings_desc=(
-                f"{config.left.settings_id}:{config.right.settings_id} "
+                f"{config.left.settings}:{config.right.settings} "
                 f"{config.grammar_level.value} {config.grammar_mode.value}"
             ),
             input_digests=[
@@ -362,11 +344,12 @@ def _run_stages(config: PipelineConfig) -> None:
         manifest = {
             "tool": "valgram",
             "version": __version__,
-            "config": config.to_dict(),
+            "config": dataclasses.asdict(config),
             "inputs": inputs,
         }
         (out / "manifest.json").write_text(
-            json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+            json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True, default=str)
+            + "\n",
             encoding="utf-8",
         )
     except Exception as exc:

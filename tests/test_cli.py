@@ -285,6 +285,36 @@ def test_manifest_holds_the_voice_rules_digest(tmp_path, bfn_mini, swefn_mini, f
     assert len(manifest["inputs"]) == 4
 
 
+def test_manifest_config_records_every_setting_of_the_run(
+    tmp_path, bfn_mini, swefn_mini, frames_tsv
+):
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"bfn": {"aux_window": 2}}', encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--left", bfn_mini, "--left-dialect", "bfn",
+        "--right", swefn_mini, "--right-dialect", "swefn",
+        "--frames", frames_tsv, "--voice-rules", rules, "--settings", "3.B:2.B",
+        "--out-dir", out,
+    ) == 0
+
+    def side(name, corpus, settings):
+        return {
+            "name": name, "dialect": name, "corpus_paths": [str(corpus)],
+            "frame_index_paths": [str(frames_tsv)], "settings": settings,
+        }
+
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"] == {
+        "left": side("bfn", bfn_mini, "3.B"),
+        "right": side("swefn", swefn_mini, "2.B"),
+        "out_dir": str(out),
+        "grammar_level": "semsyn",
+        "grammar_mode": "fuzzy",
+        "voice_rules_path": str(rules),
+    }
+
+
 def test_run_grammar_matches_goldens(tmp_path, bfn_mini, swefn_mini, frames_tsv, data_dir):
     out = tmp_path / "out"
     run_cli(

@@ -151,6 +151,24 @@ def test_bfn_fe_offsets_outside_text_skips_record(caplog):
     assert "overlap no text" in caplog.text
 
 
+@pytest.mark.parametrize("target,pos,what", [
+    ('start="50" end="55"', 'start="0" end="3"', "target offsets 50..55"),
+    ('start="5" end="8"', 'start="40" end="44"', "POS label 'NN' offsets 40..44"),
+], ids=["target", "pos"])
+def test_bfn_target_and_pos_offsets_outside_text_skip_the_sentence(caplog, target, pos, what):
+    # Without a luName the LU reference is built from the target's text, and
+    # a POS label gives a token with its text as the surface.
+    xml = f"""<corpus><sentence ID="bad"><text>They want it.</text>
+      <annotationSet><layer name="PENN"><label {pos} name="NN"/></layer></annotationSet>
+      <annotationSet frameName="Desiring">
+        <layer name="Target"><label {target} name="Target"/></layer>
+      </annotationSet>
+    </sentence></corpus>"""
+    with caplog.at_level("WARNING"):
+        assert parse_corpus(xml.encode(), Dialect.BFN_PHRASE) == []
+    assert f"sentence 'bad': {what} overlap no text (length 13)" in caplog.text
+
+
 def test_bfn_multiple_annotation_sets_yield_multiple_examples():
     xml = b"""<corpus><sentence ID="multi">
       <text>They want and crave it.</text>

@@ -55,10 +55,13 @@ def _warnings(caplog):
     return [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
 
 
-def _assert_same_as_one_process(tmp_path, caplog, seen, paths, dialect, *, split=True):
+def _assert_same_as_one_process(
+    tmp_path, caplog, seen, paths, dialect, *, split=True, child_failure=None
+):
     """The records, JSON-lines bytes and skip warnings are those of the parse
     in one process. ``split``: the two-process parse ran to its end, rather
-    than fall back to parsing every file whole."""
+    than fall back to parsing every file whole. ``child_failure``: why the
+    child failed, logged once before the warnings of the one-process parse."""
     caplog.clear()
     with pytest.MonkeyPatch.context() as mp, caplog.at_level("WARNING"):
         mp.setattr(ingest, "_two_processes_pay", lambda size: False)
@@ -71,7 +74,12 @@ def _assert_same_as_one_process(tmp_path, caplog, seen, paths, dialect, *, split
         records = ingest_corpora(paths, dialect, tmp_path / "two.jsonl")
     assert records == serial
     assert (tmp_path / "two.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
-    assert _warnings(caplog) == serial_warnings
+    failed = [] if child_failure is None else [(
+        "valgram.ingest", "WARNING",
+        f"the second {ingest._DIALECT_PARSERS[dialect][1]} parse process failed "
+        f"({child_failure}); parsing the side in one process",
+    )]
+    assert _warnings(caplog) == failed + serial_warnings
     assert all(child.returncode is not None for child in seen.children)
     if split:
         assert seen.whole == []
@@ -198,7 +206,9 @@ def test_a_child_that_ends_before_reading_its_job_falls_back(tmp_path, caplog, f
     # The write of the job meets a pipe that no process reads.
     monkeypatch.setattr(ingest, "_CHILD", "pass")
     paths = _long_named_side(tmp_path)
-    _assert_same_as_one_process(tmp_path, caplog, forced, paths, BFN, split=False)
+    _assert_same_as_one_process(
+        tmp_path, caplog, forced, paths, BFN, split=False, child_failure="exit code 0"
+    )
     assert [child.returncode for child in forced.children] == [0]
 
 
@@ -287,7 +297,10 @@ def test_a_child_that_cannot_start_falls_back(tmp_path, caplog, forced, monkeypa
 
     monkeypatch.setattr(subprocess, "Popen", cannot_start)
     path = data_dir / "bfn_mini.xml"
-    _assert_same_as_one_process(tmp_path, caplog, forced, [path], BFN, split=False)
+    _assert_same_as_one_process(
+        tmp_path, caplog, forced, [path], BFN, split=False,
+        child_failure="cannot start: [Errno 7] Argument list too long",
+    )
     assert forced.children == []
 
 
